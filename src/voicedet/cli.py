@@ -33,6 +33,7 @@ from .training import (
     Example,
     TrainConfig,
     evaluate_cross_corpus,
+    features_for_wave,
     make_example,
     train,
 )
@@ -290,8 +291,6 @@ def cmd_detect(args) -> int:
         if args.method == "rapt":
             labels = track_voicing(wave, tracker_cfg)
         else:
-            from .training import features_for_wave
-
             x = features_for_wave(wave, model.cfg.input_freq_bins)
             probs, _ = model.forward_batch(x[None], training=False)
             labels = decide_voicing(probs[0], model.cfg.threshold)
@@ -432,7 +431,6 @@ def build_parser() -> CliParser:
     def common(p):
         p.add_argument("--config", help="JSON run config (sections: tracker/model/train)")
         p.add_argument("--seed", type=int, default=None, help="override the training seed")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
         p.add_argument("--strict", action="store_true", help="exit 2 if any record is skipped")
 
     p = sub.add_parser("synth-corpus", help="generate the deterministic synthetic corpus")
@@ -449,6 +447,7 @@ def build_parser() -> CliParser:
     p.add_argument("--out", required=True)
     p.add_argument("--cutoff-hz", type=float, default=None,
                    help="explicit high-pass cutoff (required for unknown speaker sex)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.set_defaults(func=cmd_labels_extract)
 
     p = sub.add_parser("labels-compare", help="mismatch rates between two label directories")

@@ -3,7 +3,7 @@
 Layout: an 8-byte magic, a little-endian uint64 header length, a JSON header
 (format version, embedded model config, a manifest of named arrays with
 shape/dtype/offset), then the raw little-endian array payload. Round trips
-are bit-exact.
+are bit-exact; a file too short for its header or manifest is rejected.
 """
 from __future__ import annotations
 
@@ -63,7 +63,13 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
     data = Path(path).read_bytes()
     if data[:8] != MAGIC:
         raise InvalidArgument(f"{path}: not a {MAGIC.decode()} checkpoint")
+    if len(data) < 16:
+        raise InvalidArgument(f"{path}: truncated checkpoint: no header length")
     (header_len,) = struct.unpack("<Q", data[8:16])
+    if 16 + header_len > len(data):
+        raise InvalidArgument(
+            f"{path}: truncated checkpoint: header needs {16 + header_len} bytes, file has {len(data)}"
+        )
     header = json.loads(data[16 : 16 + header_len].decode())
     if header.get("format_version") != 1:
         raise InvalidArgument(f"{path}: unsupported checkpoint version")
@@ -72,7 +78,13 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
     params: dict[str, np.ndarray] = {}
     buffers: dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
-        raw = payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
+        end = entry["offset"] + entry["nbytes"]
+        if end > len(payload):
+            raise InvalidArgument(
+                f"{path}: truncated checkpoint: {entry['name']} needs {end} payload bytes, "
+                f"file has {len(payload)}"
+            )
+        raw = payload[entry["offset"] : end]
         arr = np.frombuffer(raw, dtype=_DTYPES[entry["dtype"]]).reshape(entry["shape"])
         arr = arr.astype(entry["dtype"])  # native byte order, writable
         (params if entry["kind"] == "param" else buffers)[entry["name"]] = arr

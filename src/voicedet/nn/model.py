@@ -2,9 +2,10 @@
 gated downsampling convolutions, a grouped BLSTM stack, and a sigmoid head.
 
 Each Conv-DC block runs four composite layers (1x3 freq convolution, batch
-norm, ELU), every one consuming the channel concatenation of the block input
-and all preceding composite outputs, then a gated 1x4 stride-2 convolution
-halves the frequency axis. The stacked real/imaginary STFT feature enters as
+norm, ELU), every one reading the block input and all preceding composite
+outputs from one shared channel buffer (the shared-storage layout of
+memory-efficient DenseNets), then a gated 1x4 stride-2 convolution halves
+the frequency axis. The stacked real/imaginary STFT feature enters as
 two channels; activations are held channels-last ([batch, time, freq,
 channel]) so each kernel tap is a single matrix product. Time is never
 padded or strided, so one posterior is produced per input frame.
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dsp import FeatureTensor, InvalidArgument
+from ..dsp import InvalidArgument
 from ..tracker import VoicingLabels
 from . import ops
 from .recurrent import RecurrentStack
@@ -197,14 +198,18 @@ class GatedConv:
 class ConvDcBlock:
     """Densely-connected composite layers plus the gated downsampler.
 
-    Layer l consumes [input, out_1, ..., out_{l-1}] concatenated along
-    channels; the gated convolution consumes the full concatenation.
+    All layers share one [B, T, F, C_in + L*growth] channel buffer: the
+    input fills the first C_in channels and composite l writes its output
+    once into the next growth channels, so layer l reads the prefix
+    [input, out_1, ..., out_{l-1}] as a view and the gated convolution reads
+    the whole buffer. The backward pass mirrors this: each composite adds
+    its input gradient into the prefix of one shared gradient buffer.
     """
 
     def __init__(self, prefix, c_in, c_out, cfg: ModelConfig, rng):
         self.prefix = prefix
         self.c_in = c_in
-        g = cfg.composite_growth
+        self.growth = g = cfg.composite_growth
         self.composites = [
             CompositeLayer(f"{prefix}.comp{l}", c_in + g * l, g, cfg, rng)
             for l in range(cfg.composite_layers)
@@ -223,34 +228,29 @@ class ConvDcBlock:
             yield from comp.buffers()
 
     def forward(self, x, training, update_stats):
-        pieces = [x]
+        c, g = self.c_in, self.growth
+        buf = np.empty(
+            (*x.shape[:3], c + g * len(self.composites)),
+            dtype=np.result_type(x, self.gated.w1),
+        )
+        buf[..., :c] = x
         comp_caches = []
         for comp in self.composites:
-            cat = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=3)
-            y, cache = comp.forward(cat, training, update_stats)
+            y, cache = comp.forward(buf[..., :c], training, update_stats)
+            buf[..., c : c + g] = y
             comp_caches.append(cache)
-            pieces.append(y)
-        cat = np.concatenate(pieces, axis=3)
-        v, gated_cache = self.gated.forward(cat)
-        widths = [p.shape[3] for p in pieces]
-        return v, (comp_caches, gated_cache, widths)
+            c += g
+        v, gated_cache = self.gated.forward(buf)
+        return v, (comp_caches, gated_cache)
 
     def backward(self, dv, cache, grads):
-        comp_caches, gated_cache, widths = cache
-        dcat = self.gated.backward(dv, gated_cache, grads)
-        # split the concatenation gradient back onto the pieces
-        dpieces = []
-        offset = 0
-        for w in widths:
-            dpieces.append(dcat[..., offset : offset + w])
-            offset += w
+        comp_caches, gated_cache = cache
+        dbuf = self.gated.backward(dv, gated_cache, grads)
+        g = self.growth
         for l in range(len(self.composites) - 1, -1, -1):
-            dcat_l = self.composites[l].backward(dpieces[l + 1], comp_caches[l], grads)
-            offset = 0
-            for i in range(l + 1):
-                dpieces[i] = dpieces[i] + dcat_l[..., offset : offset + widths[i]]
-                offset += widths[i]
-        return dpieces[0]
+            c = self.c_in + g * l
+            dbuf[..., :c] += self.composites[l].backward(dbuf[..., c : c + g], comp_caches[l], grads)
+        return dbuf[..., : self.c_in]
 
 
 class DccrnModel:
@@ -352,23 +352,6 @@ class DccrnModel:
         for i in range(len(self.blocks) - 1, -1, -1):
             dx = self.blocks[i].backward(dx, caches[i], grads)
         return grads
-
-    # -- utterance-level API -------------------------------------------------
-
-    def arrange_feature(self, feat: FeatureTensor) -> np.ndarray:
-        """[T, 2F] -> [1, T, F, 2]: real and imaginary halves as channels."""
-        f = feat.n_bins
-        if f != self.cfg.input_freq_bins:
-            raise InvalidArgument(
-                f"feature has {f} bins, model expects {self.cfg.input_freq_bins}"
-            )
-        vals = feat.values
-        return np.stack([vals[:, :f], vals[:, f:]], axis=-1)[None]
-
-    def model_forward(self, feat: FeatureTensor) -> VoicingPosterior:
-        """Inference posterior for one utterance."""
-        probs, _ = self.forward_batch(self.arrange_feature(feat), training=False)
-        return VoicingPosterior(probs[0])
 
 
 def bce_loss(y, probs) -> tuple[float, np.ndarray]:

@@ -143,6 +143,22 @@ class TestDetect:
         write_wav(wav, Waveform(np.zeros(800), 8000))
         assert main(["detect", "--method", "dccrn", "--out", str(tmp_path), str(wav)]) == 1
 
+    def test_truncated_checkpoint_is_usage_error(self, tmp_path, capsys):
+        from voicedet.nn.checkpoint import save_checkpoint
+        from voicedet.nn.model import DccrnModel, ModelConfig
+
+        cfg = ModelConfig(block_out_channels=(2, 4), blstm_hidden=8, groups=2, dtype="float32")
+        model = DccrnModel(cfg, seed=0)
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, cfg, model.params(), model.buffers())
+        ckpt.write_bytes(ckpt.read_bytes()[:-100])
+        wav = tmp_path / "x.wav"
+        write_wav(wav, Waveform(np.zeros(800), 8000))
+        code = main(["detect", "--method", "dccrn", "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "out"), str(wav)])
+        assert code == 1
+        assert str(ckpt) in capsys.readouterr().err
+
 
 class TestTrainAndEval:
     def test_demo_round_trip(self, tmp_path):
@@ -203,6 +219,16 @@ class TestExitCodes:
     def test_usage_error_is_one(self):
         assert main(["labels-extract"]) == 1  # missing required args
         assert main(["bogus-command"]) == 1
+
+    def test_jobs_only_accepted_by_labels_extract(self, tmp_path):
+        wav = tmp_path / "x.wav"
+        write_wav(wav, Waveform(np.zeros(800), 8000))
+        out = str(tmp_path / "out")
+        assert main(["detect", "--method", "rapt", "--jobs", "8", "--out", out, str(wav)]) == 1
+        assert main(["train", "--synthetic-demo", "--jobs", "2", "--out", out]) == 1
+        assert main(["eval", "--corpus", f"{tmp_path}:x", "--folds", "f.json",
+                     "--jobs", "2", "--out", out]) == 1
+        assert not (tmp_path / "out").exists()  # rejected before any work
 
     def test_internal_errors_are_three(self, tmp_path, monkeypatch):
         import voicedet.cli as cli

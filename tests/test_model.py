@@ -1,9 +1,11 @@
 """Tests for the assembled DC-CRN model, loss, decisions, and checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 
-from voicedet.dsp import FeatureTensor, InvalidArgument
+from voicedet.dsp import InvalidArgument, Waveform
 from voicedet.nn.checkpoint import load_checkpoint, save_checkpoint
 from voicedet.nn.model import (
     DccrnModel,
@@ -14,6 +16,7 @@ from voicedet.nn.model import (
     decide_voicing,
 )
 from voicedet.nn.recurrent import GroupedBlstmLayer
+from voicedet.training import features_for_wave
 
 
 def tiny_config(**kw):
@@ -88,20 +91,74 @@ class TestShapes:
             model.forward_batch(np.zeros((1, 4, 8, 3)))
 
 
+def concat_reference(block, x, dv, training):
+    """The block's forward and backward written with explicit per-layer
+    concatenations and a per-piece gradient split: (v, dx, grads)."""
+    pieces, caches = [x], []
+    for comp in block.composites:
+        y, cache = comp.forward(np.concatenate(pieces, axis=3), training, False)
+        caches.append(cache)
+        pieces.append(y)
+    v, gated_cache = block.gated.forward(np.concatenate(pieces, axis=3))
+    grads = {}
+    dcat = block.gated.backward(dv, gated_cache, grads)
+    bounds = np.cumsum([0] + [p.shape[3] for p in pieces])
+    dpieces = [dcat[..., lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    for l in range(len(block.composites) - 1, -1, -1):
+        dcat_l = block.composites[l].backward(dpieces[l + 1], caches[l], grads)
+        for i in range(l + 1):
+            dpieces[i] = dpieces[i] + dcat_l[..., bounds[i] : bounds[i + 1]]
+    return v, dpieces[0], grads
+
+
 class TestDenseWiring:
     def layer_io(self, model, x):
-        """(inputs, outputs) of each composite layer plus the gate input."""
+        """(inputs, outputs) of each composite layer plus the gate input, as
+        seen by the layers during ConvDcBlock.forward."""
         block = model.blocks[0]
-        pieces = [x.astype(np.float64)]
         inputs, outputs = [], []
+
+        def spy(layer):
+            forward = layer.forward
+
+            def recording(inp, *args):
+                inputs.append(inp.copy())
+                out = forward(inp, *args)
+                outputs.append(out[0])
+                return out
+
+            layer.forward = recording
+
         for comp in block.composites:
-            cat = np.concatenate(pieces, axis=3) if len(pieces) > 1 else pieces[0]
-            inputs.append(cat)
-            y, _ = comp.forward(cat, False, False)
-            outputs.append(y)
-            pieces.append(y)
-        inputs.append(np.concatenate(pieces, axis=3))
-        return inputs, outputs
+            spy(comp)
+        spy(block.gated)
+        block.forward(x, False, False)
+        return inputs, outputs[:-1]
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_block_matches_concatenation_reference(self, dtype, training):
+        cfg = tiny_config(dtype=dtype)
+        model = DccrnModel(cfg, seed=11)
+        # fold one training batch into the running statistics so inference
+        # mode does not run on the identity initialisation
+        rng = np.random.default_rng(12)
+        model.forward_batch(rng.standard_normal((2, 3, 8, 2)), training=True, update_stats=True)
+        freqs = cfg.freq_chain()
+        for i, block in enumerate(model.blocks):
+            x = rng.standard_normal((2, 3, freqs[i], block.c_in)).astype(dtype)
+            v, cache = block.forward(x, training, False)
+            dv = rng.standard_normal(v.shape).astype(dtype)
+            grads = {}
+            dx = block.backward(dv, cache, grads)
+            ref_v, ref_dx, ref_grads = concat_reference(block, x, dv, training)
+            assert v.dtype == ref_v.dtype == np.dtype(dtype)
+            assert np.array_equal(v, ref_v)
+            assert dx.dtype == ref_dx.dtype
+            assert np.array_equal(dx, ref_dx)
+            assert grads.keys() == ref_grads.keys() == dict(block.params()).keys()
+            for name in grads:
+                assert np.array_equal(grads[name], ref_grads[name]), name
 
     def test_each_slice_carries_its_layer_output(self):
         cfg = tiny_config()
@@ -164,16 +221,19 @@ class TestDenseWiring:
 
 
 class TestPosteriorAndDecisions:
-    def test_model_forward_contract(self):
-        cfg = tiny_config()
+    def test_features_and_forward_batch_contract(self):
+        cfg = tiny_config(input_freq_bins=513)
         model = DccrnModel(cfg, seed=0)
-        rng = np.random.default_rng(4)
-        feat = FeatureTensor(rng.standard_normal((9, 16)))
-        post = model.model_forward(feat)
-        assert isinstance(post, VoicingPosterior)
-        assert len(post) == 9
-        again = model.model_forward(feat)
-        assert np.array_equal(post.probs, again.probs)
+        wave = Waveform(np.random.default_rng(4).standard_normal(1600) * 0.1, 8000)
+        x = features_for_wave(wave, cfg.input_freq_bins)
+        assert x.shape == (20, 513, 2)  # 0.2 s at a 10 ms hop, real/imag channels
+        probs, _ = model.forward_batch(x[None], training=False)
+        post = VoicingPosterior(probs[0])
+        assert len(post) == 20
+        again, _ = model.forward_batch(x[None], training=False)
+        assert np.array_equal(post.probs, again[0])
+        with pytest.raises(InvalidArgument):
+            features_for_wave(wave, 8)
 
     def test_posterior_open_interval(self):
         with pytest.raises(InvalidArgument):
@@ -297,6 +357,21 @@ class TestCheckpoint:
         other = DccrnModel(tiny_config(blstm_hidden=4), seed=0)
         with pytest.raises(InvalidArgument, match="architecture mismatch"):
             other.load_state(params, buffers)
+
+    def test_truncated_rejected_with_path(self, tmp_path):
+        cfg = tiny_config()
+        model = DccrnModel(cfg, seed=1)
+        full = tmp_path / "m.ckpt"
+        save_checkpoint(full, cfg, model.params(), model.buffers())
+        data = full.read_bytes()
+        header_len = int.from_bytes(data[8:16], "little")
+        # inside the magic, inside the length field, inside the header, and
+        # one byte short of the payload
+        for cut in (4, 12, 16 + header_len // 2, len(data) - 1):
+            p = tmp_path / f"cut{cut}.ckpt"
+            p.write_bytes(data[:cut])
+            with pytest.raises(InvalidArgument, match=re.escape(str(p))):
+                load_checkpoint(p)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "x.ckpt"
