@@ -229,23 +229,14 @@ def cmd_labels_compare(args) -> int:
     common = sorted(ids_a & ids_b)
     if not common:
         raise InvalidArgument(f"no overlapping utterance ids between {dir_a} and {dir_b}")
-    rows = []
-    pooled_wrong = 0
-    pooled_aligned_wrong = 0
-    pooled_n = 0
-    pooled_aligned_n = 0
+    plain, aligned = [], []
     hops = set()
     for utt in common:
         a = label_io.read_labels(dir_a / f"{utt}.lab")
         b = label_io.read_labels(dir_b / f"{utt}.lab")
         hops.update({a.hop_ms, b.hop_ms})
-        plain = mismatch_rate(a, b)
-        shift, aligned = align_for_lowest_vde(a, b, args.max_shift)
-        rows.append((utt, plain.n_frames, plain.mismatch_rate, aligned.mismatch_rate, shift))
-        pooled_wrong += round(plain.mismatch_rate * plain.n_frames / 100.0)
-        pooled_n += plain.n_frames
-        pooled_aligned_wrong += round(aligned.mismatch_rate * aligned.n_frames / 100.0)
-        pooled_aligned_n += aligned.n_frames
+        plain.append(mismatch_rate(a, b))
+        aligned.append(align_for_lowest_vde(a, b, args.max_shift)[1])
     if len(hops) != 1:
         raise InvalidArgument(f"inconsistent hop_ms across label files: {sorted(hops)}")
     hop = hops.pop()
@@ -254,12 +245,10 @@ def cmd_labels_compare(args) -> int:
         f"#hop_ms={hop_txt}",
         "utt_id,n_frames,mismatch_percent,mismatch_aligned_percent,shift",
     ]
-    for utt, n, plain_rate, aligned_rate, shift in rows:
-        lines.append(f"{utt},{n},{plain_rate:.4f},{aligned_rate:.4f},{shift}")
-    lines.append(
-        f"POOLED,{pooled_n},{100.0 * pooled_wrong / pooled_n:.4f},"
-        f"{100.0 * pooled_aligned_wrong / pooled_aligned_n:.4f},0"
-    )
+    for utt, p, al in zip(common, plain, aligned):
+        lines.append(f"{utt},{p.n_frames},{p.mismatch_rate:.4f},{al.mismatch_rate:.4f},{al.shift_applied}")
+    p, al = label_io.pool_comparisons(plain), label_io.pool_comparisons(aligned)
+    lines.append(f"POOLED,{p.n_frames},{p.mismatch_rate:.4f},{al.mismatch_rate:.4f},0")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)

@@ -60,9 +60,6 @@ class Manifest:
     def __len__(self) -> int:
         return len(self.records)
 
-    def by_id(self) -> dict[str, UtteranceRecord]:
-        return {r.full_id: r for r in self.records}
-
     def stats(self) -> dict:
         per_corpus: dict[str, int] = {}
         per_speaker: dict[str, int] = {}

@@ -39,15 +39,27 @@ class SpeakerMeta:
 
 @dataclass(frozen=True)
 class LabelComparison:
-    mismatch_rate: float  # percent
+    """`wrong` of `n_frames` compared frames disagree, with the estimate moved
+    `shift_applied` frames; the percentage is derived from the integer counts."""
+
+    wrong: int
     n_frames: int
     shift_applied: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.mismatch_rate <= 100.0):
-            raise InvalidArgument("mismatch_rate out of [0, 100]")
         if self.n_frames <= 0:
             raise InvalidArgument("n_frames must be positive")
+        if not (0 <= self.wrong <= self.n_frames):
+            raise InvalidArgument("wrong out of [0, n_frames]")
+
+    @property
+    def mismatch_rate(self) -> float:  # percent
+        return 100.0 * self.wrong / self.n_frames
+
+
+def pool_comparisons(cmps: list[LabelComparison]) -> LabelComparison:
+    """Pooled counts: Σwrong of Σn_frames."""
+    return LabelComparison(sum(c.wrong for c in cmps), sum(c.n_frames for c in cmps))
 
 
 def extract_reference_labels(
@@ -76,8 +88,22 @@ def pseudo_labels_from_mic(mic: Waveform, tracker_cfg: TrackerConfig | None = No
     return track_voicing(mic, tracker_cfg or TrackerConfig())
 
 
+def _count_mismatch(est: VoicingLabels, ref: VoicingLabels, shift: int = 0,
+                    min_overlap: int = 0) -> tuple[int, int]:
+    """(wrong, n_valid) of est moved `shift` frames later against ref, over the
+    min(len) - |shift| >= min_overlap overlapping frames valid in both."""
+    n = min(len(est), len(ref)) - abs(shift)
+    if n < min_overlap:
+        raise InvalidArgument(f"overlap at shift {shift} is {n} frames, need >= {min_overlap}")
+    e = slice(max(-shift, 0), max(-shift, 0) + n)
+    r = slice(max(shift, 0), max(shift, 0) + n)
+    valid = est.valid_mask[e] & ref.valid_mask[r]
+    wrong = int(np.count_nonzero((est.labels[e] != ref.labels[r]) & valid))
+    return wrong, int(valid.sum())
+
+
 def mismatch_rate(a: VoicingLabels, b: VoicingLabels) -> LabelComparison:
-    """Percent of frames where the two label sequences disagree.
+    """Frames where the two label sequences disagree, as integer counts.
 
     Lengths may differ by up to 2 frames (truncated to the overlap); anything
     larger needs explicit alignment first. Frames masked invalid in either
@@ -87,15 +113,10 @@ def mismatch_rate(a: VoicingLabels, b: VoicingLabels) -> LabelComparison:
         raise InvalidArgument(
             f"length difference {abs(len(a) - len(b))} > {MAX_LENGTH_SLACK} frames; align first"
         )
-    n = min(len(a), len(b))
-    if n == 0:
-        raise InvalidArgument("empty label sequences")
-    valid = a.valid_mask[:n] & b.valid_mask[:n]
-    n_valid = int(valid.sum())
+    wrong, n_valid = _count_mismatch(a, b)
     if n_valid == 0:
         raise InvalidArgument("no valid frames to compare")
-    diff = int(np.count_nonzero((a.labels[:n] != b.labels[:n]) & valid))
-    return LabelComparison(100.0 * diff / n_valid, n_valid)
+    return LabelComparison(wrong, n_valid)
 
 
 def align_for_lowest_vde(
@@ -103,38 +124,25 @@ def align_for_lowest_vde(
 ) -> tuple[int, LabelComparison]:
     """Integer shift of est in [-max_shift, +max_shift] minimizing the mismatch.
 
-    Positive shift moves est later relative to ref. Ties break to the smaller
-    |shift|, then negative before positive.
+    Positive shift moves est later relative to ref. Each shift compares the
+    min(len) - |shift| overlapping frames, which must number at least 10.
+    The winner has the lowest mismatch percent; ties break to the smaller
+    |shift|, then negative before positive. Returns (shift, its counts).
     """
     if max_shift < 0:
         raise InvalidArgument("max_shift must be >= 0")
-    best: tuple[int, LabelComparison] | None = None
+    best: LabelComparison | None = None
     # tie-break order: 0, -1, +1, -2, +2, ...
     for s in sorted(range(-max_shift, max_shift + 1), key=lambda s: (abs(s), s > 0)):
-        if s >= 0:
-            e = est.labels[: len(est) - s] if s else est.labels
-            r = ref.labels[s:]
-            ev = est.valid_mask[: len(est) - s] if s else est.valid_mask
-            rv = ref.valid_mask[s:]
-        else:
-            e = est.labels[-s:]
-            r = ref.labels[: len(ref) + s]
-            ev = est.valid_mask[-s:]
-            rv = ref.valid_mask[: len(ref) + s]
-        n = min(e.size, r.size)
-        if n < 10:
-            raise InvalidArgument(f"overlap at shift {s} is {n} frames, need >= 10")
-        valid = ev[:n] & rv[:n]
-        n_valid = int(valid.sum())
+        wrong, n_valid = _count_mismatch(est, ref, s, min_overlap=10)
         if n_valid == 0:
             continue
-        diff = int(np.count_nonzero((e[:n] != r[:n]) & valid))
-        rate = 100.0 * diff / n_valid
-        if best is None or rate < best[1].mismatch_rate:
-            best = (s, LabelComparison(rate, n_valid, shift_applied=s))
+        cmp = LabelComparison(wrong, n_valid, shift_applied=s)
+        if best is None or cmp.mismatch_rate < best.mismatch_rate:
+            best = cmp
     if best is None:
         raise InvalidArgument("no valid frames in any shift window")
-    return best
+    return best.shift_applied, best
 
 
 def write_labels(path: str | Path, labels: VoicingLabels) -> None:

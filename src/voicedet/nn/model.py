@@ -24,6 +24,12 @@ from .recurrent import RecurrentStack
 POSTERIOR_EPS = 1e-7
 
 
+_POSITIVE_SIZES = (
+    "composite_growth", "composite_kernel", "composite_layers", "gated_kernel", "gated_stride",
+    "blstm_layers", "blstm_hidden", "groups", "input_freq_bins", "input_channels",
+)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     block_out_channels: tuple[int, ...] = (4, 8, 16, 32, 64, 128, 256)
@@ -51,6 +57,14 @@ class ModelConfig:
             raise InvalidArgument(f"unsupported dtype {self.dtype}")
         if not self.block_out_channels:
             raise InvalidArgument("need at least one block")
+        bounds = [(n, getattr(self, n), 1) for n in _POSITIVE_SIZES]
+        bounds += [(f"block_out_channels[{i}]", c, 1) for i, c in enumerate(self.block_out_channels)]
+        bounds += [(n, getattr(self, n), 0) for n in ("composite_pad", "gated_pad")]
+        for name, v, lo in bounds:
+            if not isinstance(v, int) or v < lo:
+                raise InvalidArgument(f"{name} must be an integer >= {lo}, got {v!r}")
+        if min(self.freq_chain()) < 1:
+            raise InvalidArgument(f"frequency chain {self.freq_chain()} falls below 1 bin")
         if self.flatten_width() % self.groups != 0:
             raise InvalidArgument(
                 f"flattened width {self.flatten_width()} not divisible by groups={self.groups}"

@@ -27,7 +27,7 @@ from .dsp import (
     resample,
     stft,
 )
-from .labels import align_for_lowest_vde
+from .labels import LabelComparison, _count_mismatch, align_for_lowest_vde, pool_comparisons
 from .nn.model import DccrnModel, ModelConfig, bce_loss, decide_voicing
 from .tracker import TrackerConfig, VoicingLabels, track_voicing
 
@@ -122,11 +122,9 @@ def vde_counts(est: VoicingLabels, ref: VoicingLabels) -> tuple[int, int]:
     """(wrong frames, counted frames); invalid-masked frames are skipped."""
     if len(est) != len(ref):
         raise InvalidArgument(f"length mismatch: {len(est)} vs {len(ref)}")
-    valid = est.valid_mask & ref.valid_mask
-    n = int(valid.sum())
+    wrong, n = _count_mismatch(est, ref)
     if n == 0:
         raise InvalidArgument("no valid frames")
-    wrong = int(np.count_nonzero((est.labels != ref.labels) & valid))
     return wrong, n
 
 
@@ -495,11 +493,7 @@ def evaluate_cross_corpus(folds: list[FoldPlan], methods: list[str], data,
                     "fold %s: no checkpoint for dccrn, row skipped", fold.held_out_corpus
                 )
                 continue
-            wrong_aligned = 0
-            n_aligned = 0
-            wrong_plain = 0
-            n_frames = 0
-            shifts: Counter[int] = Counter()
+            plain, aligned = [], []
             for utt_id in fold.test_ids:
                 if utt_id not in data:
                     continue
@@ -507,26 +501,23 @@ def evaluate_cross_corpus(folds: list[FoldPlan], methods: list[str], data,
                 ref = VoicingLabels(ex.y.astype(np.int8))
                 est = decode_method(method, ex, model, tracker_cfg)
                 shift, aligned_cmp = align_for_lowest_vde(est, ref, max_shift)
-                w, n = vde_counts(est, ref)
-                wrong_plain += w
-                n_frames += n
-                wrong_aligned += round(aligned_cmp.mismatch_rate * aligned_cmp.n_frames / 100.0)
-                n_aligned += aligned_cmp.n_frames
-                shifts[shift] += 1
+                plain.append(LabelComparison(*vde_counts(est, ref)))
+                aligned.append(aligned_cmp)
                 if keep_decisions:
                     decisions[(fold.held_out_corpus, method, utt_id)] = (ref, est, shift)
-            if n_frames == 0:
+            if not plain:
                 log.warning("fold %s/%s: no test data", fold.held_out_corpus, method)
                 continue
+            pooled_plain, pooled_aligned = pool_comparisons(plain), pool_comparisons(aligned)
             rows.append(
                 EvalRow(
                     train_corpora=train_corpora,
                     test_corpus=fold.held_out_corpus,
                     method=method,
-                    vde_percent=100.0 * wrong_aligned / n_aligned,
-                    vde_unaligned_percent=100.0 * wrong_plain / n_frames,
-                    n_frames=n_frames,
-                    shift_used=shifts.most_common(1)[0][0],
+                    vde_percent=pooled_aligned.mismatch_rate,
+                    vde_unaligned_percent=pooled_plain.mismatch_rate,
+                    n_frames=pooled_plain.n_frames,
+                    shift_used=Counter(c.shift_applied for c in aligned).most_common(1)[0][0],
                 )
             )
     return EvalReport(tuple(rows)), decisions

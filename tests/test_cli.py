@@ -1,13 +1,17 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voicedet.cli import main
 from voicedet.dsp import Waveform, write_wav
-from voicedet.labels import read_labels
+from voicedet.labels import align_for_lowest_vde, read_labels, write_labels
+from voicedet.tracker import VoicingLabels
 from scipy.signal import sawtooth
 
 
@@ -79,9 +83,6 @@ class TestLabelsCompare:
         labels = read_labels(target)
         flipped = labels.labels.copy()
         flipped[10] ^= 1
-        from voicedet.labels import write_labels
-        from voicedet.tracker import VoicingLabels
-
         f0 = np.where(flipped == 1, np.maximum(labels.f0, 100.0), 0.0)
         write_labels(target, VoicingLabels(flipped, f0=f0))
         out_csv = tmp_path / "cmp.csv"
@@ -94,10 +95,49 @@ class TestLabelsCompare:
         assert pooled[0] == "POOLED"
         assert float(pooled[2]) == pytest.approx(100.0 / total, abs=1e-3)
 
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), n_utts=st.integers(1, 4))
+    def test_pooled_row_is_ratio_of_integer_counts(self, seed, n_utts):
+        rng = np.random.default_rng(seed)
+        wrong = aligned_wrong = n = aligned_n = 0
+        with tempfile.TemporaryDirectory() as tmp:
+            dir_a, dir_b = Path(tmp, "a"), Path(tmp, "b")
+            dir_a.mkdir()
+            dir_b.mkdir()
+            for i in range(n_utts):
+                length = int(rng.integers(20, 120))
+                a = VoicingLabels(rng.integers(0, 2, length).astype(np.int8))
+                b = VoicingLabels(np.where(rng.random(length + int(rng.integers(-2, 3))) < 0.2,
+                                           1, 0).astype(np.int8))
+                write_labels(dir_a / f"u{i}.lab", a)
+                write_labels(dir_b / f"u{i}.lab", b)
+                m = min(len(a), len(b))
+                wrong += int(np.count_nonzero(a.labels[:m] != b.labels[:m]))
+                n += m
+                _, aligned = align_for_lowest_vde(a, b, 5)
+                aligned_wrong += aligned.wrong
+                aligned_n += aligned.n_frames
+            out = Path(tmp, "cmp.csv")
+            assert main(["labels-compare", "--a", str(dir_a), "--b", str(dir_b),
+                         "--out", str(out)]) == 0
+            pooled = out.read_text().splitlines()[-1]
+        assert pooled == (f"POOLED,{n},{100.0 * wrong / n:.4f},"
+                          f"{100.0 * aligned_wrong / aligned_n:.4f},0")
+
     def test_disjoint_dirs_error(self, small_corpus, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["labels-compare", "--a", str(small_corpus / "labels"), "--b", str(empty)]) == 1
+
+
+def tiny_checkpoint(path):
+    from voicedet.nn.checkpoint import save_checkpoint
+    from voicedet.nn.model import DccrnModel, ModelConfig
+
+    cfg = ModelConfig(block_out_channels=(2, 4), blstm_hidden=8, groups=2, dtype="float32")
+    model = DccrnModel(cfg, seed=0)
+    save_checkpoint(path, cfg, model.params(), model.buffers())
+    return path
 
 
 class TestDetect:
@@ -111,13 +151,7 @@ class TestDetect:
         assert labels.labels[5:-5].mean() >= 0.95
 
     def test_dccrn_with_untrained_checkpoint(self, tmp_path):
-        from voicedet.nn.checkpoint import save_checkpoint
-        from voicedet.nn.model import DccrnModel, ModelConfig
-
-        cfg = ModelConfig(block_out_channels=(2, 4), blstm_hidden=8, groups=2, dtype="float32")
-        model = DccrnModel(cfg, seed=0)
-        ckpt = tmp_path / "m.ckpt"
-        save_checkpoint(ckpt, cfg, model.params(), model.buffers())
+        ckpt = tiny_checkpoint(tmp_path / "m.ckpt")
         wav = tmp_path / "x.wav"
         write_wav(wav, Waveform(np.random.default_rng(0).standard_normal(8000) * 0.1, 8000))
         out = tmp_path / "out"
@@ -144,14 +178,20 @@ class TestDetect:
         assert main(["detect", "--method", "dccrn", "--out", str(tmp_path), str(wav)]) == 1
 
     def test_truncated_checkpoint_is_usage_error(self, tmp_path, capsys):
-        from voicedet.nn.checkpoint import save_checkpoint
-        from voicedet.nn.model import DccrnModel, ModelConfig
-
-        cfg = ModelConfig(block_out_channels=(2, 4), blstm_hidden=8, groups=2, dtype="float32")
-        model = DccrnModel(cfg, seed=0)
-        ckpt = tmp_path / "m.ckpt"
-        save_checkpoint(ckpt, cfg, model.params(), model.buffers())
+        ckpt = tiny_checkpoint(tmp_path / "m.ckpt")
         ckpt.write_bytes(ckpt.read_bytes()[:-100])
+        wav = tmp_path / "x.wav"
+        write_wav(wav, Waveform(np.zeros(800), 8000))
+        code = main(["detect", "--method", "dccrn", "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "out"), str(wav)])
+        assert code == 1
+        assert str(ckpt) in capsys.readouterr().err
+
+    def test_one_digit_shape_edit_is_usage_error(self, tmp_path, capsys):
+        ckpt = tiny_checkpoint(tmp_path / "m.ckpt")
+        data = ckpt.read_bytes()
+        at = data.index(b'"shape": [') + len(b'"shape": [')
+        ckpt.write_bytes(data[:at] + bytes([data[at] ^ 1]) + data[at + 1:])
         wav = tmp_path / "x.wav"
         write_wav(wav, Waveform(np.zeros(800), 8000))
         code = main(["detect", "--method", "dccrn", "--checkpoint", str(ckpt),
@@ -213,6 +253,10 @@ class TestTrainAndEval:
         worse.write_text(json.dumps({"optimizer": {}}))
         assert main(["train", "--out", str(tmp_path / "o2"), "--synthetic-demo",
                      "--demo-utterances", "6", "--config", str(worse)]) == 1
+        zero_stride = tmp_path / "zero_stride.json"
+        zero_stride.write_text(json.dumps({"model": {"gated_stride": 0}}))
+        assert main(["train", "--out", str(tmp_path / "o3"), "--synthetic-demo",
+                     "--demo-utterances", "6", "--config", str(zero_stride)]) == 1
 
 
 class TestExitCodes:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.signal import sawtooth
 
 from voicedet.dsp import InvalidArgument, Waveform
@@ -158,6 +159,20 @@ class TestAlign:
         with pytest.raises(InvalidArgument):
             align_for_lowest_vde(a, a, max_shift=5)
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(60, 300), data=st.data())
+    def test_recovers_any_shift_property(self, seed, n, data):
+        max_shift = data.draw(st.integers(0, 10), label="max_shift")
+        s = data.draw(st.integers(-max_shift, max_shift), label="s")
+        rng = np.random.default_rng(seed)
+        base = rng.integers(0, 2, size=n).astype(np.int8)
+        pad = rng.integers(0, 2, size=abs(s)).astype(np.int8)
+        # ref[t + s] = est[t]: est must move s frames later to line up
+        ref = np.concatenate([pad, base[: n - s]]) if s >= 0 else np.concatenate([base[-s:], pad])
+        shift, cmp = align_for_lowest_vde(VoicingLabels(base), VoicingLabels(ref), max_shift)
+        assert shift == cmp.shift_applied == s
+        assert cmp.wrong == 0
+        assert cmp.n_frames == n - abs(s)
+
 
 class TestLabelFiles:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -198,9 +213,10 @@ class TestLabelFiles:
 
 def test_label_comparison_validation():
     with pytest.raises(InvalidArgument):
-        LabelComparison(mismatch_rate=101.0, n_frames=10)
+        LabelComparison(wrong=11, n_frames=10)
     with pytest.raises(InvalidArgument):
-        LabelComparison(mismatch_rate=0.0, n_frames=0)
+        LabelComparison(wrong=0, n_frames=0)
+    assert LabelComparison(wrong=3, n_frames=7).mismatch_rate == 100.0 * 3 / 7
 
 
 def test_voicing_labels_f0_consistency():

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voicedet.dsp import InvalidArgument, Waveform
 from voicedet.nn.checkpoint import load_checkpoint, save_checkpoint
@@ -47,6 +48,30 @@ class TestConfig:
         # flatten width 3 * 4 = 12 is not divisible by 5 groups
         with pytest.raises(InvalidArgument):
             ModelConfig(block_out_channels=(3,), input_freq_bins=8, groups=5)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"gated_stride": 0},
+            {"groups": 0},
+            {"gated_kernel": 600},  # frequency chain 513, -42, ...
+            {"gated_kernel": 0},
+            {"composite_kernel": -1},
+            {"composite_layers": 0},
+            {"composite_growth": 0},
+            {"blstm_layers": 0},
+            {"blstm_hidden": 0},
+            {"input_freq_bins": 0},
+            {"input_channels": 0},
+            {"block_out_channels": (2, 0)},
+            {"gated_pad": -1},
+            {"gated_stride": 1.5},
+            {"block_out_channels": (2,) * 5, "input_freq_bins": 8},  # 8, 4, 2, 1, 0
+        ],
+    )
+    def test_bad_sizes_rejected(self, bad):
+        with pytest.raises(InvalidArgument):
+            ModelConfig(**bad)
 
     def test_dict_round_trip(self):
         cfg = tiny_config()
@@ -316,6 +341,15 @@ class TestCountParams:
         assert n > 0
 
 
+@pytest.fixture(scope="module")
+def tiny_ckpt(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "tiny.ckpt"
+    cfg = tiny_config()
+    model = DccrnModel(cfg, seed=1)
+    save_checkpoint(path, cfg, model.params(), model.buffers())
+    return path
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         cfg = tiny_config()
@@ -373,6 +407,23 @@ class TestCheckpoint:
             with pytest.raises(InvalidArgument, match=re.escape(str(p))):
                 load_checkpoint(p)
 
+    def test_header_edits_rejected_with_path(self, tiny_ckpt, tmp_path):
+        data = tiny_ckpt.read_bytes()
+        shape_at = data.index(b'"shape": [') + len(b'"shape": [')
+        edits = {
+            # one digit of a shape: same header length, nbytes no longer fits
+            "shape": (shape_at, bytes([data[shape_at] ^ 1])),
+            "not_utf8": (20, b"\xff"),
+            "not_json": (16, b"["),
+            "unknown_config_key": (data.index(b'"bn_eps"'), b'"xn_eps"'),
+            "bad_kind": (data.index(b'"param"'), b'"Param"'),
+        }
+        for label, (at, new) in edits.items():
+            p = tmp_path / f"{label}.ckpt"
+            p.write_bytes(data[:at] + new + data[at + len(new):])
+            with pytest.raises(InvalidArgument, match=re.escape(str(p))):
+                load_checkpoint(p)
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "x.ckpt"
         p.write_bytes(b"NOTACKPT" + b"\x00" * 16)
@@ -425,3 +476,18 @@ class TestBatchNormModes:
             # cancelled by the following batch norm)
             denom = max(abs(fd), abs(an), 1e-6)
             assert abs(fd - an) / denom < 1e-4, name
+
+
+@settings(max_examples=300)
+@given(bit=st.integers(min_value=0))
+def test_header_bit_flip_loads_or_raises_invalid_argument(tiny_ckpt, bit):
+    data = tiny_ckpt.read_bytes()
+    header_len = int.from_bytes(data[8:16], "little")
+    bit %= 8 * header_len
+    pos = 16 + bit // 8
+    p = tiny_ckpt.with_name("flipped.ckpt")
+    p.write_bytes(data[:pos] + bytes([data[pos] ^ (1 << bit % 8)]) + data[pos + 1:])
+    try:
+        load_checkpoint(p)  # the config is never used to build a model
+    except InvalidArgument as err:
+        assert str(p) in str(err)
