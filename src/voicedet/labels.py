@@ -151,8 +151,8 @@ def write_labels(path: str | Path, labels: VoicingLabels) -> None:
     hop_txt = str(int(hop)) if float(hop).is_integer() else repr(float(hop))
     lines = [f"#hop_ms={hop_txt}"]
     f0 = labels.f0 if labels.f0 is not None else np.zeros(len(labels))
-    for i, (lab, f) in enumerate(zip(labels.labels, f0)):
-        lines.append(f"{i}\t{int(lab)}\t{f:.3f}")
+    for i, (lab, f) in enumerate(zip(labels.labels.tolist(), f0.tolist())):
+        lines.append(f"{i}\t{lab}\t{f:.3f}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -4,17 +4,28 @@ Single-pass NCCF at the full sample rate over a 20 ms correlation window,
 frames at the same 10 ms hop as the STFT so tracker frames align 1:1 with
 model/label frames. Candidate peaks are pruned by threshold and count and a
 minimum-cost path through the candidate lattice yields per-frame voicing.
+
+Frames are processed as arrays over blocks of `_BLOCK` frames, which bounds
+the temporaries of a long recording. The cross terms are the one per-frame
+step: one `np.correlate` per frame keeps the exact dot products, and with
+them the exact bits. Energies, denominators, peak masks and candidate
+ordering are block-wide array operations. The DP runs over plain lists with
+transition costs looked up in a per-lag table.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, fields, replace
+import numbers
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .dsp import FrameConfig, InvalidArgument, Waveform
 
 _ENERGY_FLOOR = 1e-20
+_BLOCK = 256  # frames per array block
 
 
 @dataclass(frozen=True)
@@ -35,13 +46,22 @@ class TrackerConfig:
     energy_floor: float = 0.01
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not (
+                isinstance(value, numbers.Real) and math.isfinite(value)
+            ):
+                raise InvalidArgument(f"{f.name} must be a finite number, got {value!r}")
         if not (0 < self.f0_min < self.f0_max):
             raise InvalidArgument(f"need 0 < f0_min < f0_max, got {self.f0_min}, {self.f0_max}")
-        if self.max_candidates_per_frame < 1:
-            raise InvalidArgument("max_candidates_per_frame must be >= 1")
-        for name in ("switch_cost", "octave_jump_weight"):
+        k = self.max_candidates_per_frame
+        if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 1:
+            raise InvalidArgument(f"max_candidates_per_frame must be an integer >= 1, got {k!r}")
+        for name in ("switch_cost", "octave_jump_weight", "energy_floor"):
             if getattr(self, name) < 0:
                 raise InvalidArgument(f"{name} must be >= 0")
+        if self.corr_window_ms <= 0:
+            raise InvalidArgument("corr_window_ms must be > 0")
 
     def lag_range(self, sample_rate: int) -> tuple[int, int]:
         """Inclusive (min_lag, max_lag) in samples for the F0 search band."""
@@ -49,41 +69,24 @@ class TrackerConfig:
             raise InvalidArgument(f"f0_max {self.f0_max} >= Nyquist of {sample_rate}")
         return math.ceil(sample_rate / self.f0_max), math.floor(sample_rate / self.f0_min)
 
-    def to_text(self) -> str:
-        lines = ["#voicedet-tracker-config v1"]
-        for f in fields(self):
-            lines.append(f"{f.name} = {getattr(self, f.name)!r}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "TrackerConfig":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("#voicedet-tracker-config v1"):
-            raise InvalidArgument("not a v1 tracker config")
-        defaults = cls()
-        known = {f.name for f in fields(cls)}
-        kwargs = {}
-        for ln in lines[1:]:
-            key, _, value = ln.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise InvalidArgument(f"unknown tracker config key: {key}")
-            kwargs[key] = type(getattr(defaults, key))(value.strip())
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class NccfFrame:
-    """Normalized cross-correlation values over candidate lags for one frame."""
+class NccfFrames:
+    """Normalized cross-correlation values of every frame over the candidate lags.
 
-    frame_index: int
-    lags: np.ndarray
-    values: np.ndarray
-    short: bool = False  # frame ran past the signal end; treat as unvoiced-only
+    values[t, i] belongs to frame t and lag lags[i]; short[t] marks a frame
+    whose span ran past the signal end (all-zero, unvoiced-only).
+    """
+
+    lags: np.ndarray  # [L]
+    values: np.ndarray  # [T, L]
+    short: np.ndarray  # [T] bool
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class PitchCandidate:
+class PitchCandidate(NamedTuple):
     """One lag hypothesis; lag 0 is the unvoiced hypothesis."""
 
     lag: int
@@ -137,7 +140,7 @@ class VoicingLabels:
         return self.valid
 
 
-def nccf(wave: Waveform, cfg: TrackerConfig, frame_cfg: FrameConfig) -> list[NccfFrame]:
+def nccf(wave: Waveform, cfg: TrackerConfig, frame_cfg: FrameConfig) -> NccfFrames:
     """Normalized cross-correlation per frame over the configured lag band.
 
     phi(t, k) = sum_i s(i) s(i+k) / sqrt((e(m) + A)(e(m+k) + A)) with a
@@ -152,63 +155,78 @@ def nccf(wave: Waveform, cfg: TrackerConfig, frame_cfg: FrameConfig) -> list[Ncc
     sr = wave.sample_rate
     min_lag, max_lag = cfg.lag_range(sr)
     win = int(round(cfg.corr_window_ms * sr / 1000.0))
+    if win < 1:
+        raise InvalidArgument(
+            f"corr_window_ms {cfg.corr_window_ms} is under one sample at {sr} Hz"
+        )
     hop = frame_cfg.hop
     n_frames = frame_cfg.n_frames(x.size) if x.size else 0
     lags = np.arange(min_lag, max_lag + 1)
     span = win + max_lag
-    offset = hop // 2 - span // 2  # center the span on the frame slot
+    # span start of each frame, centered on the frame slot
+    starts = np.arange(n_frames) * hop + (hop // 2 - span // 2)
+    short = (starts < 0) | (starts + span > x.size)
+    values = np.zeros((n_frames, lags.size))
+    if not lags.size:  # empty band; np.correlate would swap a first operand shorter than win
+        return NccfFrames(lags, values, short)
 
     # prefix sums of energy for the sliding denominators
     sq = np.concatenate([[0.0], np.cumsum(x * x)])
     peak = np.max(np.abs(x)) if x.size else 0.0
     floor = (cfg.energy_floor * peak) ** 2 * win
 
-    out = []
-    zeros = np.zeros(lags.size)
-    for t in range(n_frames):
-        m = t * hop + offset
-        if m < 0 or m + span > x.size:
-            out.append(NccfFrame(t, lags, zeros.copy(), short=True))
-            continue
-        seg = x[m : m + span]
-        e0 = sq[m + win] - sq[m]
-        if e0 <= _ENERGY_FLOOR:
-            out.append(NccfFrame(t, lags, zeros.copy()))
-            continue
-        # cross terms for all lags at once: c[k] = sum_i seg[i] * seg[i + k]
-        cross = np.correlate(seg, seg[:win], mode="valid")[min_lag : max_lag + 1]
-        starts = m + lags
-        energies = sq[starts + win] - sq[starts]
-        denom = np.sqrt((e0 + floor) * (energies + floor))
-        values = np.where(denom > _ENERGY_FLOOR, cross / np.maximum(denom, _ENERGY_FLOOR), 0.0)
-        out.append(NccfFrame(t, lags, values))
-    return out
+    e0 = np.zeros(n_frames)
+    inside = np.flatnonzero(~short)
+    e0[inside] = sq[starts[inside] + win] - sq[starts[inside]]
+    live = np.flatnonzero(e0 > _ENERGY_FLOOR)  # short frames keep e0 = 0
+    for lo in range(0, live.size, _BLOCK):
+        rows = live[lo : lo + _BLOCK]
+        m = starts[rows]
+        # cross terms c[k] = sum_i x[m+i] * x[m+k+i], one correlate per frame
+        cross = np.empty((rows.size, lags.size))
+        for r, s in enumerate(m.tolist()):
+            cross[r] = np.correlate(x[s + min_lag : s + span], x[s : s + win], mode="valid")
+        at = m[:, None] + lags
+        energies = sq[at + win] - sq[at]
+        denom = np.sqrt((e0[rows, None] + floor) * (energies + floor))
+        values[rows] = np.where(
+            denom > _ENERGY_FLOOR, cross / np.maximum(denom, _ENERGY_FLOOR), 0.0
+        )
+    return NccfFrames(lags, values, short)
 
 
-def pick_candidates(frame: NccfFrame, cfg: TrackerConfig) -> list[PitchCandidate]:
-    """Local NCCF maxima above threshold, capped by count, plus the unvoiced hypothesis.
+def pick_candidates(frames: NccfFrames, cfg: TrackerConfig) -> list[list[PitchCandidate]]:
+    """Per frame: local NCCF maxima above threshold, capped by count, plus the
+    unvoiced hypothesis.
 
     The unvoiced candidate (lag 0, score = voicing_bias) is always first, so
-    downstream tie-breaks prefer unvoiced. Plateaus keep their earliest lag.
+    downstream tie-breaks prefer unvoiced. Peaks follow by descending score,
+    equal scores by ascending lag. Plateaus keep their earliest lag.
     """
-    candidates = [PitchCandidate(0, cfg.voicing_bias)]
-    if frame.short:
-        return candidates
-    v = frame.values
-    if v.size:
-        left = np.empty_like(v)
-        left[0] = -np.inf
-        left[1:] = v[:-1]
-        right = np.empty_like(v)
-        right[-1] = -np.inf
-        right[:-1] = v[1:]
+    unvoiced = PitchCandidate(0, cfg.voicing_bias)
+    cap = cfg.max_candidates_per_frame
+    out: list[list[PitchCandidate]] = []
+    for lo in range(0, len(frames), _BLOCK):
+        v = frames.values[lo : lo + _BLOCK]
         # > left and >= right keeps the earliest sample of a plateau
-        peak_mask = (v > left) & (v >= right) & (v > cfg.nccf_threshold)
-        idx = np.nonzero(peak_mask)[0]
-        order = sorted(idx, key=lambda i: (-v[i], frame.lags[i]))
-        for i in order[: cfg.max_candidates_per_frame]:
-            candidates.append(PitchCandidate(int(frame.lags[i]), float(v[i])))
-    return candidates
+        peak = v > cfg.nccf_threshold
+        peak[:, 1:] &= v[:, 1:] > v[:, :-1]
+        peak[:, :-1] &= v[:, :-1] >= v[:, 1:]
+        peak[frames.short[lo : lo + _BLOCK]] = False
+        rows, cols = np.nonzero(peak)
+        lags = frames.lags[cols]
+        scores = v[rows, cols]
+        order = np.lexsort((lags, -scores, rows))  # rows stay grouped as nonzero gave them
+        lags, scores = lags[order], scores[order]
+        counts = np.bincount(rows, minlength=v.shape[0])
+        rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        keep = rank < cap
+        picked = list(map(PitchCandidate, lags[keep].tolist(), scores[keep].tolist()))
+        at = 0
+        for n in np.minimum(counts, cap).tolist():
+            out.append([unvoiced, *picked[at : at + n]])
+            at += n
+    return out
 
 
 def _transition_cost(prev: PitchCandidate, cur: PitchCandidate, cfg: TrackerConfig) -> float:
@@ -217,6 +235,25 @@ def _transition_cost(prev: PitchCandidate, cur: PitchCandidate, cfg: TrackerConf
     if prev.voiced != cur.voiced:
         return cfg.switch_cost
     return 0.0
+
+
+@functools.lru_cache(maxsize=16)
+def _transition_table(
+    octave_jump_weight: float, switch_cost: float, size: int
+) -> tuple[tuple[float, ...], ...]:
+    """table[cur_lag][prev_lag]: `_transition_cost` over lags 0..size-1.
+
+    Lag ratios and products round in numpy exactly as in Python (IEEE
+    division and multiplication); the logarithm goes through math.log2
+    because np.log2 rounds some ratios differently.
+    """
+    lags = np.arange(1, size)
+    ratios = (lags[:, None] / lags).ravel().tolist()
+    logs = np.fromiter(map(math.log2, ratios), np.float64, len(ratios))
+    table = np.full((size, size), float(switch_cost))
+    table[0, 0] = 0.0
+    table[1:, 1:] = octave_jump_weight * np.abs(logs.reshape(size - 1, size - 1))
+    return tuple(map(tuple, table.tolist()))  # shared by every caller: immutable
 
 
 def viterbi_path(
@@ -231,30 +268,34 @@ def viterbi_path(
     """
     if not candidates:
         raise InvalidArgument("need at least one frame")
-    n = len(candidates)
+    if not all(candidates):
+        raise InvalidArgument("every frame needs at least one candidate")
+    # candidates order by lag first, so the extreme candidates carry the extreme lags
+    if min(map(min, candidates)).lag < 0:
+        raise InvalidArgument("candidate lags must be >= 0")
+    size = max(256, 1 << int(max(map(max, candidates)).lag).bit_length())
+    table = _transition_table(cfg.octave_jump_weight, cfg.switch_cost, size)
+
     costs = [1.0 - c.score for c in candidates[0]]
+    prev_lags = [c.lag for c in candidates[0]]
     backptr: list[list[int]] = [[0] * len(candidates[0])]
-    for t in range(1, n):
-        prev_cands = candidates[t - 1]
-        cur = candidates[t]
+    for cur in candidates[1:]:
         new_costs = []
         pointers = []
-        for c in cur:
-            best_j, best_cost = 0, math.inf
-            for j, p in enumerate(prev_cands):
-                total = costs[j] + _transition_cost(p, c, cfg)
-                if total < best_cost:
-                    best_j, best_cost = j, total
-            new_costs.append(best_cost + (1.0 - c.score))
-            pointers.append(best_j)
+        for lag, score in cur:
+            row = table[lag]
+            totals = [c + row[p] for c, p in zip(costs, prev_lags)]
+            best = min(totals)  # the first minimum, as a strict < scan keeps
+            pointers.append(totals.index(best))
+            new_costs.append(best + (1.0 - score))
         costs = new_costs
+        prev_lags = [c.lag for c in cur]
         backptr.append(pointers)
 
-    best = int(np.argmin(costs))
-    total_cost = costs[best]
-    path = [best]
-    for t in range(n - 1, 0, -1):
-        path.append(backptr[t][path[-1]])
+    total_cost = min(costs)
+    path = [costs.index(total_cost)]
+    for pointers in reversed(backptr[1:]):
+        path.append(pointers[path[-1]])
     path.reverse()
     return path, total_cost
 
@@ -266,15 +307,11 @@ def viterbi_track(
 ) -> VoicingLabels:
     """Voicing labels and F0 read off the minimum-cost lattice path."""
     path, _ = viterbi_path(candidates, cfg)
-    n = len(candidates)
-    labels = np.zeros(n, dtype=np.int8)
-    f0 = np.zeros(n, dtype=np.float64)
-    for t, j in enumerate(path):
-        cand = candidates[t][j]
-        if cand.voiced:
-            labels[t] = 1
-            f0[t] = sample_rate / cand.lag
-    return VoicingLabels(labels=labels, f0=f0)
+    lags = np.array([frame[j].lag for frame, j in zip(candidates, path)], dtype=np.int64)
+    voiced = lags > 0
+    f0 = np.zeros(lags.size, dtype=np.float64)
+    f0[voiced] = sample_rate / lags[voiced]
+    return VoicingLabels(labels=voiced.astype(np.int8), f0=f0)
 
 
 def path_cost(
@@ -301,6 +338,6 @@ def track_voicing(
     if frame_cfg is None:
         frame_cfg = FrameConfig.for_rate(wave.sample_rate)
     frames = nccf(wave, cfg, frame_cfg)
-    candidates = [pick_candidates(f, cfg) for f in frames]
+    candidates = pick_candidates(frames, cfg)
     labels = viterbi_track(candidates, cfg, wave.sample_rate)
     return replace(labels, hop_ms=1000.0 * frame_cfg.hop / wave.sample_rate)

@@ -167,6 +167,24 @@ class TestDetect:
         probs = np.array([float(ln.split(",")[1]) for ln in post[1:]])
         assert np.all((probs > 0) & (probs < 1))
 
+    @pytest.mark.parametrize("tracker", [
+        {"max_candidates_per_frame": 2.5},
+        {"voicing_bias": float("nan")},
+        {"energy_floor": -1},
+        {"corr_window_ms": 0},
+        {"corr_window_ms": 0.01},  # rounds to 0 samples at 8 kHz
+        {"bogus": 1},
+    ])
+    def test_rapt_bad_tracker_config_is_usage_error(self, tmp_path, capsys, tracker):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"tracker": tracker}))
+        wav = tmp_path / "x.wav"
+        write_wav(wav, Waveform(np.zeros(800), 8000))
+        code = main(["detect", "--method", "rapt", "--config", str(cfg),
+                     "--out", str(tmp_path / "out"), str(wav)])
+        assert code == 1
+        assert next(iter(tracker)) in capsys.readouterr().err
+
     def test_missing_input_file_names_path(self, tmp_path, capsys):
         code = main(["detect", "--method", "rapt", "--out", str(tmp_path), "/nope/missing.wav"])
         assert code == 1

@@ -1,14 +1,21 @@
 """Tests for the NCCF/dynamic-programming voicing tracker."""
 
+import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.signal import sawtooth
 
-from voicedet.dsp import FrameConfig, InvalidArgument, Waveform
+from voicedet.dsp import FrameConfig, InvalidArgument, Waveform, apply_fir, design_kaiser_highpass
+from voicedet.labels import CUTOFF_HZ, KAISER_BETA, KAISER_ORDER
+from voicedet.synth import synth_utterance
 from voicedet.tracker import (
-    NccfFrame,
+    _BLOCK,
+    _transition_table,
+    NccfFrames,
     PitchCandidate,
     TrackerConfig,
     nccf,
@@ -32,12 +39,165 @@ def frame_cfg():
     return FrameConfig.for_rate(SR)
 
 
+# ---------------------------------------------------------------------------
+# Per-frame reference: one NCCF frame, one sorted() pick and one nested DP
+# loop at a time. The block implementation must reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+def ref_nccf(wave, cfg, fcfg):
+    """(lags, per-frame values, per-frame short flags)."""
+    x = wave.samples
+    sr = wave.sample_rate
+    min_lag, max_lag = cfg.lag_range(sr)
+    win = int(round(cfg.corr_window_ms * sr / 1000.0))
+    hop = fcfg.hop
+    n_frames = fcfg.n_frames(x.size) if x.size else 0
+    lags = np.arange(min_lag, max_lag + 1)
+    span = win + max_lag
+    offset = hop // 2 - span // 2
+    sq = np.concatenate([[0.0], np.cumsum(x * x)])
+    peak = np.max(np.abs(x)) if x.size else 0.0
+    floor = (cfg.energy_floor * peak) ** 2 * win
+    values, short = [], []
+    for t in range(n_frames):
+        m = t * hop + offset
+        if m < 0 or m + span > x.size:
+            values.append(np.zeros(lags.size))
+            short.append(True)
+            continue
+        short.append(False)
+        seg = x[m : m + span]
+        e0 = sq[m + win] - sq[m]
+        if e0 <= 1e-20:
+            values.append(np.zeros(lags.size))
+            continue
+        cross = np.correlate(seg, seg[:win], mode="valid")[min_lag : max_lag + 1]
+        starts = m + lags
+        energies = sq[starts + win] - sq[starts]
+        denom = np.sqrt((e0 + floor) * (energies + floor))
+        values.append(np.where(denom > 1e-20, cross / np.maximum(denom, 1e-20), 0.0))
+    return lags, values, short
+
+
+def ref_pick(lags, v, short, cfg):
+    candidates = [PitchCandidate(0, cfg.voicing_bias)]
+    if short or not v.size:
+        return candidates
+    left = np.concatenate([[-np.inf], v[:-1]])
+    right = np.concatenate([v[1:], [-np.inf]])
+    idx = np.nonzero((v > left) & (v >= right) & (v > cfg.nccf_threshold))[0]
+    order = sorted(idx, key=lambda i: (-v[i], lags[i]))
+    for i in order[: cfg.max_candidates_per_frame]:
+        candidates.append(PitchCandidate(int(lags[i]), float(v[i])))
+    return candidates
+
+
+def ref_transition_cost(prev, cur, cfg):
+    if prev.lag > 0 and cur.lag > 0:
+        return cfg.octave_jump_weight * abs(math.log2(cur.lag / prev.lag))
+    if (prev.lag > 0) != (cur.lag > 0):
+        return cfg.switch_cost
+    return 0.0
+
+
+def ref_viterbi_path(candidates, cfg):
+    costs = [1.0 - c.score for c in candidates[0]]
+    backptr = [[0] * len(candidates[0])]
+    for t in range(1, len(candidates)):
+        new_costs, pointers = [], []
+        for c in candidates[t]:
+            best_j, best_cost = 0, math.inf
+            for j, p in enumerate(candidates[t - 1]):
+                total = costs[j] + ref_transition_cost(p, c, cfg)
+                if total < best_cost:
+                    best_j, best_cost = j, total
+            new_costs.append(best_cost + (1.0 - c.score))
+            pointers.append(best_j)
+        costs = new_costs
+        backptr.append(pointers)
+    best = int(np.argmin(costs))
+    path = [best]
+    for t in range(len(candidates) - 1, 0, -1):
+        path.append(backptr[t][path[-1]])
+    return path[::-1], costs[best]
+
+
+def ref_track(wave, cfg):
+    """(candidate lattice, labels, f0) of the per-frame reference."""
+    lags, values, short = ref_nccf(wave, cfg, frame_cfg())
+    lattice = [ref_pick(lags, v, s, cfg) for v, s in zip(values, short)]
+    path, _ = ref_viterbi_path(lattice, cfg)
+    labels = np.zeros(len(lattice), dtype=np.int8)
+    f0 = np.zeros(len(lattice))
+    for t, j in enumerate(path):
+        if lattice[t][j].lag > 0:
+            labels[t] = 1
+            f0[t] = SR / lattice[t][j].lag
+    return lattice, labels, f0
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_signals():
+    """Seven seconds of each signal kind the tracker meets."""
+    n = 7 * SR
+    signals = {}
+    for sex, index in (("male", 0), ("female", 1)):
+        mic, laryn, _ = synth_utterance(3, index, duration_sec=n / SR)
+        filt = design_kaiser_highpass(KAISER_BETA, KAISER_ORDER, CUTOFF_HZ[sex], SR)
+        signals[f"egg_{sex}"] = apply_fir(laryn, filt).samples
+        if sex == "male":
+            signals["mic"] = mic.samples
+    signals["noise"] = np.random.default_rng(17).standard_normal(n)
+    signals["silence"] = np.zeros(n)
+    return signals
+
+
+# 1 frame, fewer than one block, several blocks and not a multiple of the block size
+ORACLE_LENGTHS = (80, 80 * 100, 80 * (2 * _BLOCK + 88) + 37)
+
+
+class TestBlockOracle:
+    @pytest.mark.parametrize("n", ORACLE_LENGTHS)
+    @pytest.mark.parametrize("kind", ["egg_male", "egg_female", "mic", "noise", "silence"])
+    def test_matches_per_frame_reference(self, kind, n):
+        wave = Waveform(oracle_signals()[kind][:n], SR)
+        cfg = TrackerConfig()
+        frames = nccf(wave, cfg, frame_cfg())
+        lags, values, short = ref_nccf(wave, cfg, frame_cfg())
+        assert len(frames) == len(values) == frame_cfg().n_frames(n)
+        assert np.array_equal(frames.lags, lags)
+        assert frames.values.tobytes() == np.stack(values).tobytes()
+        assert frames.short.tolist() == short
+
+        lattice, labels, f0 = ref_track(wave, cfg)
+        assert pick_candidates(frames, cfg) == lattice
+        out = track_voicing(wave, cfg)
+        assert out.labels.tobytes() == labels.tobytes()
+        assert out.f0.tobytes() == f0.tobytes()
+
+    def test_voiced_egg_exercises_the_lattice(self):
+        wave = Waveform(oracle_signals()["egg_female"], SR)
+        lattice, labels, _ = ref_track(wave, TrackerConfig())
+        assert max(len(c) for c in lattice) > 3
+        assert 0.2 < labels.mean() < 0.9
+
+    def test_empty_lag_band_is_unvoiced(self):
+        # no integer lag between 8000/490 = 16.33 and 8000/485 = 16.49
+        cfg = TrackerConfig(f0_min=485.0, f0_max=490.0)
+        wave = Waveform(oracle_signals()["egg_male"][:8000], SR)
+        frames = nccf(wave, cfg, frame_cfg())
+        assert frames.values.shape == (100, 0)
+        _, labels, _ = ref_track(wave, cfg)
+        assert np.all(labels == 0)
+        assert np.all(track_voicing(wave, cfg).labels == 0)
+
+
 class TestNccf:
     def test_pulse_train_peak_at_period(self):
         frames = nccf(pulse_train(80), TrackerConfig(), frame_cfg())
-        for f in frames[10:80]:
-            i = np.where(f.lags == 80)[0][0]
-            assert f.values[i] >= 0.99
+        i = np.where(frames.lags == 80)[0][0]
+        for t in range(10, 80):
+            assert frames.values[t, i] >= 0.99
 
     def test_white_noise_is_weakly_correlated(self):
         cfg = TrackerConfig()
@@ -46,22 +206,22 @@ class TestNccf:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             w = Waveform(rng.standard_normal(SR), SR)
-            frames = [f for f in nccf(w, cfg, frame_cfg()) if not f.short]
-            total += len(frames)
-            low += sum(1 for f in frames if f.values.max() < 0.6)
+            frames = nccf(w, cfg, frame_cfg())
+            values = frames.values[~frames.short]
+            total += len(values)
+            low += int(np.count_nonzero(values.max(axis=1) < 0.6))
         assert low / total >= 0.9
 
     def test_zero_signal_all_zero(self):
         frames = nccf(Waveform(np.zeros(SR), SR), TrackerConfig(), frame_cfg())
-        for f in frames:
-            assert np.all(f.values == 0)
+        assert np.all(frames.values == 0)
 
     def test_short_frames_flagged(self):
         # 50 ms of signal cannot host the 40 ms analysis span anywhere but
         # perhaps the middle frame
         frames = nccf(Waveform(np.ones(400), SR), TrackerConfig(), frame_cfg())
         assert len(frames) == 5
-        assert frames[0].short and frames[-1].short
+        assert frames.short[0] and frames.short[-1]
 
     def test_amplitude_invariance(self):
         rng = np.random.default_rng(7)
@@ -69,37 +229,41 @@ class TestNccf:
         cfg = TrackerConfig()
         a = nccf(Waveform(x, SR), cfg, frame_cfg())
         b = nccf(Waveform(123.45 * x, SR), cfg, frame_cfg())
-        for fa, fb in zip(a, b):
-            assert np.allclose(fa.values, fb.values, atol=1e-9)
+        assert np.allclose(a.values, b.values, atol=1e-9)
+
+    def test_window_under_one_sample_rejected(self):
+        with pytest.raises(InvalidArgument, match="corr_window_ms"):
+            nccf(pulse_train(80), TrackerConfig(corr_window_ms=0.01), frame_cfg())
 
 
 class TestPickCandidates:
-    def mk_frame(self, values, lags=None):
+    def mk_frame(self, values, lags=None, short=False):
+        """One-frame NccfFrames holding `values`."""
         values = np.asarray(values, dtype=float)
         if lags is None:
             lags = np.arange(16, 16 + values.size)
-        return NccfFrame(0, np.asarray(lags), values)
+        return NccfFrames(np.asarray(lags), values[None], np.array([short]))
 
     def test_single_peak(self):
         cfg = TrackerConfig()
         values = np.zeros(100)
         values[40] = 0.95
         frame = self.mk_frame(values, lags=np.arange(40, 140))
-        cands = pick_candidates(frame, cfg)
+        cands = pick_candidates(frame, cfg)[0]
         assert len(cands) == 2
         assert cands[0] == PitchCandidate(0, cfg.voicing_bias)
         assert cands[1] == PitchCandidate(80, 0.95)
 
     def test_all_below_threshold(self):
         frame = self.mk_frame(np.full(50, 0.2))
-        cands = pick_candidates(frame, TrackerConfig())
+        cands = pick_candidates(frame, TrackerConfig())[0]
         assert len(cands) == 1
         assert not cands[0].voiced
 
     def test_plateau_keeps_earliest_lag(self):
         values = np.array([0.1, 0.8, 0.8, 0.8, 0.1])
         frame = self.mk_frame(values, lags=np.arange(20, 25))
-        cands = pick_candidates(frame, TrackerConfig())
+        cands = pick_candidates(frame, TrackerConfig())[0]
         assert [c.lag for c in cands if c.voiced] == [21]
 
     def test_candidate_cap(self):
@@ -108,15 +272,50 @@ class TestPickCandidates:
         values[1:199:2] = rng.uniform(0.4, 1.0, size=99)  # 99 separated peaks
         frame = self.mk_frame(values)
         cfg = TrackerConfig(max_candidates_per_frame=5)
-        cands = pick_candidates(frame, cfg)
+        cands = pick_candidates(frame, cfg)[0]
         assert len(cands) == 6  # unvoiced + 5
         scores = [c.score for c in cands[1:]]
         assert scores == sorted(scores, reverse=True)
 
     def test_short_frame_unvoiced_only(self):
-        frame = NccfFrame(0, np.arange(16, 20), np.zeros(4), short=True)
+        # a clear peak that a short frame must still ignore
+        frame = self.mk_frame([0.1, 0.9, 0.1, 0.1], lags=np.arange(16, 20), short=True)
         cands = pick_candidates(frame, TrackerConfig())
         assert len(cands) == 1
+        assert len(cands[0]) == 1
+
+    def test_one_list_per_frame_across_blocks(self):
+        n = 2 * _BLOCK + 5
+        values = np.zeros((n, 8))
+        values[:, 3] = 0.9
+        frames = NccfFrames(np.arange(16, 24), values, np.arange(n) % 7 == 0)
+        cands = pick_candidates(frames, TrackerConfig())
+        assert len(cands) == n
+        assert [len(c) for c in cands] == [1 if t % 7 == 0 else 2 for t in range(n)]
+
+    @given(data=st.data())
+    def test_block_picker_equals_sorted_reference(self, data):
+        n_rows = data.draw(st.integers(1, 6), label="rows")
+        n_lags = data.draw(st.integers(1, 30), label="lags")
+        levels = st.sampled_from([-0.5, 0.0, 0.3, 0.5, 0.5, 0.8, 1.0])
+        cell = levels | st.floats(-1.0, 1.0, allow_subnormal=False)
+        values = np.array(
+            data.draw(st.lists(st.lists(cell, min_size=n_lags, max_size=n_lags),
+                               min_size=n_rows, max_size=n_rows), label="values"),
+            dtype=float,
+        ).reshape(n_rows, n_lags)
+        for row in values:  # plateaus of random width at a random level
+            start = data.draw(st.integers(0, n_lags - 1))
+            width = data.draw(st.integers(0, 4))
+            row[start : start + width] = data.draw(levels)
+        short = np.array(data.draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)))
+        cfg = TrackerConfig(
+            nccf_threshold=data.draw(st.sampled_from([-1.0, 0.0, 0.3]) | st.floats(-1.0, 1.0)),
+            max_candidates_per_frame=data.draw(st.integers(1, 8)),
+        )
+        lags = np.arange(16, 16 + n_lags)
+        got = pick_candidates(NccfFrames(lags, values, short), cfg)
+        assert got == [ref_pick(lags, v, s, cfg) for v, s in zip(values, short)]
 
 
 def brute_force_min_cost(candidates, cfg):
@@ -172,6 +371,39 @@ class TestViterbi:
         with pytest.raises(InvalidArgument):
             viterbi_track([], TrackerConfig())
 
+    @pytest.mark.parametrize("lattice", [
+        [[PitchCandidate(0, 0.5)], []],
+        [[PitchCandidate(0, 0.5), PitchCandidate(-3, 0.9)]],
+    ])
+    def test_malformed_lattice_rejected(self, lattice):
+        with pytest.raises(InvalidArgument):
+            viterbi_path(lattice, TrackerConfig())
+
+    def test_transition_table_is_bit_equal(self):
+        cfg = TrackerConfig()
+        table = _transition_table(cfg.octave_jump_weight, cfg.switch_cost, 256)
+        cands = [PitchCandidate(lag, 0.0) for lag in range(256)]
+        ref = [[ref_transition_cost(p, c, cfg).hex() for p in cands] for c in cands]
+        assert [[v.hex() for v in row] for row in table] == ref
+
+    @given(data=st.data())
+    def test_table_dp_equals_nested_loop_reference(self, data):
+        # few distinct lags and scores, so equal totals and tie-breaks are common
+        lag = st.sampled_from([0, 0, 16, 20, 32, 40, 80, 160, 300]) | st.integers(0, 300)
+        score = st.sampled_from([0.0, 0.25, 0.45, 0.5, 0.5, 1.0]) | st.floats(-1.0, 2.0)
+        lattice = data.draw(st.lists(
+            st.lists(st.builds(PitchCandidate, lag, score), min_size=1, max_size=5),
+            min_size=1, max_size=8,
+        ))
+        cfg = TrackerConfig(
+            switch_cost=data.draw(st.sampled_from([0.0, 0.3, 0.5])),
+            octave_jump_weight=data.draw(st.sampled_from([0.0, 0.2, 1.0])),
+        )
+        path, cost = viterbi_path(lattice, cfg)
+        ref_path, ref_cost = ref_viterbi_path(lattice, cfg)
+        assert path == ref_path
+        assert cost.hex() == ref_cost.hex()
+
 
 class TestTrackVoicing:
     def test_sawtooth_then_silence(self):
@@ -214,19 +446,31 @@ class TestTrackVoicing:
 
 
 class TestTrackerConfig:
-    def test_text_round_trip(self):
-        cfg = TrackerConfig(f0_min=60.0, voicing_bias=0.5, max_candidates_per_frame=7)
-        back = TrackerConfig.from_text(cfg.to_text())
-        assert back == cfg
-
-    def test_rejects_unknown_key(self):
-        text = TrackerConfig().to_text() + "bogus = 1\n"
-        with pytest.raises(InvalidArgument):
-            TrackerConfig.from_text(text)
-
     def test_rejects_bad_band(self):
         with pytest.raises(InvalidArgument):
             TrackerConfig(f0_min=500, f0_max=50)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"voicing_bias": float("nan")},
+        {"switch_cost": float("nan")},
+        {"octave_jump_weight": float("inf")},
+        {"nccf_threshold": float("-inf")},
+        {"f0_max": float("inf")},
+        {"voicing_bias": "0.45"},
+        {"corr_window_ms": 0.0},
+        {"corr_window_ms": -20.0},
+        {"energy_floor": -0.01},
+        {"max_candidates_per_frame": 2.5},
+        {"max_candidates_per_frame": 0},
+        {"max_candidates_per_frame": True},
+    ])
+    def test_rejects_bad_values(self, kwargs):
+        with pytest.raises(InvalidArgument):
+            TrackerConfig(**kwargs)
+
+    def test_accepts_integral_values(self):
+        cfg = TrackerConfig(f0_min=60, switch_cost=0, energy_floor=0, max_candidates_per_frame=np.int64(3))
+        assert cfg.lag_range(SR) == (16, 133)
 
     def test_lag_range(self):
         lo, hi = TrackerConfig().lag_range(8000)
