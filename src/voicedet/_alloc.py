@@ -4,10 +4,12 @@ glibc serves big allocations through mmap and returns them to the kernel on
 free, so every fresh numpy temporary page-faults its whole buffer. Training
 and inference allocate large activation tensors constantly; keeping those
 buffers on the retained heap made one epoch of the reduced DC-CRN (the
-benchmark's `train` workload) about 18% faster: 3.02 -> 3.58 audio seconds
-per second, median of three alternating runs each way on a 2-CPU Xeon VM
-with numpy 2.4 and OpenBLAS 0.3.31. `VOICEDET_NO_ALLOC_TUNING=1` turns it
-off. No-op on platforms without glibc mallopt.
+benchmark's `train` workload) about 12% faster: 3.71 -> 4.16 audio seconds
+per second, median of three alternating runs each way (two of the three
+pairs won) on a 2-CPU Xeon VM with numpy 2.4 and OpenBLAS 0.3.31. The
+retained heap costs memory: peak RSS 885 MB without the tuning, 880 or
+960 MB with it. `VOICEDET_NO_ALLOC_TUNING=1` turns it off. No-op on
+platforms without glibc mallopt.
 """
 from __future__ import annotations
 

@@ -13,11 +13,12 @@ relative to the reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .dsp import InvalidArgument, Waveform, apply_fir, design_kaiser_highpass
+from .dsp import FirFilter, InvalidArgument, Waveform, apply_fir, design_kaiser_highpass
 from .tracker import TrackerConfig, VoicingLabels, track_voicing
 
 KAISER_BETA = 5.0
@@ -62,6 +63,15 @@ def pool_comparisons(cmps: list[LabelComparison]) -> LabelComparison:
     return LabelComparison(sum(c.wrong for c in cmps), sum(c.n_frames for c in cmps))
 
 
+@lru_cache(maxsize=16)
+def _reference_highpass(cutoff_hz: float, sample_rate: int) -> FirFilter:
+    """The Kaiser high-pass for one cutoff and rate, designed once and shared
+    read-only by every record that needs it."""
+    filt = design_kaiser_highpass(KAISER_BETA, KAISER_ORDER, cutoff_hz, sample_rate)
+    filt.taps.flags.writeable = False
+    return filt
+
+
 def extract_reference_labels(
     laryn: Waveform,
     meta: SpeakerMeta,
@@ -78,8 +88,7 @@ def extract_reference_labels(
         cutoff_hz = CUTOFF_HZ[meta.sex]
     if tracker_cfg is None:
         tracker_cfg = TrackerConfig()
-    filt = design_kaiser_highpass(KAISER_BETA, KAISER_ORDER, cutoff_hz, laryn.sample_rate)
-    filtered = apply_fir(laryn, filt)
+    filtered = apply_fir(laryn, _reference_highpass(cutoff_hz, laryn.sample_rate))
     return track_voicing(filtered, tracker_cfg)
 
 
@@ -146,14 +155,31 @@ def align_for_lowest_vde(
 
 
 def write_labels(path: str | Path, labels: VoicingLabels) -> None:
-    """Write the canonical label file format (deterministic bytes)."""
+    """Write the canonical label file format (deterministic bytes).
+
+    F0 is written as zeros when it is absent or when a voiced frame's F0
+    would print as 0.000: `read_labels` drops such an F0, so writing the
+    zeros keeps a write -> read -> write round trip byte-stable.
+    """
     hop = labels.hop_ms
     hop_txt = str(int(hop)) if float(hop).is_integer() else repr(float(hop))
     lines = [f"#hop_ms={hop_txt}"]
-    f0 = labels.f0 if labels.f0 is not None else np.zeros(len(labels))
+    f0 = labels.f0
+    if f0 is None or np.any(f0[labels.labels == 1] < 0.0005):
+        f0 = np.zeros(len(labels))
     for i, (lab, f) in enumerate(zip(labels.labels.tolist(), f0.tolist())):
         lines.append(f"{i}\t{lab}\t{f:.3f}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _numbered_lines(path: str | Path) -> list[tuple[int, str]]:
+    """(1-based line number, text) of every line of a label file that holds
+    more than whitespace."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as err:
+        raise InvalidArgument(f"{path}: not a UTF-8 text file ({err.reason})") from None
+    return [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
 
 
 def read_labels(path: str | Path) -> VoicingLabels:
@@ -161,21 +187,30 @@ def read_labels(path: str | Path) -> VoicingLabels:
 
     The f0 column is kept only when it is consistent with the labels
     (f0 > 0 exactly on voiced frames); files written from decisions without
-    pitch carry zeros there and read back with f0 absent.
+    pitch carry zeros there and read back with f0 absent. A malformed line
+    raises InvalidArgument naming the file and line number.
     """
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or not lines[0].startswith("#hop_ms="):
+    lines = _numbered_lines(path)
+    if not lines or not lines[0][1].startswith("#hop_ms="):
         raise InvalidArgument(f"{path}: missing #hop_ms header")
-    hop_ms = float(lines[0].split("=", 1)[1])
     labels = []
     f0 = []
-    for ln in lines[1:]:
-        parts = ln.split("\t")
-        if len(parts) != 3:
-            raise InvalidArgument(f"{path}: malformed line {ln!r}")
-        labels.append(int(parts[1]))
-        f0.append(float(parts[2]))
+    lineno, ln = lines[0]
+    try:
+        hop_ms = float(ln.split("=", 1)[1])
+        if not 0.0 < hop_ms < float("inf"):
+            raise ValueError(f"hop_ms must be positive and finite, got {hop_ms}")
+        for lineno, ln in lines[1:]:
+            parts = ln.split("\t")
+            if len(parts) != 3:
+                raise ValueError(f"malformed line {ln!r}")
+            lab = int(parts[1])
+            if lab != 0 and lab != 1:
+                raise ValueError(f"labels must be binary, got {lab}")
+            labels.append(lab)
+            f0.append(float(parts[2]))
+    except ValueError as err:
+        raise InvalidArgument(f"{path}:{lineno}: {err}") from None
     labels = np.array(labels, dtype=np.int8)
     f0 = np.array(f0)
     if not np.array_equal(f0 > 0, labels == 1):
@@ -187,9 +222,19 @@ def read_three_class_labels(path: str | Path, hop_ms: float = 10.0) -> VoicingLa
     """Adapter for provided references with an uncertain class.
 
     One value per line: 1 voiced, 0 unvoiced, -1 uncertain. Uncertain frames
-    are kept in the sequence but masked out of comparisons.
+    are kept in the sequence but masked out of comparisons. Any other value
+    raises InvalidArgument naming the file and line number.
     """
-    raw = [int(ln) for ln in Path(path).read_text().split()]
+    lines = _numbered_lines(path)
+    raw = []
+    try:
+        for lineno, ln in lines:
+            for tok in ln.split():
+                raw.append(int(tok))
+                if raw[-1] not in (-1, 0, 1):
+                    raise ValueError(f"labels must be -1, 0 or 1, got {raw[-1]}")
+    except ValueError as err:
+        raise InvalidArgument(f"{path}:{lineno}: {err}") from None
     arr = np.array(raw, dtype=np.int8)
     valid = arr >= 0
     labels = np.where(valid, arr, 0).astype(np.int8)

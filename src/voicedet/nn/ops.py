@@ -2,14 +2,17 @@
 
 Convolutions act along the frequency axis only (all kernels are 1 in time),
 so frame count is preserved everywhere. Convolutional activations are laid
-out channels-last as [batch, time, freq, channel], which turns each kernel
-tap into one matrix product; recurrent/head stages use [batch, time,
-feature]. Every forward returns (output, cache); the matching backward
-consumes the cache and returns input/parameter gradients.
+out channels-last as [batch, time, freq, channel]: a convolution is one
+matrix product of tap-major columns, copied once from a sliding-window view
+of the input, with the kernel, and its input gradient is one product per
+tap added into the frequencies that tap read. Recurrent/head stages use
+[batch, time, feature]. Every forward returns (output, cache); the matching
+backward consumes the cache and returns input/parameter gradients.
 """
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def conv_freq_out_size(f: int, kernel: int, stride: int, pad: int) -> int:
@@ -17,13 +20,14 @@ def conv_freq_out_size(f: int, kernel: int, stride: int, pad: int) -> int:
 
 
 def _im2col(xp, k: int, stride: int, fo: int):
-    """[B, T, Fp, C] -> [B, T, Fo, K*C] tap-major columns."""
+    """[B, T, Fp, C] -> [B, T, Fo, K*C] tap-major columns.
+
+    One copy of the strided window view with the tap axis moved ahead of
+    the channels, so column j*C + c holds xp[..., f*stride + j, c].
+    """
     b, t, _, c = xp.shape
-    span = (fo - 1) * stride + 1
-    cols = np.empty((b, t, fo, k * c), dtype=xp.dtype)
-    for j in range(k):
-        cols[..., j * c : (j + 1) * c] = xp[:, :, j : j + span : stride, :]
-    return cols
+    windows = sliding_window_view(xp, k, axis=2)[:, :, : (fo - 1) * stride + 1 : stride]
+    return np.ascontiguousarray(windows.swapaxes(3, 4)).reshape(b, t, fo, k * c)
 
 
 def conv_freq_forward(x, w, b, stride: int, pad: int):
@@ -47,20 +51,27 @@ def conv_freq_backward(dy, cache):
     """Returns (dx, dw, db) for conv_freq_forward.
 
     Columns are rebuilt from the cached (padded) input rather than cached,
-    keeping activation memory proportional to the input.
+    keeping activation memory proportional to the input. The input gradient
+    needs no column buffer: tap j adds one [N, O] x [O, C] product into the
+    frequencies it read, taps in order, so every element sums the same
+    length-O dot products in the same order as a scatter of the full
+    column gradient would. With one channel that product would be a
+    matrix-vector product, which BLAS sums in another order, so all taps
+    then share one [N, O] x [O, K] product.
     """
     xp, f_in, w, stride, pad = cache
     k, c, o = w.shape
     fo = dy.shape[2]
     span = (fo - 1) * stride + 1
     dy2 = dy.reshape(-1, o)
-    cols = _im2col(xp, k, stride, fo)
-    dw = (cols.reshape(-1, k * c).T @ dy2).reshape(k, c, o)
+    dw = (_im2col(xp, k, stride, fo).reshape(-1, k * c).T @ dy2).reshape(k, c, o)
     db = dy2.sum(axis=0)
-    dcols = (dy2 @ w.reshape(k * c, o).T).reshape(*dy.shape[:3], k * c)
     dxp = np.zeros_like(xp)
-    for j in range(k):
-        dxp[:, :, j : j + span : stride, :] += dcols[..., j * c : (j + 1) * c]
+    taps = 1 if c > 1 else k
+    for j0 in range(0, k, taps):
+        dcols = (dy2 @ w[j0 : j0 + taps].reshape(-1, o).T).reshape(*dy.shape[:3], taps, c)
+        for j in range(j0, j0 + taps):
+            dxp[:, :, j : j + span : stride, :] += dcols[..., j - j0, :]
     dx = dxp[:, :, pad : pad + f_in, :] if pad else dxp
     return dx, dw, db
 

@@ -129,6 +129,23 @@ class TestLabelsCompare:
         empty.mkdir()
         assert main(["labels-compare", "--a", str(small_corpus / "labels"), "--b", str(empty)]) == 1
 
+    @pytest.mark.parametrize("text, lineno", [
+        ("#hop_ms=10\n0\t0\t0.000\n1\tx\t0.000\n", 3),   # non-integer label
+        ("#hop_ms=ten\n0\t0\t0.000\n", 1),                 # bad header value
+        ("#hop_ms=-10\n0\t0\t0.000\n", 1),                 # negative hop
+        ("#hop_ms=nan\n0\t0\t0.000\n", 1),                 # non-finite hop
+        ("#hop_ms=10\n0\t1\t1e2x\n", 2),                    # non-float f0
+        ("#hop_ms=10\n0\t0\t0.000\n\n1\t2\t0.000\n", 4),  # non-binary label
+    ])
+    def test_malformed_label_file_is_usage_error(self, tmp_path, capsys, text, lineno):
+        dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+        dir_a.mkdir()
+        dir_b.mkdir()
+        write_labels(dir_a / "u.lab", VoicingLabels(np.zeros(3, dtype=np.int8)))
+        (dir_b / "u.lab").write_text(text)
+        assert main(["labels-compare", "--a", str(dir_a), "--b", str(dir_b)]) == 1
+        assert f"{dir_b / 'u.lab'}:{lineno}:" in capsys.readouterr().err
+
 
 def tiny_checkpoint(path):
     from voicedet.nn.checkpoint import save_checkpoint

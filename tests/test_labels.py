@@ -1,11 +1,16 @@
 """Tests for label generation, comparison, alignment, and label files."""
 
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.signal import sawtooth
 
-from voicedet.dsp import InvalidArgument, Waveform
+from voicedet import labels as label_io
+from voicedet.dsp import InvalidArgument, Waveform, apply_fir, design_kaiser_highpass
 from voicedet.labels import (
     LabelComparison,
     SpeakerMeta,
@@ -74,6 +79,32 @@ class TestExtractReferenceLabels:
         filtered = extract_reference_labels(w, SpeakerMeta("m", "male"))
         unfiltered = track_voicing(w, TrackerConfig())
         assert np.array_equal(filtered.labels, unfiltered.labels)
+
+    def test_highpass_designed_once_per_cutoff_and_rate(self, monkeypatch):
+        calls = []
+
+        def counting_design(*args):
+            calls.append(args)
+            return design_kaiser_highpass(*args)
+
+        label_io._reference_highpass.cache_clear()
+        monkeypatch.setattr(label_io, "design_kaiser_highpass", counting_design)
+        rng = np.random.default_rng(22)
+        w = Waveform(rng.standard_normal(SR), SR)
+        cached = [extract_reference_labels(w, SpeakerMeta("s", sex)) for sex in ("male", "female") * 3]
+        label_io._reference_highpass.cache_clear()
+        assert calls == [(5.0, 2400, 15.0, SR), (5.0, 2400, 25.0, SR)]
+        for sex, got in zip(("male", "female"), cached):
+            filt = design_kaiser_highpass(5.0, 2400, label_io.CUTOFF_HZ[sex], SR)
+            want = track_voicing(apply_fir(w, filt), TrackerConfig())
+            assert got.labels.tobytes() == want.labels.tobytes()
+            assert got.f0.tobytes() == want.f0.tobytes()
+
+    def test_shared_highpass_is_read_only(self):
+        filt = label_io._reference_highpass(25.0, SR)
+        assert filt is label_io._reference_highpass(25.0, SR)
+        with pytest.raises(ValueError):
+            filt.taps[0] = 1.0
 
 
 class TestPseudoLabels:
@@ -201,6 +232,42 @@ class TestLabelFiles:
         labels = read_three_class_labels(p)
         assert np.array_equal(labels.labels, [1, 0, 0, 1])
         assert np.array_equal(labels.valid_mask, [True, True, False, True])
+
+    def test_non_utf8_file_names_path(self, tmp_path):
+        p = tmp_path / "x.lab"
+        p.write_bytes(b"#hop_ms=10\n0\t\xff\t0.000\n")
+        for reader in (read_labels, read_three_class_labels):
+            with pytest.raises(InvalidArgument, match=re.escape(str(p))):
+                reader(p)
+
+    @pytest.mark.parametrize("text, lineno", [("1\n0\n2\n", 3), ("1\n\n-2\n", 3), ("0\nx\n", 2)])
+    def test_three_class_bad_value_names_file_and_line(self, tmp_path, text, lineno):
+        p = tmp_path / "k.lab"
+        p.write_text(text)
+        with pytest.raises(InvalidArgument, match=re.escape(f"{p}:{lineno}:")):
+            read_three_class_labels(p)
+
+    @settings(max_examples=200)
+    @given(
+        bits=st.lists(st.integers(0, 1), max_size=60),
+        f0=st.lists(st.floats(-1e4, 1e4, allow_nan=False), min_size=60, max_size=60),
+        hop_ms=st.sampled_from([10.0, 5.0, 12.5, 0.1, 1e-3]),
+        with_f0=st.booleans(),
+    )
+    def test_write_read_write_is_byte_stable(self, bits, f0, hop_ms, with_f0):
+        lab = np.array(bits, dtype=np.int8)
+        # f0 must be positive exactly on voiced frames
+        f0 = np.array(f0[: lab.size])
+        f0 = np.where(lab == 1, np.abs(f0) + 1e-9, -np.abs(f0))
+        labels = VoicingLabels(lab, hop_ms=hop_ms, f0=f0 if with_f0 else None)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.lab"), Path(tmp, "b.lab")
+            write_labels(first, labels)
+            back = read_labels(first)
+            write_labels(second, back)
+            assert first.read_bytes() == second.read_bytes()
+        assert back.labels.tobytes() == lab.tobytes()
+        assert back.hop_ms == hop_ms
 
     def test_reader_registry(self, tmp_path):
         p = tmp_path / "k.lab"

@@ -491,3 +491,13 @@ def test_header_bit_flip_loads_or_raises_invalid_argument(tiny_ckpt, bit):
         load_checkpoint(p)  # the config is never used to build a model
     except InvalidArgument as err:
         assert str(p) in str(err)
+
+
+@settings(max_examples=200)
+@given(cut=st.integers(min_value=0))
+def test_truncation_raises_invalid_argument(tiny_ckpt, cut):
+    data = tiny_ckpt.read_bytes()
+    p = tiny_ckpt.with_name("truncated.ckpt")
+    p.write_bytes(data[: cut % len(data)])
+    with pytest.raises(InvalidArgument, match=re.escape(str(p))):
+        load_checkpoint(p)

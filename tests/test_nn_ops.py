@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from voicedet.nn import ops
 
@@ -69,6 +70,88 @@ class TestConvFreq:
                 flat[idx] = old
                 fd = (lp - lm) / (2 * eps)
                 assert grad.ravel()[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9), name
+
+
+def loop_im2col(xp, k, stride, fo):
+    """Reference columns: one strided slice copy per tap."""
+    b, t, _, c = xp.shape
+    span = (fo - 1) * stride + 1
+    cols = np.empty((b, t, fo, k * c), dtype=xp.dtype)
+    for j in range(k):
+        cols[..., j * c : (j + 1) * c] = xp[:, :, j : j + span : stride, :]
+    return cols
+
+
+def column_conv_reference(x, w, b, dy, stride, pad):
+    """(xp, cols, y, dx, dw, db) of the unrolled convolution with the loop
+    columns and the input gradient scattered from one full column gradient."""
+    k, c, o = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (0, 0))) if pad else x
+    fo = ops.conv_freq_out_size(x.shape[2], k, stride, pad)
+    span = (fo - 1) * stride + 1
+    cols = loop_im2col(xp, k, stride, fo)
+    y = (cols.reshape(-1, k * c) @ w.reshape(k * c, o)).reshape(*cols.shape[:3], o)
+    y += b
+    dy2 = dy.reshape(-1, o)
+    dw = (cols.reshape(-1, k * c).T @ dy2).reshape(k, c, o)
+    db = dy2.sum(axis=0)
+    dcols = (dy2 @ w.reshape(k * c, o).T).reshape(*dy.shape[:3], k * c)
+    dxp = np.zeros_like(xp)
+    for j in range(k):
+        dxp[:, :, j : j + span : stride, :] += dcols[..., j * c : (j + 1) * c]
+    dx = dxp[:, :, pad : pad + x.shape[2], :] if pad else dxp
+    return xp, cols, y, dx, dw, db
+
+
+def assert_conv_matches_reference(rng, shape, k, o, stride, pad, dtype, spare=3):
+    """Bit-equal columns, output and gradients for an input that is the
+    channel prefix of a wider buffer, as ConvDcBlock passes it."""
+    b, t, f, c = shape
+    x = rng.standard_normal((b, t, f, c + spare)).astype(dtype)[..., :c]
+    w = rng.standard_normal((k, c, o)).astype(dtype)
+    bias = rng.standard_normal(o).astype(dtype)
+    fo = ops.conv_freq_out_size(f, k, stride, pad)
+    dy = rng.standard_normal((b, t, fo, o)).astype(dtype)
+    xp, cols, *want = column_conv_reference(x, w, bias, dy, stride, pad)
+    assert ops._im2col(xp, k, stride, fo).tobytes() == cols.tobytes()
+    y, cache = ops.conv_freq_forward(x, w, bias, stride, pad)
+    got = (y, *ops.conv_freq_backward(dy, cache))
+    for name, g, r in zip(("y", "dx", "dw", "db"), got, want):
+        assert g.dtype == r.dtype and g.shape == r.shape, name
+        assert g.tobytes() == r.tobytes(), name
+
+
+class TestConvColumnsBitEqual:
+    """The window-view columns and the per-tap input gradient give the same
+    bits as per-tap slice copies and a scattered full column gradient."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_small_shapes(self, stride, pad, k, dtype):
+        rng = np.random.default_rng([stride, pad, k, np.dtype(dtype).itemsize])
+        for c in range(1, 21):
+            assert_conv_matches_reference(rng, (2, 3, 11 + c, c), k, 5, stride, pad, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reduced_model_shapes(self, dtype):
+        # the composite (C = 2..14, stride 1) and gated (C = 18, stride 2)
+        # convolutions of the reduced model's first block, at fewer frames
+        rng = np.random.default_rng(11)
+        for c in (2, 6, 10, 14):
+            assert_conv_matches_reference(rng, (2, 6, 513, c), 3, 4, 1, 1, dtype)
+        assert_conv_matches_reference(rng, (2, 6, 513, 18), 4, 2, 2, 1, dtype)
+
+    @settings(max_examples=60)
+    @given(
+        b=st.integers(1, 3), t=st.integers(1, 4), f=st.integers(1, 40), c=st.integers(1, 24),
+        k=st.integers(1, 5), o=st.integers(1, 12), stride=st.integers(1, 3), pad=st.integers(0, 2),
+        dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_shapes(self, b, t, f, c, k, o, stride, pad, dtype, seed):
+        assume(f + 2 * pad >= k)
+        assert_conv_matches_reference(np.random.default_rng(seed), (b, t, f, c), k, o, stride, pad, dtype)
 
 
 class TestGatedConv:
