@@ -4,12 +4,11 @@ glibc serves big allocations through mmap and returns them to the kernel on
 free, so every fresh numpy temporary page-faults its whole buffer. Training
 and inference allocate large activation tensors constantly; keeping those
 buffers on the retained heap made one epoch of the reduced DC-CRN (the
-benchmark's `train` workload) about 12% faster: 3.71 -> 4.16 audio seconds
-per second, median of three alternating runs each way (two of the three
-pairs won) on a 2-CPU Xeon VM with numpy 2.4 and OpenBLAS 0.3.31. The
-retained heap costs memory: peak RSS 885 MB without the tuning, 880 or
-960 MB with it. `VOICEDET_NO_ALLOC_TUNING=1` turns it off. No-op on
-platforms without glibc mallopt.
+benchmark's `train` workload) about 10% faster: 4.06 -> 4.46 audio seconds
+per second, median of ten alternating runs each way (nine of the ten pairs
+won) on a 2-CPU Xeon VM with numpy 2.4 and OpenBLAS 0.3.31. Peak RSS was
+731 MB with and without it in every run. `VOICEDET_NO_ALLOC_TUNING=1`
+turns it off. No-op on platforms without glibc mallopt.
 """
 from __future__ import annotations
 

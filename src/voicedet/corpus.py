@@ -107,11 +107,17 @@ def _scan_paired_dirs(root: Path, corpus: str) -> list[UtteranceRecord]:
     meta: dict[str, SpeakerMeta] = {}
     meta_path = root / "meta.tsv"
     if meta_path.exists():
-        for ln in meta_path.read_text().splitlines():
+        for lineno, ln in enumerate(meta_path.read_text().splitlines(), 1):
             if not ln.strip() or ln.startswith("#"):
                 continue
-            utt, spk, sex = ln.split("\t")
-            meta[utt] = SpeakerMeta(spk, sex)
+            fields = ln.split("\t")
+            try:
+                if len(fields) != 3:
+                    raise InvalidArgument(f"expected utt_id<TAB>speaker_id<TAB>sex, got {ln!r}")
+                utt, spk, sex = fields
+                meta[utt] = SpeakerMeta(spk, sex)
+            except InvalidArgument as err:
+                raise InvalidArgument(f"{meta_path}:{lineno}: {err}") from None
     records = []
     for wav in sorted(mic_dir.glob("*.wav")):
         utt = wav.stem

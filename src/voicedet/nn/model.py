@@ -5,10 +5,13 @@ Each Conv-DC block runs four composite layers (1x3 freq convolution, batch
 norm, ELU), every one reading the block input and all preceding composite
 outputs from one shared channel buffer (the shared-storage layout of
 memory-efficient DenseNets), then a gated 1x4 stride-2 convolution halves
-the frequency axis. The stacked real/imaginary STFT feature enters as
-two channels; activations are held channels-last ([batch, time, freq,
-channel]) so each kernel tap is a single matrix product. Time is never
-padded or strided, so one posterior is produced per input frame.
+the frequency axis. The buffer also carries the zero frequency padding of
+the block's convolutions, written once, so each convolution reads (and
+caches) a view of it instead of a padded copy. The stacked real/imaginary
+STFT feature enters as two channels; activations are held channels-last
+([batch, time, freq, channel]) so each kernel tap is a single matrix
+product. Time is never padded or strided, so one posterior is produced per
+input frame.
 """
 from __future__ import annotations
 
@@ -63,6 +66,11 @@ class ModelConfig:
         for name, v, lo in bounds:
             if not isinstance(v, int) or v < lo:
                 raise InvalidArgument(f"{name} must be an integer >= {lo}, got {v!r}")
+        if 2 * self.composite_pad != self.composite_kernel - 1:
+            raise InvalidArgument(
+                f"composite layers must keep the frequency size: composite_pad "
+                f"{self.composite_pad} is not (composite_kernel {self.composite_kernel} - 1) / 2"
+            )
         if min(self.freq_chain()) < 1:
             raise InvalidArgument(f"frequency chain {self.freq_chain()} falls below 1 bin")
         if self.flatten_width() % self.groups != 0:
@@ -129,7 +137,11 @@ class VoicingPosterior:
 
 class CompositeLayer:
     """1x3 frequency convolution -> batch norm -> ELU (channels preserved in
-    time/freq, growth channels out)."""
+    time/freq, growth channels out).
+
+    The input arrives already padded with `composite_pad` zero bins on each
+    side of the frequency axis, and the input gradient is returned padded
+    the same way."""
 
     def __init__(self, prefix, c_in, c_out, cfg: ModelConfig, rng):
         dtype = cfg.np_dtype()
@@ -155,7 +167,7 @@ class CompositeLayer:
         yield f"{self.prefix}.running_var", self.running_var
 
     def forward(self, x, training, update_stats):
-        y, c_conv = ops.conv_freq_forward(x, self.w, self.b, 1, self.cfg.composite_pad)
+        y, c_conv = ops.conv_freq_forward(x, self.w, self.b, 1, 0)
         y, c_bn = ops.batchnorm_forward(
             y, self.gamma, self.beta, self.running_mean, self.running_var,
             self.cfg.bn_momentum, self.cfg.bn_eps, training, update_stats,
@@ -176,7 +188,10 @@ class CompositeLayer:
 
 
 class GatedConv:
-    """Gated 1x4 convolution, frequency stride 2: the block's downsampler."""
+    """Gated 1x4 convolution, frequency stride 2: the block's downsampler.
+
+    Like CompositeLayer it takes an input padded with `gated_pad` zero bins
+    per side and returns the padded input gradient."""
 
     def __init__(self, prefix, c_in, c_out, cfg: ModelConfig, rng):
         dtype = cfg.np_dtype()
@@ -196,9 +211,7 @@ class GatedConv:
         yield f"{self.prefix}.b2", self.b2
 
     def forward(self, x):
-        return ops.gated_conv_forward(
-            x, self.w1, self.b1, self.w2, self.b2, self.cfg.gated_stride, self.cfg.gated_pad
-        )
+        return ops.gated_conv_forward(x, self.w1, self.b1, self.w2, self.b2, self.cfg.gated_stride, 0)
 
     def backward(self, dv, cache, grads):
         du, dw1, db1, dw2, db2 = ops.gated_conv_backward(dv, cache)
@@ -212,18 +225,25 @@ class GatedConv:
 class ConvDcBlock:
     """Densely-connected composite layers plus the gated downsampler.
 
-    All layers share one [B, T, F, C_in + L*growth] channel buffer: the
-    input fills the first C_in channels and composite l writes its output
-    once into the next growth channels, so layer l reads the prefix
-    [input, out_1, ..., out_{l-1}] as a view and the gated convolution reads
-    the whole buffer. The backward pass mirrors this: each composite adds
-    its input gradient into the prefix of one shared gradient buffer.
+    All layers share one [B, T, F + 2P, C_in + L*growth] channel buffer,
+    P = max(composite_pad, gated_pad): the input fills the first C_in
+    channels and composite l writes its output once into the next growth
+    channels, all in the F interior bins, and the 2P pad bins are zeroed
+    once. Layer l reads the prefix [input, out_1, ..., out_{l-1}] and the
+    gated convolution the whole buffer, each as a view that includes just
+    its own padding, so no convolution copies or caches a padded input.
+    The backward pass mirrors this: the gated convolution's padded input
+    gradient is the block's gradient buffer, and each composite adds the
+    interior of its padded input gradient into that buffer's prefix. Pad
+    bin gradients are never read; only the interior input slice is returned.
     """
 
     def __init__(self, prefix, c_in, c_out, cfg: ModelConfig, rng):
         self.prefix = prefix
         self.c_in = c_in
         self.growth = g = cfg.composite_growth
+        self.composite_pad = cfg.composite_pad
+        self.gated_pad = cfg.gated_pad
         self.composites = [
             CompositeLayer(f"{prefix}.comp{l}", c_in + g * l, g, cfg, rng)
             for l in range(cfg.composite_layers)
@@ -242,29 +262,37 @@ class ConvDcBlock:
             yield from comp.buffers()
 
     def forward(self, x, training, update_stats):
-        c, g = self.c_in, self.growth
+        b, t, f, c = x.shape
+        g, cp, gp = self.growth, self.composite_pad, self.gated_pad
+        p = max(cp, gp)
         buf = np.empty(
-            (*x.shape[:3], c + g * len(self.composites)),
+            (b, t, f + 2 * p, c + g * len(self.composites)),
             dtype=np.result_type(x, self.gated.w1),
         )
-        buf[..., :c] = x
+        buf[:, :, :p] = 0
+        buf[:, :, p + f :] = 0
+        inner = buf[:, :, p : p + f]
+        inner[..., :c] = x
         comp_caches = []
         for comp in self.composites:
-            y, cache = comp.forward(buf[..., :c], training, update_stats)
-            buf[..., c : c + g] = y
+            y, cache = comp.forward(buf[:, :, p - cp : p + f + cp, :c], training, update_stats)
+            inner[..., c : c + g] = y
             comp_caches.append(cache)
             c += g
-        v, gated_cache = self.gated.forward(buf)
+        v, gated_cache = self.gated.forward(buf[:, :, p - gp : p + f + gp])
         return v, (comp_caches, gated_cache)
 
     def backward(self, dv, cache, grads):
         comp_caches, gated_cache = cache
         dbuf = self.gated.backward(dv, gated_cache, grads)
-        g = self.growth
+        g, cp, gp = self.growth, self.composite_pad, self.gated_pad
+        f = dbuf.shape[2] - 2 * gp
+        dinner = dbuf[:, :, gp : gp + f]
         for l in range(len(self.composites) - 1, -1, -1):
             c = self.c_in + g * l
-            dbuf[..., :c] += self.composites[l].backward(dbuf[..., c : c + g], comp_caches[l], grads)
-        return dbuf[..., : self.c_in]
+            dx = self.composites[l].backward(dinner[..., c : c + g], comp_caches[l], grads)
+            dinner[..., :c] += dx[:, :, cp : cp + f]
+        return dinner[..., : self.c_in]
 
 
 class DccrnModel:

@@ -138,7 +138,10 @@ def sigmoid(x):
 def gated_conv_forward(u, w1, b1, w2, b2, stride: int, pad: int):
     """Gated convolution v = (u*W1 + b1) (.) sigmoid(u*W2 + b2).
 
-    The input is padded once and shared by both convolution paths.
+    The input is padded once and shared by both convolution paths. With
+    pad 0 the caller may pass a view of an already padded buffer (as the
+    Conv-DC block does); the cache then holds that view, not a copy, and
+    gated_conv_backward returns the gradient of the whole view.
     """
     up = np.pad(u, ((0, 0), (0, 0), (pad, pad), (0, 0))) if pad else u
     m1, c1 = conv_freq_forward(up, w1, b1, stride, 0)
@@ -163,10 +166,10 @@ def gated_conv_backward(dv, cache):
     dm2 = dv * m1 * s2 * (1.0 - s2)
     du1, dw1, db1 = conv_freq_backward(dm1, c1)
     du2, dw2, db2 = conv_freq_backward(dm2, c2)
-    du = du1 + du2
+    du1 += du2
     if pad:
-        du = du[:, :, pad : pad + f_in, :]
-    return du, dw1, db1, dw2, db2
+        du1 = du1[:, :, pad : pad + f_in, :]
+    return du1, dw1, db1, dw2, db2
 
 
 def linear_forward(x, w, b):

@@ -41,6 +41,7 @@ from voicedet.training import (
     pretrain_then_finetune,
     train,
     vde,
+    vde_counts,
 )
 
 SEED = 1234
@@ -323,8 +324,9 @@ def test_criterion_7_model_end_to_end():
         probs, _ = model.forward_batch(ex.x[None], training=False)
         est = decide_voicing(probs[0], REDUCED_MODEL.threshold)
         ref = VoicingLabels(ex.y.astype(np.int8))
-        wrong += round(vde(est, ref) * len(ref) / 100.0)
-        total += len(ref)
+        n_wrong, n_counted = vde_counts(est, ref)
+        wrong += n_wrong
+        total += n_counted
     test_vde = 100.0 * wrong / total
 
     # pretraining on a second corpus with tracker pseudo-labels must start

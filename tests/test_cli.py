@@ -309,6 +309,16 @@ class TestExitCodes:
                      "--jobs", "2", "--out", out]) == 1
         assert not (tmp_path / "out").exists()  # rejected before any work
 
+    def test_short_meta_line_is_usage_error(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        (root / "mic").mkdir(parents=True)
+        write_wav(root / "mic" / "u1.wav", Waveform(np.zeros(800), 8000))
+        (root / "meta.tsv").write_text("# utt\tspeaker\tsex\nu1\tspk\n")
+        argv = ["train", "--corpus", f"{root}:FDA", "--folds", str(tmp_path / "f.json"),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert f"{root / 'meta.tsv'}:2: " in capsys.readouterr().err
+
     def test_internal_errors_are_three(self, tmp_path, monkeypatch):
         import voicedet.cli as cli
 

@@ -1,5 +1,7 @@
 """Tests for corpus scanning, manifests, exclusions, segmentation, folds."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,16 @@ class TestScan:
         root = build_toy_corpus(tmp_path)
         with pytest.raises(InvalidArgument, match="bogus"):
             scan_corpus(root, "FDA", adapter="bogus")
+
+    @pytest.mark.parametrize("line", ["u01\tspk1", "u01\tspk1\tmale\textra", "u01\tspk1\tboth"])
+    def test_malformed_meta_line_names_file_and_line(self, tmp_path, line):
+        root = build_toy_corpus(tmp_path)
+        meta = root / "meta.tsv"
+        lines = meta.read_text().splitlines()
+        lines[1] = line
+        meta.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidArgument, match=rf"^{re.escape(str(meta))}:2: "):
+            scan_corpus(root, "FDA")
 
     def test_missing_root(self, tmp_path):
         with pytest.raises(InvalidArgument):

@@ -67,6 +67,8 @@ class TestConfig:
             {"gated_pad": -1},
             {"gated_stride": 1.5},
             {"block_out_channels": (2,) * 5, "input_freq_bins": 8},  # 8, 4, 2, 1, 0
+            {"composite_pad": 0},  # a 1x3 kernel would drop two bins per layer
+            {"composite_kernel": 4},  # no symmetric pad keeps an even kernel's size
         ],
     )
     def test_bad_sizes_rejected(self, bad):
@@ -116,24 +118,55 @@ class TestShapes:
             model.forward_batch(np.zeros((1, 4, 8, 3)))
 
 
+def pad_freq(x, pad):
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (0, 0)))
+
+
 def concat_reference(block, x, dv, training):
     """The block's forward and backward written with explicit per-layer
-    concatenations and a per-piece gradient split: (v, dx, grads)."""
+    concatenations, each zero-padded for the layer that reads it, and a
+    per-piece gradient split: (v, dx, grads)."""
+    cp, gp, f = block.composite_pad, block.gated_pad, x.shape[2]
     pieces, caches = [x], []
     for comp in block.composites:
-        y, cache = comp.forward(np.concatenate(pieces, axis=3), training, False)
+        y, cache = comp.forward(pad_freq(np.concatenate(pieces, axis=3), cp), training, False)
         caches.append(cache)
         pieces.append(y)
-    v, gated_cache = block.gated.forward(np.concatenate(pieces, axis=3))
+    v, gated_cache = block.gated.forward(pad_freq(np.concatenate(pieces, axis=3), gp))
     grads = {}
-    dcat = block.gated.backward(dv, gated_cache, grads)
+    dcat = block.gated.backward(dv, gated_cache, grads)[:, :, gp : gp + f]
     bounds = np.cumsum([0] + [p.shape[3] for p in pieces])
     dpieces = [dcat[..., lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     for l in range(len(block.composites) - 1, -1, -1):
-        dcat_l = block.composites[l].backward(dpieces[l + 1], caches[l], grads)
+        dcat_l = block.composites[l].backward(dpieces[l + 1], caches[l], grads)[:, :, cp : cp + f]
         for i in range(l + 1):
             dpieces[i] = dpieces[i] + dcat_l[..., bounds[i] : bounds[i + 1]]
     return v, dpieces[0], grads
+
+
+def check_blocks_against_reference(cfg, training):
+    model = DccrnModel(cfg, seed=11)
+    # fold one training batch into the running statistics so inference
+    # mode does not run on the identity initialisation
+    rng = np.random.default_rng(12)
+    model.forward_batch(rng.standard_normal((2, 3, cfg.input_freq_bins, 2)), training=True,
+                        update_stats=True)
+    freqs = cfg.freq_chain()
+    dtype = cfg.dtype
+    for i, block in enumerate(model.blocks):
+        x = rng.standard_normal((2, 3, freqs[i], block.c_in)).astype(dtype)
+        v, cache = block.forward(x, training, False)
+        dv = rng.standard_normal(v.shape).astype(dtype)
+        grads = {}
+        dx = block.backward(dv, cache, grads)
+        ref_v, ref_dx, ref_grads = concat_reference(block, x, dv, training)
+        assert v.dtype == ref_v.dtype == np.dtype(dtype)
+        assert np.array_equal(v, ref_v)
+        assert dx.dtype == ref_dx.dtype
+        assert np.array_equal(dx, ref_dx)
+        assert grads.keys() == ref_grads.keys() == dict(block.params()).keys()
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 class TestDenseWiring:
@@ -147,7 +180,9 @@ class TestDenseWiring:
             forward = layer.forward
 
             def recording(inp, *args):
-                inputs.append(inp.copy())
+                # the layers read views that include their zero pad bins
+                pad = (inp.shape[2] - x.shape[2]) // 2
+                inputs.append(inp[:, :, pad : pad + x.shape[2]].copy())
                 out = forward(inp, *args)
                 outputs.append(out[0])
                 return out
@@ -163,27 +198,7 @@ class TestDenseWiring:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("training", [True, False])
     def test_block_matches_concatenation_reference(self, dtype, training):
-        cfg = tiny_config(dtype=dtype)
-        model = DccrnModel(cfg, seed=11)
-        # fold one training batch into the running statistics so inference
-        # mode does not run on the identity initialisation
-        rng = np.random.default_rng(12)
-        model.forward_batch(rng.standard_normal((2, 3, 8, 2)), training=True, update_stats=True)
-        freqs = cfg.freq_chain()
-        for i, block in enumerate(model.blocks):
-            x = rng.standard_normal((2, 3, freqs[i], block.c_in)).astype(dtype)
-            v, cache = block.forward(x, training, False)
-            dv = rng.standard_normal(v.shape).astype(dtype)
-            grads = {}
-            dx = block.backward(dv, cache, grads)
-            ref_v, ref_dx, ref_grads = concat_reference(block, x, dv, training)
-            assert v.dtype == ref_v.dtype == np.dtype(dtype)
-            assert np.array_equal(v, ref_v)
-            assert dx.dtype == ref_dx.dtype
-            assert np.array_equal(dx, ref_dx)
-            assert grads.keys() == ref_grads.keys() == dict(block.params()).keys()
-            for name in grads:
-                assert np.array_equal(grads[name], ref_grads[name]), name
+        check_blocks_against_reference(tiny_config(dtype=dtype), training)
 
     def test_each_slice_carries_its_layer_output(self):
         cfg = tiny_config()
@@ -243,6 +258,35 @@ class TestDenseWiring:
         x = np.zeros((1, 3, 8, 2))
         v, _ = block.forward(x, False, False)
         assert np.all(v == 0)  # gate = sigmoid(0) = 0.5 scales a zero path
+
+
+class TestPaddedBuffer:
+    """The block pads once: every convolution caches a view of one buffer."""
+
+    @pytest.mark.parametrize("pads", [(1, 1), (1, 0), (1, 2)])
+    def test_caches_are_views_of_one_zero_padded_buffer(self, pads):
+        cp, gp = pads
+        cfg = tiny_config(composite_pad=cp, gated_pad=gp, dtype="float32", input_freq_bins=16)
+        block = DccrnModel(cfg, seed=5).blocks[0]
+        x = np.random.default_rng(6).standard_normal((2, 3, 16, 2)).astype(np.float32)
+        _, (comp_caches, gated_cache) = block.forward(x, True, False)
+        inputs = [c_conv[0] for c_conv, _, _ in comp_caches]
+        inputs += [gated_cache[2][0], gated_cache[3][0]]
+        buf = inputs[-1].base
+        p = max(cp, gp)
+        assert buf.shape == (2, 3, 16 + 2 * p, block.gated.w1.shape[1])
+        for inp in inputs:
+            assert np.shares_memory(inp, buf)
+        assert np.all(buf[:, :, :p] == 0) and np.all(buf[:, :, p + 16 :] == 0)
+        assert np.array_equal(buf[:, :, p : p + 16, :2], x)
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("pads", [(1, 0), (1, 2), (2, 1)])
+    def test_unequal_pads_match_concatenation_reference(self, pads, training):
+        cp, gp = pads
+        cfg = tiny_config(composite_pad=cp, composite_kernel=2 * cp + 1, gated_pad=gp,
+                          dtype="float32", input_freq_bins=32, block_out_channels=(2, 4, 4))
+        check_blocks_against_reference(cfg, training)
 
 
 class TestPosteriorAndDecisions:
