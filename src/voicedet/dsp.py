@@ -1,8 +1,15 @@
 """Deterministic signal-processing primitives.
 
 Resampling, framing/STFT, linear-phase FIR high-pass design, and assembly
-of the stacked real/imaginary STFT feature. All functions are pure and
-safe to call from multiple threads.
+of the stacked real/imaginary STFT feature. All functions but the WAV
+readers and writers are pure, and all but `read_wav` (which sets the
+process-wide warning filters while it reads) are safe to call from
+multiple threads.
+
+FIR filtering and integer-ratio decimation share one overlap-save kernel
+(`_fir_samples`): FFT blocks sized from the filter length, so temporaries
+stay bounded however long the recording is. Only ratios with up > 1 go
+through scipy's `resample_poly`.
 
 Conventions (fixed, not tunable):
   * framing is left-aligned with right zero-padding, T = ceil(len / hop)
@@ -12,13 +19,16 @@ Conventions (fixed, not tunable):
 """
 from __future__ import annotations
 
+import struct
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from scipy import fft
 from scipy.io import wavfile
-from scipy.signal import fftconvolve, resample_poly
+from scipy.signal import resample_poly
 
 
 class InvalidArgument(ValueError):
@@ -182,15 +192,65 @@ def _resample_filter(up: int, down: int) -> np.ndarray:
     return taps / taps.sum()
 
 
+# FFT size of a full overlap-save block, in filter lengths: about
+# 1/_BLOCK_TAPS of each transform is overlap with the previous block.
+_BLOCK_TAPS = 32
+
+
+def _fir_samples(x: np.ndarray, taps: np.ndarray, start: int, step: int, n_out: int) -> np.ndarray:
+    """Samples start + step*i (0 <= i < n_out) of the full convolution x * taps.
+
+    Overlap-save: each FFT block of the input gives a run of consecutive
+    convolution samples, of which every step-th is kept; samples past the
+    end of the convolution are zero. The FFT size is about _BLOCK_TAPS
+    filter lengths, less when one block covers the whole span, so the
+    temporaries are O(block) however long x is.
+    """
+    m = taps.size
+    out = np.zeros(n_out)
+    if n_out == 0:
+        return out
+    nfft = fft.next_fast_len(_BLOCK_TAPS * m, real=True)
+    per_block = (nfft - m + 1) // step  # kept samples per block
+    if n_out <= per_block:  # one block, just long enough
+        nfft = fft.next_fast_len(step * (n_out - 1) + m, real=True)
+        per_block = n_out
+    spec = fft.rfft(taps, nfft)
+    seg = np.empty(nfft)
+    for i in range(0, n_out, per_block):
+        # seg = x[lo : lo + nfft], zero outside x; positions m-1 .. nfft-1 of
+        # the circular convolution seg (*) taps are the linear convolution's
+        # samples lo+m-1 .. lo+nfft-1, i.e. start + i*step onwards
+        lo = start + i * step - m + 1
+        a, b = max(lo, 0), min(lo + nfft, x.size)
+        seg.fill(0.0)
+        if a < b:
+            seg[a - lo : b - lo] = x[a:b]
+        y = fft.irfft(fft.rfft(seg) * spec, nfft)[m - 1 :: step]
+        k = min(per_block, n_out - i)
+        out[i : i + k] = y[:k]
+    return out
+
+
 def resample(wave: Waveform, target_rate: int) -> Waveform:
-    """Polyphase rational-ratio resampling with a windowed-sinc anti-alias filter."""
+    """Rational-ratio resampling with a Kaiser windowed-sinc anti-alias filter.
+
+    Integer decimation (up == 1) runs the overlap-save kernel over the
+    filter and keeps every down-th sample, with `resample_poly`'s alignment
+    and length ceil(n / down); its temporaries are bounded. Other ratios
+    (up > 1) use scipy's `resample_poly` with the same filter design.
+    """
     if target_rate <= 0:
         raise InvalidArgument(f"target_rate must be positive, got {target_rate}")
     if target_rate == wave.sample_rate:
         return Waveform(wave.samples.copy(), wave.sample_rate)
     ratio = Fraction(target_rate, wave.sample_rate)
     up, down = ratio.numerator, ratio.denominator
-    out = resample_poly(wave.samples, up, down, window=_resample_filter(up, down))
+    taps = _resample_filter(up, down)
+    if up == 1:
+        out = _fir_samples(wave.samples, taps, (taps.size - 1) // 2, down, -(-len(wave) // down))
+    else:
+        out = resample_poly(wave.samples, up, down, window=taps)
     return Waveform(out, target_rate)
 
 
@@ -236,14 +296,12 @@ def design_kaiser_highpass(beta: float, n: int, cutoff_hz: float, sample_rate: i
 
 
 def apply_fir(wave: Waveform, filt: FirFilter) -> Waveform:
-    """Filter and re-align: full convolution, drop the group delay, keep input length."""
-    n = len(wave)
-    if n == 0:
-        return wave
-    full = fftconvolve(wave.samples, filt.taps, mode="full")
-    out = full[filt.group_delay : filt.group_delay + n]
-    if out.size < n:  # input shorter than the delay
-        out = np.pad(out, (0, n - out.size))
+    """Filter and re-align: convolution samples group_delay .. group_delay + n - 1.
+
+    The output keeps the input length (zeros where the convolution ends
+    early). Runs the overlap-save kernel, so temporaries are bounded.
+    """
+    out = _fir_samples(wave.samples, filt.taps, filt.group_delay, 1, len(wave))
     return Waveform(out, wave.sample_rate)
 
 
@@ -260,8 +318,18 @@ def spectrogram_from_feature(feat: FeatureTensor, cfg: FrameConfig, sample_rate:
 
 
 def read_wav(path: str | Path) -> Waveform:
-    """Read a mono WAV file (16-bit PCM or 32-bit float), normalized to [-1, 1]."""
-    rate, data = wavfile.read(str(path))
+    """Read a mono WAV file (16-bit PCM or 32-bit float), normalized to [-1, 1].
+
+    A malformed or truncated file is an InvalidArgument naming the path;
+    scipy only warns about a file that ends before its header says, so that
+    warning is raised as an error here.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", wavfile.WavFileWarning)
+            rate, data = wavfile.read(str(path))
+    except (ValueError, struct.error, wavfile.WavFileWarning) as err:
+        raise InvalidArgument(f"{path}: malformed WAV file: {err}") from err
     if data.ndim != 1:
         raise InvalidArgument(f"{path}: only mono WAV is supported, got {data.ndim} channels")
     if data.dtype == np.int16:

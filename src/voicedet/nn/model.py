@@ -292,7 +292,9 @@ class ConvDcBlock:
             c = self.c_in + g * l
             dx = self.composites[l].backward(dinner[..., c : c + g], comp_caches[l], grads)
             dinner[..., :c] += dx[:, :, cp : cp + f]
-        return dinner[..., : self.c_in]
+        # a copy, so the whole padded buffer gradient is freed before the
+        # previous block's backward
+        return dinner[..., : self.c_in].copy()
 
 
 class DccrnModel:

@@ -235,6 +235,37 @@ class TestDetect:
         assert str(ckpt) in capsys.readouterr().err
 
 
+def malformed_wav(kind, path):
+    """Write a WAV file cut to a 30-byte header, replaced by non-RIFF bytes,
+    or cut in half (scipy reads the first half and only warns)."""
+    write_wav(path, Waveform(np.zeros(16000), 16000))
+    data = path.read_bytes()
+    path.write_bytes({"header": data[:30], "not_riff": b"not a wav file" * 8,
+                      "half": data[: len(data) // 2]}[kind])
+
+
+@pytest.mark.parametrize("kind", ["header", "not_riff", "half"])
+@pytest.mark.parametrize("command", ["detect", "labels-extract"])
+def test_malformed_wav_is_usage_error(tmp_path, capsys, command, kind):
+    root = tmp_path / "corpus"
+    (root / "mic").mkdir(parents=True)
+    (root / "laryn").mkdir()
+    write_wav(root / "mic" / "u0.wav", Waveform(np.zeros(16000), 16000))
+    bad = root / "laryn" / "u0.wav"
+    malformed_wav(kind, bad)
+    out = str(tmp_path / "out")
+    if command == "detect":
+        argv = ["detect", "--method", "rapt", "--out", out, str(bad)]
+    else:
+        import voicedet.corpus as corpus_io
+
+        (root / "meta.tsv").write_text("u0\tspk0\tmale\n")
+        corpus_io.write_manifest(root / "manifest.tsv", corpus_io.scan_corpus(root, "synthetic"))
+        argv = ["labels-extract", "--manifest", str(root / "manifest.tsv"), "--out", out]
+    assert main(argv) == 1
+    assert str(bad) in capsys.readouterr().err
+
+
 class TestTrainAndEval:
     def test_demo_round_trip(self, tmp_path):
         out = tmp_path / "run"

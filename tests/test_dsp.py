@@ -1,8 +1,13 @@
 """Tests for the signal-processing primitives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
+from scipy.signal import fftconvolve, resample_poly
 
+from voicedet import dsp
 from voicedet.dsp import (
     ComplexSpectrogram,
     FrameConfig,
@@ -202,6 +207,60 @@ class TestApplyFir:
         corr = np.dot(out.samples[mid], w.samples[mid])
         norm = np.linalg.norm(out.samples[mid]) * np.linalg.norm(w.samples[mid])
         assert corr / norm > 0.999
+
+
+def kernel_lengths(n_taps, step):
+    """Input lengths for the overlap-save kernel: empty, one sample, shorter
+    than the filter, not a multiple of step, exactly one full block, one
+    block plus one kept sample, and several blocks plus a remainder."""
+    per_block = (next_fast_len(dsp._BLOCK_TAPS * n_taps, real=True) - n_taps + 1) // step
+    return [0, 1, n_taps // 2, 10 * step + 1, per_block * step, per_block * step + 1,
+            3 * per_block * step + step + 1]
+
+
+class TestFirKernel:
+    """The overlap-save kernel against scipy's direct and FFT convolutions."""
+
+    @pytest.mark.parametrize("down", [2, 3, 4, 6])
+    def test_decimation_matches_resample_poly(self, down):
+        taps = dsp._resample_filter(1, down)
+        rng = np.random.default_rng(down)
+        for n in kernel_lengths(taps.size, down):
+            x = rng.uniform(-1.0, 1.0, n)
+            out = resample(Waveform(x, 8000 * down), 8000)
+            expect = resample_poly(x, 1, down, window=taps)
+            assert out.samples.shape == expect.shape == (-(-n // down),)
+            np.testing.assert_allclose(out.samples, expect, rtol=0, atol=1e-12, err_msg=f"n={n}")
+
+    @pytest.mark.parametrize("cutoff_hz", [15.0, 50.0])
+    def test_apply_fir_matches_fftconvolve(self, cutoff_hz):
+        filt = design_kaiser_highpass(5.0, 2400, cutoff_hz, 8000)
+        rng = np.random.default_rng(int(cutoff_hz))
+        for n in kernel_lengths(filt.taps.size, 1):
+            x = rng.uniform(-1.0, 1.0, n)
+            out = apply_fir(Waveform(x, 8000), filt)
+            expect = np.zeros(n)
+            if n:
+                kept = fftconvolve(x, filt.taps)[filt.group_delay : filt.group_delay + n]
+                expect[: kept.size] = kept
+            np.testing.assert_allclose(out.samples, expect, rtol=0, atol=1e-12, err_msg=f"n={n}")
+
+    @pytest.mark.parametrize("taps, start, step", [
+        (dsp._resample_filter(1, 2), 100, 2),
+        (design_kaiser_highpass(5.0, 2400, 50.0, 8000).taps, 1200, 1),
+    ])
+    def test_temporaries_do_not_grow_with_input(self, taps, start, step):
+        def peak_beyond_output(seconds):
+            x = np.random.default_rng(0).uniform(-1.0, 1.0, 16000 * seconds)
+            tracemalloc.start()
+            try:
+                out = dsp._fir_samples(x, taps, start, step, -(-x.size // step))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - out.nbytes
+
+        assert peak_beyond_output(600) <= peak_beyond_output(60) + 64 * 1024
 
 
 class TestFeatureTensor:
