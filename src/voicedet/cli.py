@@ -176,6 +176,10 @@ def cmd_labels_extract(args) -> int:
     manifest = corpus_io.read_manifest(args.manifest)
     if args.exclusions:
         manifest = corpus_io.apply_exclusions(manifest, corpus_io.read_exclusions(args.exclusions))
+    missing = [r.laryn_path for r in manifest.records
+               if r.laryn_path is not None and not Path(r.laryn_path).exists()]
+    if missing:
+        raise InvalidArgument(f"laryngograph file not found: {missing[0]}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     echo_config(out_dir, tracker_cfg, model_cfg, train_cfg)

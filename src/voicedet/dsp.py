@@ -35,6 +35,19 @@ class InvalidArgument(ValueError):
     """Raised when an operation precondition is violated."""
 
 
+_FINITE_BLOCK = 4096
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """np.isfinite(x).all() in bounded memory: the sum of x is finite when
+    every sample is, so only a NaN, an Inf or an overflowing sum leads to
+    the block-by-block check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(x.sum()):
+            return True
+    return all(np.isfinite(x[i : i + _FINITE_BLOCK]).all() for i in range(0, x.size, _FINITE_BLOCK))
+
+
 @dataclass(frozen=True)
 class Waveform:
     """Mono sample sequence with its sample rate."""
@@ -49,7 +62,7 @@ class Waveform:
             raise InvalidArgument(f"sample_rate must be positive, got {self.sample_rate}")
         if samples.ndim != 1:
             raise InvalidArgument(f"waveform must be mono 1-D, got shape {samples.shape}")
-        if samples.size and not np.all(np.isfinite(samples)):
+        if not _all_finite(samples):
             raise InvalidArgument("waveform contains NaN or Inf")
 
     def __len__(self) -> int:

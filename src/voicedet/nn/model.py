@@ -141,7 +141,9 @@ class CompositeLayer:
 
     The input arrives already padded with `composite_pad` zero bins on each
     side of the frequency axis, and the input gradient is returned padded
-    the same way."""
+    the same way. Given `out` (in ConvDcBlock, the layer's channel slice of
+    the block buffer), the ELU writes its output there, and the ELU cache is
+    that view rather than a copy."""
 
     def __init__(self, prefix, c_in, c_out, cfg: ModelConfig, rng):
         dtype = cfg.np_dtype()
@@ -166,13 +168,13 @@ class CompositeLayer:
         yield f"{self.prefix}.running_mean", self.running_mean
         yield f"{self.prefix}.running_var", self.running_var
 
-    def forward(self, x, training, update_stats):
+    def forward(self, x, training, update_stats, out=None):
         y, c_conv = ops.conv_freq_forward(x, self.w, self.b, 1, 0)
         y, c_bn = ops.batchnorm_forward(
             y, self.gamma, self.beta, self.running_mean, self.running_var,
             self.cfg.bn_momentum, self.cfg.bn_eps, training, update_stats,
         )
-        y, c_elu = ops.elu_forward(y)
+        y, c_elu = ops.elu_forward(y, out)
         return y, (c_conv, c_bn, c_elu)
 
     def backward(self, dy, cache, grads):
@@ -229,7 +231,9 @@ class ConvDcBlock:
     P = max(composite_pad, gated_pad): the input fills the first C_in
     channels and composite l writes its output once into the next growth
     channels, all in the F interior bins, and the 2P pad bins are zeroed
-    once. Layer l reads the prefix [input, out_1, ..., out_{l-1}] and the
+    once. The composite's ELU writes that output directly, and the slice
+    is also the ELU's backward cache, so no composite output is copied or
+    held twice. Layer l reads the prefix [input, out_1, ..., out_{l-1}] and the
     gated convolution the whole buffer, each as a view that includes just
     its own padding, so no convolution copies or caches a padded input.
     The backward pass mirrors this: the gated convolution's padded input
@@ -275,8 +279,9 @@ class ConvDcBlock:
         inner[..., :c] = x
         comp_caches = []
         for comp in self.composites:
-            y, cache = comp.forward(buf[:, :, p - cp : p + f + cp, :c], training, update_stats)
-            inner[..., c : c + g] = y
+            _, cache = comp.forward(
+                buf[:, :, p - cp : p + f + cp, :c], training, update_stats, inner[..., c : c + g]
+            )
             comp_caches.append(cache)
             c += g
         v, gated_cache = self.gated.forward(buf[:, :, p - gp : p + f + gp])

@@ -8,6 +8,17 @@ of the input, with the kernel, and its input gradient is one product per
 tap added into the frequencies that tap read. Recurrent/head stages use
 [batch, time, feature]. Every forward returns (output, cache); the matching
 backward consumes the cache and returns input/parameter gradients.
+
+Per-channel elementwise work on a [B, T, F, C] array runs on its
+[B*T, F*C] row view, with each per-channel vector tiled across the F bins,
+so every ufunc runs one long inner loop instead of broadcasting over the
+short channel axis (C is 2..18 in the reduced model, so a broadcast's inner
+loop would be that short). No masked ufunc
+(`where=`) and no `np.where` is used: ELU and sigmoid are built from
+min/max and plain exponentials. Every value is the bit-exact value of the
+direct broadcast and branch formulas. Per-channel reductions keep the order
+of `x.sum(axis=(0, 1, 2))`, sequential over the B*T*F rows, so their
+rounding is unchanged as well.
 """
 from __future__ import annotations
 
@@ -17,6 +28,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 def conv_freq_out_size(f: int, kernel: int, stride: int, pad: int) -> int:
     return (f + 2 * pad - kernel) // stride + 1
+
+
+def _rows(x):
+    """[..., F, C] -> [rows, F*C], the layout of every per-channel op."""
+    return x.reshape(-1, x.shape[-2] * x.shape[-1])
+
+
+def _channel_mean(x):
+    """x.mean(axis=(0, 1, 2)) of [B, T, F, C]: the same sum, divided the same way."""
+    s = x.sum(axis=(0, 1, 2))
+    return np.true_divide(s, np.intp(x.size // x.shape[3]), out=s, casting="unsafe")
 
 
 def _im2col(xp, k: int, stride: int, fo: int):
@@ -40,9 +62,9 @@ def conv_freq_forward(x, w, b, stride: int, pad: int):
     fo = conv_freq_out_size(f, k, stride, pad)
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (0, 0))) if pad else x
     cols = _im2col(xp, k, stride, fo)
-    y = cols.reshape(-1, k * c) @ w.reshape(k * c, o)
-    y = y.reshape(*cols.shape[:3], o)
-    y += b
+    y = (cols.reshape(-1, k * c) @ w.reshape(k * c, o)).reshape(*cols.shape[:3], o)
+    rows = _rows(y)
+    rows += np.tile(b, fo)
     cache = (xp, f, w, stride, pad)
     return y, cache
 
@@ -83,56 +105,89 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var,
 
     Training mode normalizes with batch statistics; update_stats additionally
     folds them into the running averages (in place). Inference mode uses the
-    running statistics and is batch-size independent.
+    running statistics and is batch-size independent. The batch statistics
+    are those of `x.mean` and `x.var`, with the channel sum taken once: the
+    centred input x - mean gives both the variance and xhat.
     """
+    f = x.shape[2]
+    mean = _channel_mean(x) if training else running_mean
+    xhat = _rows(x) - np.tile(mean, f)  # centred here, scaled below
     if training:
-        mean = x.mean(axis=(0, 1, 2))
-        var = x.var(axis=(0, 1, 2))
+        var = _channel_mean((xhat * xhat).reshape(x.shape))
         if update_stats:
             running_mean *= momentum
             running_mean += (1.0 - momentum) * mean
             running_var *= momentum
             running_var += (1.0 - momentum) * var
     else:
-        mean = running_mean
         var = running_var
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv_std
-    y = gamma * xhat + beta
-    cache = (xhat, gamma, inv_std, training)
-    return y, cache
+    xhat *= np.tile(inv_std, f)
+    y = np.tile(gamma, f) * xhat
+    y += np.tile(beta, f)
+    cache = (xhat.reshape(x.shape), gamma, inv_std, training)
+    return y.reshape(x.shape), cache
 
 
 def batchnorm_backward(dy, cache):
     """Returns (dx, dgamma, dbeta)."""
     xhat, gamma, inv_std, training = cache
+    f = dy.shape[-2]
     axes = tuple(range(dy.ndim - 1))
-    dgamma = (dy * xhat).sum(axis=axes)
+    dy2, xhat2 = _rows(dy), _rows(xhat)
+    prod = dy2 * xhat2
+    dgamma = prod.reshape(dy.shape).sum(axis=axes)
     dbeta = dy.sum(axis=axes)
-    dxhat = dy * gamma
+    dxhat = dy2 * np.tile(gamma, f)
     if not training:
-        return dxhat * inv_std, dgamma, dbeta
+        dxhat *= np.tile(inv_std, f)
+        return dxhat.reshape(dy.shape), dgamma, dbeta
     n = dy.size // dy.shape[-1]
-    sum_dxhat = dxhat.sum(axis=axes)
-    sum_dxhat_xhat = (dxhat * xhat).sum(axis=axes)
-    dx = (inv_std / n) * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
-    return dx, dgamma, dbeta
+    sum_dxhat = dxhat.reshape(dy.shape).sum(axis=axes)
+    np.multiply(dxhat, xhat2, out=prod)
+    sum_dxhat_xhat = prod.reshape(dy.shape).sum(axis=axes)
+    # dx = (inv_std / n) * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+    dxhat *= n
+    dxhat -= np.tile(sum_dxhat, f)
+    np.multiply(xhat2, np.tile(sum_dxhat_xhat, f), out=prod)
+    dxhat -= prod
+    np.multiply(np.tile(inv_std / n, f), dxhat, out=dxhat)
+    return dxhat.reshape(dy.shape), dgamma, dbeta
 
 
-def elu_forward(x):
-    y = x.copy()
-    np.expm1(y, out=y, where=y < 0)
+def elu_forward(x, out=None):
+    """ELU as max(expm1(min(x, 0)), x); the output is also the cache.
+
+    `out`, any array of x's shape (such as a channel slice of a wider
+    buffer), receives the output instead of a new array.
+    """
+    y = np.minimum(x, 0)
+    np.expm1(y, out=y)
+    y = np.maximum(y, x, out=out)
     return y, y
 
 
 def elu_backward(dy, y):
-    return dy * np.where(y > 0, 1.0, y + 1.0)
+    # the ELU slope is 1 above zero and y + 1 at or below it
+    slope = np.minimum(y, 0)
+    slope += 1
+    return np.multiply(dy, slope, out=slope)
 
 
 def sigmoid(x):
-    # exp of the negative magnitude never overflows
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below, as one quotient.
+
+    Neither exponential sees a positive argument, so neither overflows.
+    fmin rather than minimum keeps a NaN out of the numerator, so a NaN
+    input yields the denominator's NaN, as the two-branch form does.
+    """
+    den = np.abs(x)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    y = np.exp(np.fmin(x, 0))
+    y /= den
+    return y
 
 
 def gated_conv_forward(u, w1, b1, w2, b2, stride: int, pad: int):

@@ -65,6 +65,23 @@ class TestLabelsExtract:
         )
 
 
+    def test_missing_laryngograph_file_is_usage_error(self, tmp_path, capsys):
+        import voicedet.corpus as corpus_io
+
+        root = tmp_path / "corpus"
+        for sub in ("mic", "laryn"):
+            (root / sub).mkdir(parents=True)
+            write_wav(root / sub / "u0.wav", Waveform(np.zeros(8000), 16000))
+        (root / "meta.tsv").write_text("u0\tspk0\tmale\n")
+        corpus_io.write_manifest(root / "manifest.tsv", corpus_io.scan_corpus(root, "synthetic"))
+        gone = root / "laryn" / "u0.wav"
+        gone.unlink()
+        out = tmp_path / "out"
+        assert main(["labels-extract", "--manifest", str(root / "manifest.tsv"), "--out", str(out)]) == 1
+        assert str(gone) in capsys.readouterr().err
+        assert not out.exists()  # checked before any work starts
+
+
 class TestLabelsCompare:
     def test_identical_dirs_all_zero(self, small_corpus, tmp_path, capsys):
         labels = small_corpus / "labels"

@@ -43,6 +43,34 @@ class TestWaveform:
         with pytest.raises(InvalidArgument):
             Waveform(np.zeros((10, 2)), 8000)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_rejects_non_finite_anywhere(self, bad, where):
+        # several check blocks plus a remainder
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, 3 * dsp._FINITE_BLOCK + 5)
+        x[{"first": 0, "middle": x.size // 2, "last": -1}[where]] = bad
+        with pytest.raises(InvalidArgument):
+            Waveform(x, 8000)
+
+    def test_accepts_finite_samples_whose_sum_overflows(self):
+        x = np.full(2 * dsp._FINITE_BLOCK + 3, np.finfo(np.float64).max)
+        x[::2] *= -1.0  # an overflowing sum of mixed sign is NaN, not Inf
+        x[:4] = np.finfo(np.float64).max
+        assert len(Waveform(x, 8000)) == x.size
+        assert len(Waveform(np.full(10, 1e308), 8000)) == 10
+
+    def test_finite_check_memory_does_not_grow_with_input(self):
+        def peak(seconds):
+            x = np.random.default_rng(0).uniform(-1.0, 1.0, 16000 * seconds)
+            tracemalloc.start()
+            try:
+                Waveform(x, 16000)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(600) <= peak(60) + 64 * 1024
+
 
 class TestResample:
     def test_duration_arithmetic(self):

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import assert_bits_equal
 from hypothesis import given, settings, strategies as st
 
 from voicedet.dsp import InvalidArgument, Waveform
@@ -160,13 +161,12 @@ def check_blocks_against_reference(cfg, training):
         grads = {}
         dx = block.backward(dv, cache, grads)
         ref_v, ref_dx, ref_grads = concat_reference(block, x, dv, training)
-        assert v.dtype == ref_v.dtype == np.dtype(dtype)
-        assert np.array_equal(v, ref_v)
-        assert dx.dtype == ref_dx.dtype
-        assert np.array_equal(dx, ref_dx)
+        assert v.dtype == np.dtype(dtype)
+        assert_bits_equal(v, ref_v, "v")
+        assert_bits_equal(dx, ref_dx, "dx")
         assert grads.keys() == ref_grads.keys() == dict(block.params()).keys()
         for name in grads:
-            assert np.array_equal(grads[name], ref_grads[name]), name
+            assert_bits_equal(grads[name], ref_grads[name], name)
 
 
 class TestDenseWiring:
@@ -279,6 +279,13 @@ class TestPaddedBuffer:
             assert np.shares_memory(inp, buf)
         assert np.all(buf[:, :, :p] == 0) and np.all(buf[:, :, p + 16 :] == 0)
         assert np.array_equal(buf[:, :, p : p + 16, :2], x)
+        # each composite's ELU output is its channel slice of the buffer,
+        # cached as that view, not as a copy
+        g = cfg.composite_growth
+        for l, (_, _, c_elu) in enumerate(comp_caches):
+            lo = 2 + l * g
+            assert np.shares_memory(c_elu, buf)
+            assert c_elu.__array_interface__ == buf[:, :, p : p + 16, lo : lo + g].__array_interface__
 
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("pads", [(1, 0), (1, 2), (2, 1)])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import assert_bits_equal
 from hypothesis import assume, given, settings, strategies as st
 
 from voicedet.nn import ops
@@ -113,12 +114,11 @@ def assert_conv_matches_reference(rng, shape, k, o, stride, pad, dtype, spare=3)
     fo = ops.conv_freq_out_size(f, k, stride, pad)
     dy = rng.standard_normal((b, t, fo, o)).astype(dtype)
     xp, cols, *want = column_conv_reference(x, w, bias, dy, stride, pad)
-    assert ops._im2col(xp, k, stride, fo).tobytes() == cols.tobytes()
+    assert_bits_equal(ops._im2col(xp, k, stride, fo), cols, "cols")
     y, cache = ops.conv_freq_forward(x, w, bias, stride, pad)
     got = (y, *ops.conv_freq_backward(dy, cache))
     for name, g, r in zip(("y", "dx", "dw", "db"), got, want):
-        assert g.dtype == r.dtype and g.shape == r.shape, name
-        assert g.tobytes() == r.tobytes(), name
+        assert_bits_equal(g, r, name)
 
 
 class TestConvColumnsBitEqual:
@@ -334,6 +334,189 @@ class TestEluAndSigmoid:
         y = ops.sigmoid(np.array([-800.0, 0.0, 800.0]))
         assert y[0] == 0.0 and y[1] == 0.5 and y[2] == 1.0
         assert np.all(np.isfinite(y))
+
+
+# The broadcast and branch formulas the row-view ops replaced, kept verbatim
+# as bit-exact references.
+
+def ref_batchnorm_forward(x, gamma, beta, running_mean, running_var,
+                          momentum, eps, training, update_stats):
+    if training:
+        mean = x.mean(axis=(0, 1, 2))
+        var = x.var(axis=(0, 1, 2))
+        if update_stats:
+            running_mean *= momentum
+            running_mean += (1.0 - momentum) * mean
+            running_var *= momentum
+            running_var += (1.0 - momentum) * var
+    else:
+        mean = running_mean
+        var = running_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv_std
+    y = gamma * xhat + beta
+    cache = (xhat, gamma, inv_std, training)
+    return y, cache
+
+
+def ref_batchnorm_backward(dy, cache):
+    xhat, gamma, inv_std, training = cache
+    axes = tuple(range(dy.ndim - 1))
+    dgamma = (dy * xhat).sum(axis=axes)
+    dbeta = dy.sum(axis=axes)
+    dxhat = dy * gamma
+    if not training:
+        return dxhat * inv_std, dgamma, dbeta
+    n = dy.size // dy.shape[-1]
+    sum_dxhat = dxhat.sum(axis=axes)
+    sum_dxhat_xhat = (dxhat * xhat).sum(axis=axes)
+    dx = (inv_std / n) * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+    return dx, dgamma, dbeta
+
+
+def ref_elu_forward(x):
+    y = x.copy()
+    np.expm1(y, out=y, where=y < 0)
+    return y, y
+
+
+def ref_elu_backward(dy, y):
+    return dy * np.where(y > 0, 1.0, y + 1.0)
+
+
+def ref_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+DTYPES = [np.float32, np.float64]
+# C = 1, 4 and 18 channels, F = 1 bin, and the reduced model's first block
+CHANNEL_SHAPES = [(2, 3, 5, 1), (2, 3, 5, 4), (2, 3, 5, 18), (3, 4, 1, 4), (2, 2, 1, 1), (2, 4, 513, 8)]
+
+
+def special_values(dtype):
+    tiny = np.finfo(dtype).smallest_subnormal
+    return np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 800.0, -800.0], dtype=dtype)
+
+
+def with_specials(rng, shape, dtype):
+    """Normal samples with every special value planted at random positions."""
+    x = rng.standard_normal(shape).astype(dtype)
+    flat = x.reshape(-1)
+    for v in special_values(dtype):
+        flat[rng.choice(flat.size, size=min(3, flat.size), replace=False)] = v
+    return x
+
+
+def channel_slice(rng, arr, spare=3):
+    """arr copied into the leading channels of a wider array, as ConvDcBlock
+    hands per-layer slices of its buffer to the layers."""
+    wide = rng.standard_normal((*arr.shape[:-1], arr.shape[-1] + spare)).astype(arr.dtype)
+    wide[..., : arr.shape[-1]] = arr
+    return wide[..., : arr.shape[-1]]
+
+
+def assert_results_bit_equal(got, want, name):
+    if isinstance(got, np.ndarray) or isinstance(want, np.ndarray):
+        assert_bits_equal(got, want, name)
+    elif isinstance(got, tuple):
+        assert isinstance(want, tuple) and len(got) == len(want), name
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_results_bit_equal(g, w, f"{name}[{i}]")
+    else:
+        assert got == want, name
+
+
+class TestRowViewOpsBitEqual:
+    """Batch norm, ELU and sigmoid on [rows, F*C] views with tiled channel
+    vectors give the bits of the broadcast and branch formulas: outputs,
+    caches, running statistics and gradients, float32 and float64."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", CHANNEL_SHAPES)
+    @pytest.mark.parametrize("training,update_stats", [(True, True), (True, False), (False, False), (False, True)])
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_batchnorm(self, dtype, shape, training, update_stats, sliced):
+        rng = np.random.default_rng([shape[-2], shape[-1], training, update_stats, sliced])
+        c = shape[-1]
+        x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
+        dy = rng.standard_normal(shape).astype(dtype)
+        if sliced:
+            x, dy = channel_slice(rng, x), channel_slice(rng, dy)
+        gamma, beta, mean = (rng.standard_normal(c).astype(dtype) for _ in range(3))
+        var = rng.uniform(0.5, 2.0, c).astype(dtype)
+        stats, ref_stats = (mean.copy(), var.copy()), (mean.copy(), var.copy())
+        got = ops.batchnorm_forward(x, gamma, beta, *stats, 0.9, 1e-5, training, update_stats)
+        want = ref_batchnorm_forward(x, gamma, beta, *ref_stats, 0.9, 1e-5, training, update_stats)
+        assert_results_bit_equal(got, want, "forward")
+        assert_results_bit_equal(stats, ref_stats, "running statistics")
+        assert_results_bit_equal(ops.batchnorm_backward(dy, got[1]),
+                                 ref_batchnorm_backward(dy, want[1]), "backward")
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", [(67,), (1,), (16,), *CHANNEL_SHAPES])
+    def test_elu_forward_and_backward(self, dtype, shape):
+        rng = np.random.default_rng([len(shape), *shape])
+        x = with_specials(rng, shape, dtype)
+        y, cache = ops.elu_forward(x)
+        ref_y, ref_cache = ref_elu_forward(x)
+        assert_bits_equal(y, ref_y, "y")
+        assert_bits_equal(cache, ref_cache, "cache")
+        # the backward also at special output values the forward never makes
+        for yv in (ref_y, with_specials(rng, shape, dtype)):
+            dy = with_specials(rng, shape, dtype)
+            with np.errstate(all="ignore"):
+                assert_bits_equal(ops.elu_backward(dy, yv), ref_elu_backward(dy, yv), "dx")
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", CHANNEL_SHAPES)
+    def test_elu_into_buffer_slice(self, dtype, shape):
+        # as ConvDcBlock uses it: written into, and cached as, a channel
+        # slice of a wider buffer; the backward reads that slice and an
+        # upstream gradient that is a slice too
+        rng = np.random.default_rng(shape[-1])
+        x = with_specials(rng, shape, dtype)
+        buf = np.zeros((*shape[:-1], shape[-1] + 5), dtype=dtype)
+        out = buf[..., 2 : 2 + shape[-1]]
+        y, cache = ops.elu_forward(x, out)
+        assert y is out and cache is out
+        assert_bits_equal(out, ref_elu_forward(x)[0], "y")
+        assert np.all(buf[..., :2] == 0) and np.all(buf[..., 2 + shape[-1] :] == 0)
+        dy = channel_slice(rng, with_specials(rng, shape, dtype))
+        with np.errstate(all="ignore"):
+            assert_bits_equal(ops.elu_backward(dy, out), ref_elu_backward(dy, out.copy()), "dx")
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", [(67,), (1,), (16,), *CHANNEL_SHAPES])
+    def test_sigmoid(self, dtype, shape):
+        rng = np.random.default_rng([len(shape), *shape])
+        x = with_specials(rng, shape, dtype) * dtype(4)
+        assert_bits_equal(ops.sigmoid(x), ref_sigmoid(x), "sigmoid")
+        # a gate slice of a wider pre-activation, as the BLSTM passes it
+        assert_bits_equal(ops.sigmoid(channel_slice(rng, x)), ref_sigmoid(x), "sigmoid of a slice")
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_every_special_value_at_every_position(self, dtype):
+        # SIMD body and scalar tail alike
+        for n in (1, 7, 16, 17, 33):
+            base = np.random.default_rng(n).standard_normal(n).astype(dtype)
+            for v in special_values(dtype):
+                for i in range(n):
+                    x = base.copy()
+                    x[i] = v
+                    assert_bits_equal(ops.elu_forward(x)[0], ref_elu_forward(x)[0], f"elu {v} at {i}/{n}")
+                    assert_bits_equal(ops.sigmoid(x), ref_sigmoid(x), f"sigmoid {v} at {i}/{n}")
+                    with np.errstate(all="ignore"):
+                        assert_bits_equal(ops.elu_backward(base, x), ref_elu_backward(base, x),
+                                          f"elu backward {v} at {i}/{n}")
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", CHANNEL_SHAPES)
+    def test_conv_bias(self, dtype, shape):
+        # the bias added on the row view against the reference's `y += b`
+        rng = np.random.default_rng(shape[-1])
+        assert_conv_matches_reference(rng, shape, 3, shape[-1], 1, 1, dtype)
+        assert_conv_matches_reference(rng, shape, 1, 4, 1, 0, dtype)
 
 
 class TestLayerNormAndLinear:
