@@ -23,7 +23,7 @@ import numpy as np
 
 from . import corpus as corpus_io
 from . import labels as label_io
-from .dsp import InvalidArgument, read_wav, resample
+from .dsp import InvalidArgument, read_text, read_wav, resample
 from .labels import SpeakerMeta, align_for_lowest_vde, extract_reference_labels, mismatch_rate
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.model import DccrnModel, ModelConfig, decide_voicing
@@ -62,6 +62,8 @@ class PartialFailure(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _merge_dataclass(defaults, overrides: dict, section: str):
+    if not isinstance(overrides, dict):
+        raise InvalidArgument(f"{section} config must be a JSON object")
     known = {f.name for f in dataclasses.fields(defaults)}
     unknown = set(overrides) - known
     if unknown:
@@ -74,16 +76,23 @@ def _merge_dataclass(defaults, overrides: dict, section: str):
 
 def load_run_config(path: str | None, seed: int | None = None):
     """JSON file with optional sections tracker/model/train; unknown keys
-    anywhere are rejected. The --seed flag overrides the train seed."""
-    payload = {}
-    if path:
-        payload = json.loads(Path(path).read_text())
+    anywhere are rejected, and every error in the file names it. The --seed
+    flag overrides the train seed."""
+    text = read_text(path) if path else "{}"
+    try:
+        payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise InvalidArgument("config must be a JSON object")
         unknown = set(payload) - {"tracker", "model", "train"}
         if unknown:
             raise InvalidArgument(f"unknown config sections: {sorted(unknown)}")
-    tracker = _merge_dataclass(TrackerConfig(), payload.get("tracker", {}), "tracker")
-    model = _merge_dataclass(ModelConfig(), payload.get("model", {}), "model")
-    train_cfg = _merge_dataclass(TrainConfig(), payload.get("train", {}), "train")
+        tracker = _merge_dataclass(TrackerConfig(), payload.get("tracker", {}), "tracker")
+        model = _merge_dataclass(ModelConfig(), payload.get("model", {}), "model")
+        train_cfg = _merge_dataclass(TrainConfig(), payload.get("train", {}), "train")
+    except json.JSONDecodeError as err:
+        raise InvalidArgument(f"{path}: not JSON: {err}") from None
+    except (ValueError, TypeError) as err:  # InvalidArgument is a ValueError
+        raise InvalidArgument(f"{path}: {err}") from None
     if seed is not None:
         train_cfg = dataclasses.replace(train_cfg, seed=seed)
     return tracker, model, train_cfg
@@ -343,8 +352,8 @@ def cmd_train(args) -> int:
         if not args.corpus or not args.folds:
             raise InvalidArgument("train needs --corpus and --folds (or --synthetic-demo)")
         manifests = parse_corpus_args(args.corpus)
+        folds = corpus_io.read_folds(args.folds)
         data, skipped = load_examples(manifests, model_cfg.input_freq_bins)
-        folds = corpus_io.folds_from_json(Path(args.folds).read_text())
     for line in skipped:
         log.warning("skipped %s", line)
 
@@ -378,7 +387,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     tracker_cfg, model_cfg, train_cfg = load_run_config(args.config, args.seed)
     methods = args.methods.split(",")
-    folds = corpus_io.folds_from_json(Path(args.folds).read_text())
+    folds = corpus_io.read_folds(args.folds)
     manifests = parse_corpus_args(args.corpus)
     keep_wave = "rapt" in methods
     data, skipped = load_examples(manifests, model_cfg.input_freq_bins, keep_wave=keep_wave)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import InvalidArgument, Waveform
+from .dsp import InvalidArgument, Waveform, read_text
 from .labels import SpeakerMeta
 
 log = logging.getLogger(__name__)
@@ -107,7 +107,7 @@ def _scan_paired_dirs(root: Path, corpus: str) -> list[UtteranceRecord]:
     meta: dict[str, SpeakerMeta] = {}
     meta_path = root / "meta.tsv"
     if meta_path.exists():
-        for lineno, ln in enumerate(meta_path.read_text().splitlines(), 1):
+        for lineno, ln in enumerate(read_text(meta_path).splitlines(), 1):
             if not ln.strip() or ln.startswith("#"):
                 continue
             fields = ln.split("\t")
@@ -192,28 +192,26 @@ def apply_exclusions(manifest: Manifest, exclusions: ExclusionList) -> Manifest:
 def write_exclusions(path: str | Path, exclusions: ExclusionList) -> None:
     lines = [EXCLUSION_MAGIC]
     for corpus, utt, reason in exclusions.entries:
-        lines.append(f"{corpus}\t{utt}\t{reason}")
+        lines.append(_tsv_line(corpus, utt, reason))
     for corpus, utt, label_path in exclusions.corrections:
-        lines.append(f"{corpus}\t{utt}\tcorrection\t{label_path}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        lines.append(_tsv_line(corpus, utt, "correction", label_path))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_exclusions(path: str | Path) -> ExclusionList:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines or lines[0] != EXCLUSION_MAGIC:
-        raise InvalidArgument(f"{path}: not a {EXCLUSION_MAGIC} file")
+    """A malformed line raises InvalidArgument naming the file and line."""
     entries = []
     corrections = []
-    for ln in lines[1:]:
+    for lineno, ln in _tsv_records(read_text(path), path, EXCLUSION_MAGIC):
         parts = ln.split("\t")
         if len(parts) == 4 and parts[2] == "correction":
             corrections.append((parts[0], parts[1], parts[3]))
-        elif len(parts) == 3:
-            if parts[2] not in EXCLUSION_REASONS:
-                raise InvalidArgument(f"{path}: unknown exclusion reason {parts[2]!r}")
+        elif len(parts) == 3 and parts[2] in EXCLUSION_REASONS:
             entries.append((parts[0], parts[1], parts[2]))
+        elif len(parts) == 3:
+            raise InvalidArgument(f"{path}:{lineno}: unknown exclusion reason {parts[2]!r}")
         else:
-            raise InvalidArgument(f"{path}: malformed line {ln!r}")
+            raise InvalidArgument(f"{path}:{lineno}: malformed line {ln!r}")
     return ExclusionList(tuple(entries), tuple(corrections))
 
 
@@ -221,7 +219,27 @@ def read_exclusions(path: str | Path) -> ExclusionList:
 # Manifest serialization
 # ---------------------------------------------------------------------------
 
+def _tsv_line(*fields: str) -> str:
+    """One TSV line of fields that read back as written: each a non-blank
+    string without a tab or a line break."""
+    for f in fields:
+        if not isinstance(f, str) or not f.strip() or "\t" in f or f.splitlines() != [f]:
+            raise InvalidArgument(f"TSV field must be non-blank, without tabs or line breaks: {f!r}")
+    return "\t".join(fields)
+
+
+def _tsv_records(text: str, source, magic: str) -> list[tuple[int, str]]:
+    """(1-based line number, text) of every non-blank line after the
+    version line `magic`."""
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1] != magic:
+        raise InvalidArgument(f"{source}: not a {magic} file")
+    return lines[1:]
+
+
 def _opt(s: str | None) -> str:
+    if s == "-":
+        raise InvalidArgument("'-' stands for a missing optional field and cannot be a value")
     return s if s is not None else "-"
 
 
@@ -230,11 +248,16 @@ def _unopt(s: str) -> str | None:
 
 
 def manifest_to_text(manifest: Manifest) -> str:
+    """Rejects (InvalidArgument) a record that would not read back equal:
+    a blank field, a tab or line break in one, '-' as an optional path, or
+    a flag that is blank, '-' or holds a comma."""
     lines = [MANIFEST_MAGIC]
     for r in manifest.records:
-        lines.append(
-            "\t".join(
-                [
+        try:
+            if any(not f.strip() or f == "-" or "," in f for f in r.flags):
+                raise InvalidArgument(f"flags must be non-blank, not '-' and without commas: {r.flags!r}")
+            lines.append(
+                _tsv_line(
                     r.corpus,
                     r.utt_id,
                     r.mic_path,
@@ -244,47 +267,52 @@ def manifest_to_text(manifest: Manifest) -> str:
                     _opt(r.provided_label_path),
                     r.label_format,
                     ",".join(r.flags) if r.flags else "-",
-                ]
+                )
             )
-        )
+        except InvalidArgument as err:
+            raise InvalidArgument(f"record {r.full_id!r}: {err}") from None
     return "\n".join(lines) + "\n"
 
 
-def manifest_from_text(text: str) -> Manifest:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != MANIFEST_MAGIC:
-        raise InvalidArgument(f"not a {MANIFEST_MAGIC} document")
+def manifest_from_text(text: str, source: str | Path = "<manifest>") -> Manifest:
+    """A malformed line raises InvalidArgument as `source:line: ...`."""
     records = []
-    for ln in lines[1:]:
+    for lineno, ln in _tsv_records(text, source, MANIFEST_MAGIC):
         parts = ln.split("\t")
-        if len(parts) != 9:
-            raise InvalidArgument(f"malformed manifest line {ln!r}")
-        corpus, utt, mic, laryn, spk, sex, label, fmt, flags = parts
-        records.append(
-            UtteranceRecord(
-                utt_id=utt,
-                corpus=corpus,
-                mic_path=mic,
-                laryn_path=_unopt(laryn),
-                speaker=SpeakerMeta(spk, sex),
-                provided_label_path=_unopt(label),
-                label_format=fmt,
-                flags=tuple(flags.split(",")) if flags != "-" else (),
+        try:
+            if len(parts) != 9:
+                raise InvalidArgument(f"malformed manifest line {ln!r}: {len(parts)} fields, not 9")
+            corpus, utt, mic, laryn, spk, sex, label, fmt, flags = parts
+            records.append(
+                UtteranceRecord(
+                    utt_id=utt,
+                    corpus=corpus,
+                    mic_path=mic,
+                    laryn_path=_unopt(laryn),
+                    speaker=SpeakerMeta(spk, sex),
+                    provided_label_path=_unopt(label),
+                    label_format=fmt,
+                    flags=tuple(flags.split(",")) if flags != "-" else (),
+                )
             )
-        )
-    return Manifest(tuple(records))
+        except InvalidArgument as err:
+            raise InvalidArgument(f"{source}:{lineno}: {err}") from None
+    try:
+        return Manifest(tuple(records))
+    except InvalidArgument as err:
+        raise InvalidArgument(f"{source}: {err}") from None
 
 
 def write_manifest(path: str | Path, manifest: Manifest) -> None:
     """Write <path> (TSV) and <path>.stats.json (counts sidecar)."""
     path = Path(path)
-    path.write_text(manifest_to_text(manifest))
+    path.write_text(manifest_to_text(manifest), encoding="utf-8")
     sidecar = path.with_suffix(path.suffix + ".stats.json")
     sidecar.write_text(json.dumps(manifest.stats(), indent=2, sort_keys=True) + "\n")
 
 
 def read_manifest(path: str | Path) -> Manifest:
-    return manifest_from_text(Path(path).read_text())
+    return manifest_from_text(read_text(path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +407,28 @@ def folds_to_json(folds: list[FoldPlan]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _is_fold(f) -> bool:
+    return isinstance(f, dict) and isinstance(f.get("held_out_corpus"), str) and all(
+        isinstance(f.get(k), list) and all(isinstance(i, str) for i in f[k])
+        for k in ("train_ids", "val_ids", "test_ids")
+    )
+
+
 def folds_from_json(text: str) -> list[FoldPlan]:
-    payload = json.loads(text)
-    if payload.get("version") != 1:
+    """Fold plans from folds_to_json's text; text that is not such a plan
+    raises InvalidArgument."""
+    try:
+        payload = json.loads(text)
+    except ValueError as err:
+        raise InvalidArgument(f"fold plan is not JSON: {err}") from None
+    if not isinstance(payload, dict) or payload.get("version") != 1:
         raise InvalidArgument("unsupported fold plan version")
+    folds = payload.get("folds")
+    if not isinstance(folds, list) or not all(_is_fold(f) for f in folds):
+        raise InvalidArgument(
+            "fold plan needs 'folds': a list of objects with a held_out_corpus string "
+            "and train_ids, val_ids and test_ids lists of strings"
+        )
     return [
         FoldPlan(
             held_out_corpus=f["held_out_corpus"],
@@ -390,5 +436,14 @@ def folds_from_json(text: str) -> list[FoldPlan]:
             val_ids=tuple(f["val_ids"]),
             test_ids=tuple(f["test_ids"]),
         )
-        for f in payload["folds"]
+        for f in folds
     ]
+
+
+def read_folds(path: str | Path) -> list[FoldPlan]:
+    """folds_from_json of a file; every error names the file."""
+    text = read_text(path)
+    try:
+        return folds_from_json(text)
+    except InvalidArgument as err:
+        raise InvalidArgument(f"{path}: {err}") from None

@@ -35,6 +35,24 @@ class InvalidArgument(ValueError):
     """Raised when an operation precondition is violated."""
 
 
+def read_bytes(path: str | Path) -> bytes:
+    """The whole file; one that is missing or cannot be read is an
+    InvalidArgument naming the path."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as err:
+        raise InvalidArgument(f"{path}: cannot read file: {err.strerror or err}") from None
+
+
+def read_text(path: str | Path) -> str:
+    """The whole file as UTF-8 text; bytes that are not UTF-8 are an
+    InvalidArgument naming the path, as read_bytes' errors are."""
+    try:
+        return read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise InvalidArgument(f"{path}: not a UTF-8 text file ({err.reason})") from None
+
+
 _FINITE_BLOCK = 4096
 
 

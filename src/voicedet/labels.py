@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import FirFilter, InvalidArgument, Waveform, apply_fir, design_kaiser_highpass
+from .dsp import FirFilter, InvalidArgument, Waveform, apply_fir, design_kaiser_highpass, read_text
 from .tracker import TrackerConfig, VoicingLabels, track_voicing
 
 KAISER_BETA = 5.0
@@ -175,11 +175,7 @@ def write_labels(path: str | Path, labels: VoicingLabels) -> None:
 def _numbered_lines(path: str | Path) -> list[tuple[int, str]]:
     """(1-based line number, text) of every line of a label file that holds
     more than whitespace."""
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as err:
-        raise InvalidArgument(f"{path}: not a UTF-8 text file ({err.reason})") from None
-    return [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    return [(i, ln) for i, ln in enumerate(read_text(path).splitlines(), 1) if ln.strip()]
 
 
 def read_labels(path: str | Path) -> VoicingLabels:

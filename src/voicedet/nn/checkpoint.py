@@ -3,9 +3,10 @@
 Layout: an 8-byte magic, a little-endian uint64 header length, a JSON header
 (format version, embedded model config, a manifest of named arrays with
 shape/dtype/offset), then the raw little-endian array payload. Round trips
-are bit-exact. A file too short for its header or manifest, or a header that
-is not JSON, holds a bad model config or a manifest entry whose shape and
-dtype do not fill its nbytes, is rejected with InvalidArgument.
+are bit-exact. A missing file, one too short for its header or manifest,
+or a header that is not JSON, holds a bad model config or a manifest entry
+whose shape and dtype do not fill its nbytes, is rejected with
+InvalidArgument.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..dsp import InvalidArgument
+from ..dsp import InvalidArgument, read_bytes
 from .model import ModelConfig
 
 MAGIC = b"VDCKPT01"
@@ -63,7 +64,7 @@ def save_checkpoint(path: str | Path, cfg: ModelConfig,
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray], dict[str, np.ndarray]]:
-    data = Path(path).read_bytes()
+    data = read_bytes(path)
     if data[:8] != MAGIC:
         raise InvalidArgument(f"{path}: not a {MAGIC.decode()} checkpoint")
     if len(data) < 16:

@@ -16,9 +16,19 @@ short channel axis (C is 2..18 in the reduced model, so a broadcast's inner
 loop would be that short). No masked ufunc
 (`where=`) and no `np.where` is used: ELU and sigmoid are built from
 min/max and plain exponentials. Every value is the bit-exact value of the
-direct broadcast and branch formulas. Per-channel reductions keep the order
-of `x.sum(axis=(0, 1, 2))`, sequential over the B*T*F rows, so their
-rounding is unchanged as well.
+direct broadcast and branch formulas.
+
+Every per-channel sum over rows (batch-norm statistics and gradients, the
+conv, linear and BLSTM bias gradients, the layer-norm gain and offset
+gradients) goes through `_row_sums`. On [N, C] rows of contiguous channels,
+numpy's `a.sum(axis=0)` adds the rows one after the other with an inner
+loop only C long; `np.einsum("ij->j", a)` adds them in the same order, each
+channel's running sum one loop over N, and `np.einsum("ij,ij->j", a, b)`
+needs no `a * b` temporary. Both give the bits of the sum they replace
+(`x.sum(axis=(0, 1, 2))` of a [B, T, F, C] activation), about four times
+faster at C = 2..18. With one channel sum is pairwise, and on any other
+layout (such as the permuted gradient between BLSTM layers) it runs in
+memory order, so there `_row_sums` keeps sum.
 """
 from __future__ import annotations
 
@@ -35,10 +45,36 @@ def _rows(x):
     return x.reshape(-1, x.shape[-2] * x.shape[-1])
 
 
-def _channel_mean(x):
-    """x.mean(axis=(0, 1, 2)) of [B, T, F, C]: the same sum, divided the same way."""
-    s = x.sum(axis=(0, 1, 2))
-    return np.true_divide(s, np.intp(x.size // x.shape[3]), out=s, casting="unsafe")
+def _row_sums(a, b=None):
+    """a.sum over every axis but the last, or the same sum of a * b without
+    the product temporary, bit-equal to those.
+
+    When the operands are [N, C] rows of C >= 2 contiguous channels of one
+    float dtype, sum adds the rows in order with a C-long inner loop;
+    einsum, without `optimize` (no BLAS route), adds them in the same order
+    as one loop over N per channel. Any other layout or dtype, and C == 1
+    (where sum is pairwise), keeps sum.
+    """
+    c = a.shape[-1]
+    operands = (a,) if b is None else (a, b)
+    rows = [x.reshape(-1, c) for x in operands]
+    if c > 1 and all(_channel_rows(r, x, a.dtype) for r, x in zip(rows, operands)):
+        return np.einsum("ij->j" if b is None else "ij,ij->j", *rows)
+    return (a if b is None else a * b).sum(axis=tuple(range(a.ndim - 1)))
+
+
+def _channel_rows(rows, x, dtype) -> bool:
+    """rows (x viewed as [N, C], not a copy of it) holds disjoint rows of
+    contiguous channels in one float dtype."""
+    return (rows.dtype == dtype and dtype.char in "fd" and np.may_share_memory(rows, x)
+            and rows.strides[1] == rows.itemsize and rows.strides[0] >= rows.shape[1] * rows.itemsize)
+
+
+def _channel_mean(a, b=None):
+    """a.mean over every axis but the last, or that mean of a * b:
+    `_row_sums` divided the way `x.mean` and `x.var` divide."""
+    s = _row_sums(a, b)
+    return np.true_divide(s, np.intp(a.size // a.shape[-1]), out=s, casting="unsafe")
 
 
 def _im2col(xp, k: int, stride: int, fo: int):
@@ -87,7 +123,7 @@ def conv_freq_backward(dy, cache):
     span = (fo - 1) * stride + 1
     dy2 = dy.reshape(-1, o)
     dw = (_im2col(xp, k, stride, fo).reshape(-1, k * c).T @ dy2).reshape(k, c, o)
-    db = dy2.sum(axis=0)
+    db = _row_sums(dy2)
     dxp = np.zeros_like(xp)
     taps = 1 if c > 1 else k
     for j0 in range(0, k, taps):
@@ -113,7 +149,8 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var,
     mean = _channel_mean(x) if training else running_mean
     xhat = _rows(x) - np.tile(mean, f)  # centred here, scaled below
     if training:
-        var = _channel_mean((xhat * xhat).reshape(x.shape))
+        centred = xhat.reshape(x.shape)
+        var = _channel_mean(centred, centred)
         if update_stats:
             running_mean *= momentum
             running_mean += (1.0 - momentum) * mean
@@ -133,24 +170,20 @@ def batchnorm_backward(dy, cache):
     """Returns (dx, dgamma, dbeta)."""
     xhat, gamma, inv_std, training = cache
     f = dy.shape[-2]
-    axes = tuple(range(dy.ndim - 1))
+    dgamma = _row_sums(dy, xhat)
+    dbeta = _row_sums(dy)
     dy2, xhat2 = _rows(dy), _rows(xhat)
-    prod = dy2 * xhat2
-    dgamma = prod.reshape(dy.shape).sum(axis=axes)
-    dbeta = dy.sum(axis=axes)
     dxhat = dy2 * np.tile(gamma, f)
     if not training:
         dxhat *= np.tile(inv_std, f)
         return dxhat.reshape(dy.shape), dgamma, dbeta
     n = dy.size // dy.shape[-1]
-    sum_dxhat = dxhat.reshape(dy.shape).sum(axis=axes)
-    np.multiply(dxhat, xhat2, out=prod)
-    sum_dxhat_xhat = prod.reshape(dy.shape).sum(axis=axes)
+    sum_dxhat = _row_sums(dxhat.reshape(dy.shape))
+    sum_dxhat_xhat = _row_sums(dxhat.reshape(dy.shape), xhat)
     # dx = (inv_std / n) * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
     dxhat *= n
     dxhat -= np.tile(sum_dxhat, f)
-    np.multiply(xhat2, np.tile(sum_dxhat_xhat, f), out=prod)
-    dxhat -= prod
+    dxhat -= xhat2 * np.tile(sum_dxhat_xhat, f)
     np.multiply(np.tile(inv_std / n, f), dxhat, out=dxhat)
     return dxhat.reshape(dy.shape), dgamma, dbeta
 
@@ -237,7 +270,7 @@ def linear_backward(dy, cache):
     x, w = cache
     d, o = w.shape
     dw = x.reshape(-1, d).T @ dy.reshape(-1, o)
-    db = dy.reshape(-1, o).sum(axis=0)
+    db = _row_sums(dy.reshape(-1, o))
     dx = dy @ w.T
     return dx, dw, db
 
@@ -255,8 +288,8 @@ def layer_norm_forward(x, gain, offset, eps: float):
 def layer_norm_backward(dy, cache):
     xhat, gain, inv_std = cache
     d = dy.shape[-1]
-    dgain = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    doffset = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    dgain = _row_sums(dy, xhat)
+    doffset = _row_sums(dy)
     dxhat = dy * gain
     dx = (inv_std / d) * (
         d * dxhat

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ops import layer_norm_backward, layer_norm_forward, sigmoid
+from .ops import _row_sums, layer_norm_backward, layer_norm_forward, sigmoid
 
 
 def _qmm(a, w):
@@ -140,7 +140,7 @@ class GroupedBlstmLayer:
         dproj_g = dproj.transpose(2, 0, 1, 3).reshape(g, b * t, self.dg)
         hcat_g = hcat.transpose(2, 0, 1, 3).reshape(g, b * t, 2 * h)
         grads[f"{self.prefix}.proj_w"] = np.matmul(hcat_g.transpose(0, 2, 1), dproj_g)
-        grads[f"{self.prefix}.proj_b"] = dproj.sum(axis=(0, 1))
+        grads[f"{self.prefix}.proj_b"] = _row_sums(dpre).reshape(g, self.dg)
         dhcat = np.matmul(dproj_g, self.proj_w.transpose(0, 2, 1))
         dhcat = dhcat.reshape(g, b, t, 2 * h).transpose(1, 2, 0, 3)
 
@@ -172,7 +172,7 @@ class GroupedBlstmLayer:
         hp_q = h_prev_all.transpose(2, 1, 0, 3).reshape(q, b * t, h)
         grads[f"{self.prefix}.wx"] = np.matmul(zq.transpose(0, 2, 1), da_q)
         grads[f"{self.prefix}.wh"] = np.matmul(hp_q.transpose(0, 2, 1), da_q)
-        grads[f"{self.prefix}.bias"] = da_all.sum(axis=(0, 1))
+        grads[f"{self.prefix}.bias"] = _row_sums(da_all.reshape(t, b, -1)).reshape(q, 4 * h)
         dz = np.matmul(da_q, self.wx.transpose(0, 2, 1))
         dz = dz.reshape(q, b, t, self.dg).transpose(1, 2, 0, 3)
 

@@ -377,3 +377,56 @@ class TestExitCodes:
         # patch via parser default is awkward; simulate through a failing command
         monkeypatch.setattr(cli, "generate_synthetic_corpus", boom)
         assert main(["synth-corpus", "--out", str(tmp_path / "x")]) == 3
+
+
+BAD_INPUTS = {
+    "missing": None,
+    "not_utf8": b"\xff\xfe{\x00",
+    "not_json": b"{not json",
+    "no_folds": b'{"version": 1}',
+    "no_ids": b'{"version": 1, "folds": [{"held_out_corpus": "FDA"}]}',
+    "malformed_line": b"#v1 voicedet-manifest\nFDA\tu0\t/a.wav\n",
+}
+
+
+def bad_input_argv(tmp_path, command, flag, bad):
+    """argv that hands `bad` to `command` as `flag`, every other input valid."""
+    import voicedet.corpus as corpus_io
+
+    out = str(tmp_path / "out")
+    corpus = tmp_path / "corpus"
+    (corpus / "mic").mkdir(parents=True)
+    wav = tmp_path / "x.wav"
+    write_wav(wav, Waveform(np.zeros(800), 8000))
+    manifest = tmp_path / "manifest.tsv"
+    corpus_io.write_manifest(manifest, corpus_io.Manifest(()))
+    return {
+        ("train", "--config"): ["train", "--synthetic-demo", "--demo-utterances", "6", "--config", bad],
+        ("train", "--folds"): ["train", "--corpus", f"{corpus}:FDA", "--folds", bad],
+        ("eval", "--folds"): ["eval", "--corpus", f"{corpus}:FDA", "--folds", bad, "--methods", "rapt"],
+        ("labels-extract", "--manifest"): ["labels-extract", "--manifest", bad],
+        ("labels-extract", "--exclusions"): ["labels-extract", "--manifest", str(manifest), "--exclusions", bad],
+        ("detect", "--checkpoint"): ["detect", "--method", "dccrn", "--checkpoint", bad, str(wav)],
+        ("detect", "--config"): ["detect", "--method", "rapt", "--config", bad, str(wav)],
+    }[command, flag] + ["--out", out]
+
+
+@pytest.mark.parametrize("command, flag, kind", [
+    *[("train", "--config", k) for k in ("missing", "not_utf8", "not_json")],
+    *[(c, "--folds", k) for c in ("train", "eval")
+      for k in ("missing", "not_utf8", "not_json", "no_folds", "no_ids")],
+    *[("labels-extract", "--manifest", k) for k in ("missing", "not_utf8", "malformed_line")],
+    ("labels-extract", "--exclusions", "missing"),
+    ("labels-extract", "--exclusions", "not_utf8"),
+    ("detect", "--checkpoint", "missing"),
+    ("detect", "--config", "missing"),
+    ("detect", "--config", "not_json"),
+])
+def test_bad_input_file_is_usage_error_naming_it(tmp_path, capsys, command, flag, kind):
+    bad = tmp_path / "input-file"
+    if BAD_INPUTS[kind] is not None:
+        bad.write_bytes(BAD_INPUTS[kind])
+    assert main(bad_input_argv(tmp_path, command, flag, str(bad))) == 1
+    err = capsys.readouterr().err
+    assert (f"{bad}:2: " if kind == "malformed_line" else str(bad)) in err
+    assert "Traceback" not in err

@@ -4,8 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voicedet.corpus import (
+    CORPORA,
     ExclusionList,
     FoldPlan,
     Manifest,
@@ -17,6 +19,7 @@ from voicedet.corpus import (
     manifest_from_text,
     manifest_to_text,
     read_exclusions,
+    read_folds,
     read_manifest,
     scan_corpus,
     segment_recording,
@@ -143,8 +146,14 @@ class TestExclusions:
 
     def test_bad_reason_rejected(self, tmp_path):
         p = tmp_path / "x.tsv"
-        p.write_text("#v1 voicedet-exclusions\nFDA\tu0\tbecause\n")
-        with pytest.raises(InvalidArgument):
+        p.write_text("#v1 voicedet-exclusions\nFDA\tu0\tflawed_laryngograph\n\nFDA\tu0\tbecause\n")
+        with pytest.raises(InvalidArgument, match=re.escape(f"{p}:4: unknown exclusion reason")):
+            read_exclusions(p)
+
+    def test_malformed_line_names_file_and_line(self, tmp_path):
+        p = tmp_path / "x.tsv"
+        p.write_text("#v1 voicedet-exclusions\nFDA\tu0\n")
+        with pytest.raises(InvalidArgument, match=re.escape(f"{p}:2: malformed line")):
             read_exclusions(p)
 
 
@@ -174,6 +183,81 @@ class TestManifestSerialization:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InvalidArgument):
             Manifest((record("FDA", "u0"), record("FDA", "u0")))
+
+    @pytest.mark.parametrize("field", ["utt_id", "mic_path", "laryn_path", "label_format"])
+    @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\r", "\u2028", "", "  "])
+    def test_writer_rejects_fields_that_would_not_read_back(self, tmp_path, field, bad):
+        from dataclasses import replace
+
+        m = Manifest((replace(record("FDA", "u0"), **{field: bad}),))
+        with pytest.raises(InvalidArgument, match="u0|FDA"):
+            write_manifest(tmp_path / "m.tsv", m)
+        assert not (tmp_path / "m.tsv").exists()
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("#v1 voicedet-manifest\nFDA\tu0\t/a.wav\n", 2),                                  # 3 fields
+        ("#v1 voicedet-manifest\n\nFDA\tu0\t/a.wav\t-\ts\tmale\t-\tvoicedet\t-\t\n", 3),   # 10 fields
+        ("#v1 voicedet-manifest\nFDA\tu0\t/a.wav\t-\ts\tmale\t-\tvoicedet\t-\n"
+         "FDA\tu1\t/b.wav\t-\ts\tboth\t-\tvoicedet\t-\n", 3),                             # bad sex
+        ("#v1 voicedet-manifest\nXYZ\tu0\t/a.wav\t-\ts\tmale\t-\tvoicedet\t-\n", 2),       # bad corpus
+    ])
+    def test_malformed_line_names_file_and_line(self, tmp_path, text, lineno):
+        path = tmp_path / "m.tsv"
+        path.write_text(text)
+        with pytest.raises(InvalidArgument, match=re.escape(f"{path}:{lineno}: ")):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("data", [b"", b"FDA\tu0\n", b"\xff\xfe#v1 voicedet-manifest\n"])
+    def test_not_a_manifest_names_file(self, tmp_path, data):
+        path = tmp_path / "m.tsv"
+        path.write_bytes(data)
+        with pytest.raises(InvalidArgument, match=re.escape(str(path))):
+            read_manifest(path)
+
+
+# what str.splitlines breaks a line at
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+PLAIN_TEXT = st.text(alphabet=st.sampled_from("ab/ .,-#\u00e9"), min_size=1, max_size=5)
+ANY_TEXT = st.text(alphabet=st.sampled_from("ab/ .,-#\t\u00e9" + LINE_BREAKS), max_size=5)
+
+
+@st.composite
+def manifest_records(draw):
+    # about half the records draw from plain text, so both outcomes occur
+    text = draw(st.sampled_from([PLAIN_TEXT, ANY_TEXT]))
+    return UtteranceRecord(
+        utt_id=draw(text),
+        corpus=draw(st.sampled_from(CORPORA)),
+        mic_path=draw(text),
+        laryn_path=draw(st.none() | text),
+        speaker=SpeakerMeta(draw(text), draw(st.sampled_from(["male", "female", "unknown"]))),
+        provided_label_path=draw(st.none() | text),
+        label_format=draw(text),
+        flags=tuple(draw(st.lists(text, max_size=3))),
+    )
+
+
+def readable_back(r: UtteranceRecord) -> bool:
+    """A record a manifest line can hold: every field and flag non-blank
+    with no tab or line break, no optional field '-', no flag '-' or with a
+    comma."""
+    optional = [v for v in (r.laryn_path, r.provided_label_path) if v is not None]
+    fields = [r.utt_id, r.mic_path, r.speaker.speaker_id, r.label_format, *optional, *r.flags]
+    return (all(f.strip() and not set(f) & set("\t" + LINE_BREAKS) for f in fields)
+            and "-" not in optional and all(f != "-" and "," not in f for f in r.flags))
+
+
+@settings(max_examples=400)
+@given(records=st.lists(manifest_records(), max_size=3, unique_by=lambda r: r.full_id))
+def test_manifest_write_read_round_trip(tmp_path_factory, records):
+    path = tmp_path_factory.getbasetemp() / "round-trip.tsv"
+    manifest = Manifest(tuple(records))
+    if all(readable_back(r) for r in records):
+        write_manifest(path, manifest)
+        assert read_manifest(path) == manifest
+    else:
+        with pytest.raises(InvalidArgument):
+            write_manifest(path, manifest)
 
 
 class TestSegmentation:
@@ -274,6 +358,21 @@ class TestFolds:
         text = folds_to_json(folds)
         assert '"version": 1' in text
         assert folds_from_json(text) == folds
+
+    @pytest.mark.parametrize("text", [
+        "",                                                   # not JSON
+        "[1]",                                                # not an object
+        '{"version": 2, "folds": []}',                        # unknown version
+        '{"version": 1}',                                     # no folds
+        '{"version": 1, "folds": [{"held_out_corpus": "FDA"}]}',  # no *_ids
+        '{"version": 1, "folds": [{"held_out_corpus": "FDA", "train_ids": "u1", '
+        '"val_ids": [], "test_ids": []}]}',                   # ids not a list
+    ])
+    def test_bad_fold_file_names_file(self, tmp_path, text):
+        path = tmp_path / "folds.json"
+        path.write_text(text)
+        with pytest.raises(InvalidArgument, match=re.escape(f"{path}: ")):
+            read_folds(path)
 
     def test_train_val_overlap_rejected(self):
         with pytest.raises(InvalidArgument):

@@ -552,3 +552,37 @@ def test_truncation_raises_invalid_argument(tiny_ckpt, cut):
     p.write_bytes(data[: cut % len(data)])
     with pytest.raises(InvalidArgument, match=re.escape(str(p))):
         load_checkpoint(p)
+
+
+def plain_sums(a, b=None):
+    """The sums _row_sums stands for."""
+    return (a if b is None else a * b).sum(axis=tuple(range(a.ndim - 1)))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_training_step_matches_plain_sums(dtype, monkeypatch):
+    # one training step's posteriors, gradients and running statistics, with
+    # every per-channel row sum taken by _row_sums and by the plain sum
+    import voicedet.nn.ops as ops_module
+    import voicedet.nn.recurrent as recurrent_module
+
+    cfg = tiny_config(dtype=dtype, input_freq_bins=65, blstm_hidden=8, groups=2)
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((3, 40, 65, 2))
+    dp = rng.standard_normal((3, 40))
+
+    def step():
+        model = DccrnModel(cfg, seed=9)
+        probs, cache = model.forward_batch(x, training=True, want_cache=True)
+        return probs, model.backward_batch(dp.astype(probs.dtype), cache), model.buffers()
+
+    probs, grads, buffers = step()
+    monkeypatch.setattr(ops_module, "_row_sums", plain_sums)
+    monkeypatch.setattr(recurrent_module, "_row_sums", plain_sums)
+    ref_probs, ref_grads, ref_buffers = step()
+    assert_bits_equal(probs, ref_probs, "probs")
+    assert grads.keys() == ref_grads.keys() and buffers.keys() == ref_buffers.keys()
+    for name in grads:
+        assert_bits_equal(grads[name], ref_grads[name], name)
+    for name in buffers:
+        assert_bits_equal(buffers[name], ref_buffers[name], name)

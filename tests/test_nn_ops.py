@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import assert_bits_equal
 from hypothesis import assume, given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from voicedet.nn import ops
 
@@ -574,3 +575,102 @@ class TestLayerNormAndLinear:
                 lm = float((ops.linear_forward(x, w, b)[0] * up).sum())
                 flat[idx] = old
                 assert grad.ravel()[idx] == pytest.approx((lp - lm) / (2 * eps), rel=1e-5, abs=1e-9)
+
+
+# Row counts around numpy's 8192-element iterator buffer and the reduced
+# model's batch-norm rows (4 x 301 frames x 513 bins); cases above 4 M
+# elements are left out to keep the test's memory small.
+ROW_SUM_CASES = [
+    (dtype, c, n)
+    for dtype in DTYPES
+    for c in (1, 2, 4, 18, 256)
+    for n in (1, 8191, 8192, 8193, 4 * 301 * 513)
+    if n * c <= 4_000_000
+]
+
+
+def wide_rows(rng, n, c, dtype, spare=3):
+    """An [n, c] channel slice of an [n, c + spare] buffer, with a channel
+    of -0.0 and one holding inf and NaN when c allows."""
+    wide = (rng.standard_normal((n, c + spare)) * 3 + 1).astype(dtype)
+    if c >= 4:
+        wide[:, 1] = -0.0
+        wide[::5, 2] = np.inf
+        wide[n // 2, 3] = np.nan
+    return wide[:, :c]
+
+
+class TestRowSumsBitEqual:
+    """_row_sums gives the bits of the sums it replaces, on every layout."""
+
+    @pytest.mark.parametrize("dtype,c,n", ROW_SUM_CASES)
+    def test_matches_sum(self, dtype, c, n):
+        rng = np.random.default_rng([c, n])
+        for a, b in ((wide_rows(rng, n, c, dtype), wide_rows(rng, n, c, dtype)),
+                     (rng.standard_normal((n, c)).astype(dtype), rng.standard_normal((n, c)).astype(dtype))):
+            with np.errstate(invalid="ignore"):
+                assert_bits_equal(ops._row_sums(a), a.sum(axis=0), f"sum, {a.strides}")
+                assert_bits_equal(ops._row_sums(a, b), (a * b).sum(axis=0), f"product sum, {a.strides}")
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", [(4, 301, 513, 4), (4, 301, 257, 18), (2, 3, 5, 1), (3, 1, 7, 2)])
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_matches_channel_sum_of_activations(self, dtype, shape, sliced):
+        # the [B, T, F, C] batch-norm statistic x.sum(axis=(0, 1, 2)), also
+        # on channel slices of a wider buffer as ConvDcBlock passes them
+        rng = np.random.default_rng(shape)
+        x, y = (rng.standard_normal(shape).astype(dtype) for _ in range(2))
+        if sliced:
+            x, y = channel_slice(rng, x), channel_slice(rng, y)
+        assert_bits_equal(ops._row_sums(x), x.sum(axis=(0, 1, 2)), "sum")
+        assert_bits_equal(ops._row_sums(x, y), (x * y).sum(axis=(0, 1, 2)), "product sum")
+
+    @pytest.mark.parametrize("layout", ["channels_outer", "reversed_rows", "swapped_leading_axes",
+                                        "overlapping_rows", "broadcast", "unaligned", "mixed_dtype",
+                                        "float16", "permuted_features"])
+    def test_other_layouts_keep_sum(self, layout):
+        # layouts whose sum does not add rows in order, and operands einsum
+        # would cast, still give the bits of the plain sum
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((20000, 6)).astype(np.float32)
+        b = rng.standard_normal((20000, 6)).astype(np.float32)
+        if layout == "channels_outer":
+            a, b = np.asfortranarray(a), np.asfortranarray(b)
+        elif layout == "reversed_rows":
+            a, b = a[::-1], b[::-1]
+        elif layout == "swapped_leading_axes":  # sum runs in memory order, not in row order
+            a, b = a.reshape(40, 500, 6).transpose(1, 0, 2), b.reshape(40, 500, 6).transpose(1, 0, 2)
+        elif layout == "overlapping_rows":
+            a, b = sliding_window_view(a.ravel()[:20005], 6), sliding_window_view(b.ravel()[:20005], 6)
+        elif layout == "broadcast":
+            a = np.broadcast_to(a[:1], a.shape)
+        elif layout == "unaligned":
+            a, b = (np.frombuffer(b"\0" + v.tobytes(), np.float32, offset=1).reshape(v.shape) for v in (a, b))
+            assert not a.flags.aligned
+        elif layout == "mixed_dtype":
+            b = b.astype(np.float64)
+        elif layout == "float16":
+            a, b = a.astype(np.float16), b.astype(np.float16)
+        else:  # the interleave RecurrentStack applies between BLSTM layers
+            perm = rng.permutation(6)
+            a, b = a.reshape(4, 5000, 6)[..., perm], b.reshape(4, 5000, 6)[..., perm]
+        axes = tuple(range(a.ndim - 1))
+        assert_bits_equal(ops._row_sums(a), a.sum(axis=axes), "sum")
+        assert_bits_equal(ops._row_sums(a, b), (a * b).sum(axis=axes), "product sum")
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("permuted", [False, True])
+    def test_layer_norm_backward(self, dtype, permuted):
+        # against the gain/offset sums it replaced; the permuted upstream
+        # gradient is the one the first BLSTM layer receives
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((4, 301, 64)).astype(dtype)
+        dy = rng.standard_normal(x.shape).astype(dtype)
+        if permuted:
+            dy = dy[..., rng.permutation(64)]
+        gain, offset = rng.standard_normal(64).astype(dtype), rng.standard_normal(64).astype(dtype)
+        _, cache = ops.layer_norm_forward(x, gain, offset, 1e-5)
+        _, dgain, doffset = ops.layer_norm_backward(dy, cache)
+        xhat = cache[0]
+        assert_bits_equal(dgain, (dy * xhat).sum(axis=(0, 1)), "dgain")
+        assert_bits_equal(doffset, dy.sum(axis=(0, 1)), "doffset")
