@@ -276,7 +276,7 @@ class ConvDcBlock:
         buf[:, :, :p] = 0
         buf[:, :, p + f :] = 0
         inner = buf[:, :, p : p + f]
-        inner[..., :c] = x
+        ops._elementwise(np.copyto, inner[..., :c], x)
         comp_caches = []
         for comp in self.composites:
             _, cache = comp.forward(
@@ -296,7 +296,7 @@ class ConvDcBlock:
         for l in range(len(self.composites) - 1, -1, -1):
             c = self.c_in + g * l
             dx = self.composites[l].backward(dinner[..., c : c + g], comp_caches[l], grads)
-            dinner[..., :c] += dx[:, :, cp : cp + f]
+            ops._elementwise(ops._add_into, dinner[..., :c], dx[:, :, cp : cp + f])
         # a copy, so the whole padded buffer gradient is freed before the
         # previous block's backward
         return dinner[..., : self.c_in].copy()

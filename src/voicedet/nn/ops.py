@@ -29,11 +29,31 @@ needs no `a * b` temporary. Both give the bits of the sum they replace
 faster at C = 2..18. With one channel sum is pairwise, and on any other
 layout (such as the permuted gradient between BLSTM layers) it runs in
 memory order, so there `_row_sums` keeps sum.
+
+The large ops run on the worker pool of `_pool`, each worker on disjoint
+slices of the output, and no sum is ever split across workers, so every
+result has the same bits for any worker count (and BLAS runs one thread):
+- the convolution forward (column copy, product, bias) and the input
+  gradient (zeroing, per-tap products, tap adds) over slices of the B*T
+  time rows, cut where `_pool` keeps OpenBLAS's arithmetic unchanged;
+- the weight gradient `cols.T @ dy` over its output rows, each slice one
+  product over all N rows, next to the bias sum;
+- the batch-norm, ELU, sigmoid and gated-convolution elementwise passes
+  over time rows, and each pair of independent channel sums as two tasks.
+A channel sum split over rows would add partial sums in another order, and
+a product split along its contracted axis likewise; neither is done. Worker
+bodies call only numpy and `_`-prefixed helpers.
 """
 from __future__ import annotations
 
+from math import gcd
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from ._pool import (
+    ELEMENT_CHUNK, ELEMENT_FLOOR, PRODUCT_CHUNK, PRODUCT_FLOOR, ROW_ALIGN, _for_slices, _gather, _slices,
+)
 
 
 def conv_freq_out_size(f: int, kernel: int, stride: int, pad: int) -> int:
@@ -43,6 +63,31 @@ def conv_freq_out_size(f: int, kernel: int, stride: int, pad: int) -> int:
 def _rows(x):
     """[..., F, C] -> [rows, F*C], the layout of every per-channel op."""
     return x.reshape(-1, x.shape[-2] * x.shape[-1])
+
+
+def _time_rows(x):
+    """[B, T, ...] -> [B*T, ...]: a view of every array an op writes into
+    (the batch and time axes of fresh arrays and of Conv-DC buffer views
+    merge), so a slice of it is a slice of the array."""
+    return x.reshape(-1, *x.shape[2:]) if x.ndim > 2 else x
+
+
+def _elementwise(body, *arrays):
+    """body(*slices) on the same leading-row slice of each of the arrays (all
+    of one shape), the slices spread over the worker pool."""
+    rows = [_time_rows(a) for a in arrays]
+    _for_slices(lambda s: body(*(r[s] for r in rows)), rows[0].shape[0], arrays[0].size, ELEMENT_FLOOR,
+                most=ELEMENT_CHUNK)
+
+
+def _add_into(a, b):
+    a += b
+
+
+def _product_rows(fo: int) -> int:
+    """Time-row alignment that puts every cut of a product with fo output
+    rows per time row at a multiple of ROW_ALIGN product rows."""
+    return ROW_ALIGN // gcd(fo, ROW_ALIGN)
 
 
 def _row_sums(a, b=None):
@@ -77,30 +122,44 @@ def _channel_mean(a, b=None):
     return np.true_divide(s, np.intp(a.size // a.shape[-1]), out=s, casting="unsafe")
 
 
-def _im2col(xp, k: int, stride: int, fo: int):
-    """[B, T, Fp, C] -> [B, T, Fo, K*C] tap-major columns.
+def _im2col(xp, k: int, stride: int, fo: int, out=None):
+    """[..., Fp, C] -> [..., Fo, K*C] tap-major columns, into `out` if given.
 
     One copy of the strided window view with the tap axis moved ahead of
     the channels, so column j*C + c holds xp[..., f*stride + j, c].
     """
-    b, t, _, c = xp.shape
-    windows = sliding_window_view(xp, k, axis=2)[:, :, : (fo - 1) * stride + 1 : stride]
-    return np.ascontiguousarray(windows.swapaxes(3, 4)).reshape(b, t, fo, k * c)
+    c = xp.shape[-1]
+    windows = sliding_window_view(xp, k, axis=-2)[..., : (fo - 1) * stride + 1 : stride, :, :]
+    windows = windows.swapaxes(-1, -2)
+    if out is None:
+        return np.ascontiguousarray(windows).reshape(*windows.shape[:-2], k * c)
+    out.reshape(windows.shape)[...] = windows
+    return out
 
 
 def conv_freq_forward(x, w, b, stride: int, pad: int):
     """Convolution with a 1 x K (time x freq) kernel as one matrix product.
 
     x: [B, T, F, C]; w: [K, C, O]; b: [O] -> y: [B, T, Fo, O]
+
+    The product runs over time-row slices: each worker copies its rows'
+    columns, multiplies them and adds the bias.
     """
     f = x.shape[2]
     k, c, o = w.shape
     fo = conv_freq_out_size(f, k, stride, pad)
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (0, 0))) if pad else x
-    cols = _im2col(xp, k, stride, fo)
-    y = (cols.reshape(-1, k * c) @ w.reshape(k * c, o)).reshape(*cols.shape[:3], o)
-    rows = _rows(y)
-    rows += np.tile(b, fo)
+    y = np.empty((*xp.shape[:2], fo, o), dtype=np.result_type(xp, w))
+    xr, yr, y_rows = _time_rows(xp), _time_rows(y), _rows(y)
+    w2, bias = w.reshape(k * c, o), np.tile(b, fo)
+
+    def rows(s):
+        cols = _im2col(xr[s], k, stride, fo)
+        np.matmul(cols.reshape(-1, k * c), w2, out=yr[s].reshape(-1, o))
+        y_rows[s] += bias
+
+    n = xr.shape[0]
+    _for_slices(rows, n, n * fo * k * c * o, PRODUCT_FLOOR, _product_rows(fo), PRODUCT_CHUNK)
     cache = (xp, f, w, stride, pad)
     return y, cache
 
@@ -122,16 +181,36 @@ def conv_freq_backward(dy, cache):
     fo = dy.shape[2]
     span = (fo - 1) * stride + 1
     dy2 = dy.reshape(-1, o)
-    dw = (_im2col(xp, k, stride, fo).reshape(-1, k * c).T @ dy2).reshape(k, c, o)
-    db = _row_sums(dy2)
-    dxp = np.zeros_like(xp)
+    n = dy2.shape[0] // fo
+    xr, dyr = _time_rows(xp), dy2.reshape(n, fo, o)
+    cols = np.empty((n, fo, k * c), dtype=xp.dtype)
+    _for_slices(lambda s: _im2col(xr[s], k, stride, fo, out=cols[s]), n, cols.size, ELEMENT_FLOOR,
+                most=ELEMENT_CHUNK)
+    cols = cols.reshape(-1, k * c)
+    dw = np.empty((k * c, o), dtype=np.result_type(cols, dy2))
+
+    def dw_rows(s):
+        np.matmul(cols[:, s].T, dy2, out=dw[s])
+
+    slices = _slices(k * c, cols.size * o, PRODUCT_FLOOR, ROW_ALIGN)
+    db = _gather(cols.size, *(lambda s=s: dw_rows(s) for s in slices), lambda: _row_sums(dy2))[-1]
+    del cols  # freed before the input gradient is built, as without the pool
+    dxp = np.empty(xp.shape, dtype=xp.dtype)
+    dxr = _time_rows(dxp)
     taps = 1 if c > 1 else k
-    for j0 in range(0, k, taps):
-        dcols = (dy2 @ w[j0 : j0 + taps].reshape(-1, o).T).reshape(*dy.shape[:3], taps, c)
-        for j in range(j0, j0 + taps):
-            dxp[:, :, j : j + span : stride, :] += dcols[..., j - j0, :]
+    wt = [w[j0 : j0 + taps].reshape(-1, o).T for j0 in range(0, k, taps)]
+
+    def dx_rows(s):
+        dx_s = dxr[s]
+        dx_s[...] = 0
+        for j0, w_j in zip(range(0, k, taps), wt):
+            dcols = (dyr[s].reshape(-1, o) @ w_j).reshape(-1, fo, taps, c)
+            for j in range(j0, j0 + taps):
+                dx_s[:, j : j + span : stride, :] += dcols[:, :, j - j0, :]
+
+    _for_slices(dx_rows, n, n * fo * o * taps * c, PRODUCT_FLOOR, _product_rows(fo), PRODUCT_CHUNK)
     dx = dxp[:, :, pad : pad + f_in, :] if pad else dxp
-    return dx, dw, db
+    return dx, dw.reshape(k, c, o), db
 
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var,
@@ -147,7 +226,10 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var,
     """
     f = x.shape[2]
     mean = _channel_mean(x) if training else running_mean
-    xhat = _rows(x) - np.tile(mean, f)  # centred here, scaled below
+    xr = _rows(x)
+    xhat = np.empty(xr.shape, dtype=np.result_type(xr, mean))  # centred here, scaled below
+    tiled_mean = np.tile(mean, f)
+    _elementwise(lambda a, out: np.subtract(a, tiled_mean, out=out), xr, xhat)
     if training:
         centred = xhat.reshape(x.shape)
         var = _channel_mean(centred, centred)
@@ -159,52 +241,92 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var,
     else:
         var = running_var
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat *= np.tile(inv_std, f)
-    y = np.tile(gamma, f) * xhat
-    y += np.tile(beta, f)
+    scale, shift, tiled_gamma = np.tile(inv_std, f), np.tile(beta, f), np.tile(gamma, f)
+    y = np.empty(xhat.shape, dtype=np.result_type(gamma, xhat))
+
+    def normalize(xh, out):
+        xh *= scale
+        np.multiply(tiled_gamma, xh, out=out)
+        out += shift
+
+    _elementwise(normalize, xhat, y)
     cache = (xhat.reshape(x.shape), gamma, inv_std, training)
     return y.reshape(x.shape), cache
 
 
 def batchnorm_backward(dy, cache):
-    """Returns (dx, dgamma, dbeta)."""
+    """Returns (dx, dgamma, dbeta). Each pair of channel sums runs as two
+    parallel tasks, each sum whole."""
     xhat, gamma, inv_std, training = cache
     f = dy.shape[-2]
-    dgamma = _row_sums(dy, xhat)
-    dbeta = _row_sums(dy)
+    dgamma, dbeta = _gather(dy.size, lambda: _row_sums(dy, xhat), lambda: _row_sums(dy))
     dy2, xhat2 = _rows(dy), _rows(xhat)
-    dxhat = dy2 * np.tile(gamma, f)
+    dxhat = np.empty(dy2.shape, dtype=np.result_type(dy2, gamma))
+    tiled_gamma = np.tile(gamma, f)
+    _elementwise(lambda d, out: np.multiply(d, tiled_gamma, out=out), dy2, dxhat)
     if not training:
-        dxhat *= np.tile(inv_std, f)
+        scale = np.tile(inv_std, f)
+        _elementwise(lambda d: np.multiply(d, scale, out=d), dxhat)
         return dxhat.reshape(dy.shape), dgamma, dbeta
     n = dy.size // dy.shape[-1]
-    sum_dxhat = _row_sums(dxhat.reshape(dy.shape))
-    sum_dxhat_xhat = _row_sums(dxhat.reshape(dy.shape), xhat)
+    dxhat4 = dxhat.reshape(dy.shape)
+    sum_dxhat, sum_dxhat_xhat = _gather(dy.size, lambda: _row_sums(dxhat4), lambda: _row_sums(dxhat4, xhat))
     # dx = (inv_std / n) * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
-    dxhat *= n
-    dxhat -= np.tile(sum_dxhat, f)
-    dxhat -= xhat2 * np.tile(sum_dxhat_xhat, f)
-    np.multiply(np.tile(inv_std / n, f), dxhat, out=dxhat)
-    return dxhat.reshape(dy.shape), dgamma, dbeta
+    t_sum, t_sum_x, scale = np.tile(sum_dxhat, f), np.tile(sum_dxhat_xhat, f), np.tile(inv_std / n, f)
+
+    def combine(d, xh):
+        d *= n
+        d -= t_sum
+        d -= xh * t_sum_x
+        np.multiply(scale, d, out=d)
+
+    _elementwise(combine, dxhat, xhat2)
+    return dxhat4, dgamma, dbeta
+
+
+def _elu(x, y):
+    """ELU of x into y: max(expm1(min(x, 0)), x)."""
+    t = np.minimum(x, 0)
+    np.expm1(t, out=t)
+    np.maximum(t, x, out=y)
 
 
 def elu_forward(x, out=None):
     """ELU as max(expm1(min(x, 0)), x); the output is also the cache.
 
-    `out`, any array of x's shape (such as a channel slice of a wider
-    buffer), receives the output instead of a new array.
+    `out`, any array of x's shape whose batch and time axes merge into one
+    (such as a channel slice of a wider buffer), receives the output
+    instead of a new array.
     """
-    y = np.minimum(x, 0)
-    np.expm1(y, out=y)
-    y = np.maximum(y, x, out=out)
+    y = np.empty(x.shape, dtype=x.dtype) if out is None else out
+    if not np.may_share_memory(_time_rows(y), y):
+        raise ValueError("elu_forward: the batch and time axes of out do not merge")
+    _elementwise(_elu, x, y)
     return y, y
 
 
-def elu_backward(dy, y):
+def _elu_backward(dy, y, dx):
     # the ELU slope is 1 above zero and y + 1 at or below it
-    slope = np.minimum(y, 0)
-    slope += 1
-    return np.multiply(dy, slope, out=slope)
+    np.minimum(y, 0, out=dx)
+    dx += 1
+    np.multiply(dy, dx, out=dx)
+
+
+def elu_backward(dy, y):
+    dx = np.empty(y.shape, dtype=y.dtype)
+    _elementwise(_elu_backward, dy, y, dx)
+    return dx
+
+
+def _sigmoid(x, y):
+    """sigmoid of x into y, as `sigmoid` documents."""
+    den = np.abs(x)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    np.fmin(x, 0, out=y)
+    np.exp(y, out=y)
+    y /= den
 
 
 def sigmoid(x):
@@ -214,12 +336,8 @@ def sigmoid(x):
     fmin rather than minimum keeps a NaN out of the numerator, so a NaN
     input yields the denominator's NaN, as the two-branch form does.
     """
-    den = np.abs(x)
-    np.negative(den, out=den)
-    np.exp(den, out=den)
-    den += 1.0
-    y = np.exp(np.fmin(x, 0))
-    y /= den
+    y = np.empty(x.shape, dtype=x.dtype)
+    _elementwise(_sigmoid, x, y)
     return y
 
 
@@ -234,8 +352,14 @@ def gated_conv_forward(u, w1, b1, w2, b2, stride: int, pad: int):
     up = np.pad(u, ((0, 0), (0, 0), (pad, pad), (0, 0))) if pad else u
     m1, c1 = conv_freq_forward(up, w1, b1, stride, 0)
     m2, c2 = conv_freq_forward(up, w2, b2, stride, 0)
-    s2 = sigmoid(m2)
-    v = m1 * s2
+    s2 = np.empty(m2.shape, dtype=m2.dtype)
+    v = np.empty(m1.shape, dtype=np.result_type(m1, s2))
+
+    def gate(a1, a2, s, out):
+        _sigmoid(a2, s)
+        np.multiply(a1, s, out=out)
+
+    _elementwise(gate, m1, m2, s2, v)
     cache = (m1, s2, c1, c2, pad, u.shape[2])
     return v, cache
 
@@ -250,11 +374,17 @@ def gated_conv_backward(dv, cache):
     if cache is None:
         raise ValueError("gated_conv_backward needs the forward cache")
     m1, s2, c1, c2, pad, f_in = cache
-    dm1 = dv * s2
-    dm2 = dv * m1 * s2 * (1.0 - s2)
+    dm1 = np.empty(dv.shape, dtype=np.result_type(dv, s2))
+    dm2 = np.empty(dv.shape, dtype=np.result_type(dv, m1, s2))
+
+    def gate(d, a1, s, d1, d2):
+        np.multiply(d, s, out=d1)
+        np.multiply(d * a1 * s, 1.0 - s, out=d2)
+
+    _elementwise(gate, dv, m1, s2, dm1, dm2)
     du1, dw1, db1 = conv_freq_backward(dm1, c1)
     du2, dw2, db2 = conv_freq_backward(dm2, c2)
-    du1 += du2
+    _elementwise(_add_into, du1, du2)
     if pad:
         du1 = du1[:, :, pad : pad + f_in, :]
     return du1, dw1, db1, dw2, db2

@@ -2,7 +2,10 @@
 
 Features are split into non-overlapping groups; each group runs independent
 forward/backward LSTMs. Both directions of all groups are batched into one
-einsum per time step (index q = direction * groups + group). After each
+einsum per time step (index q = direction * groups + group). The Q streams
+never mix inside a layer, so the worker pool runs each time loop, and each
+batched product, over disjoint Q slices, every stream's arithmetic as it
+would be in one pass. After each
 recurrent layer, a per-group linear projection maps the concatenated
 direction states (2H) back to the group width so layer widths stay constant,
 followed by layer normalization. Between layers, a strided interleave
@@ -12,7 +15,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ops import _row_sums, layer_norm_backward, layer_norm_forward, sigmoid
+from ._pool import PRODUCT_FLOOR, _for_slices
+from .ops import _row_sums, _sigmoid, layer_norm_backward, layer_norm_forward
+
+
+def _matmul_q(a, b):
+    """np.matmul of [Q, M, K] and [Q, K, N] stacks: each of the Q products
+    whole, the Q products spread over the worker pool."""
+    q, m, k = a.shape
+    out = np.empty((q, m, b.shape[2]), dtype=np.result_type(a, b))
+    _for_slices(lambda s: np.matmul(a[s], b[s], out=out[s]), q, q * m * k * b.shape[2], PRODUCT_FLOOR)
+    return out
 
 
 def _qmm(a, w):
@@ -23,6 +36,12 @@ def _qmm(a, w):
 def _qmm_t(a, w):
     """[B,Q,A] x [Q,D,A]^T -> [B,Q,D] (contract over the last axis)."""
     return np.matmul(a.transpose(1, 0, 2), w.transpose(0, 2, 1)).transpose(1, 0, 2)
+
+
+def _gate(a):
+    y = np.empty(a.shape, dtype=a.dtype)
+    _sigmoid(a, y)
+    return y
 
 
 def shuffle_permutation(width: int, groups: int) -> np.ndarray:
@@ -87,7 +106,7 @@ class GroupedBlstmLayer:
         # input contribution for every step in one batched product
         zq = z.transpose(2, 0, 1, 3).reshape(q, b * t, self.dg)
         zx = np.ascontiguousarray(
-            np.matmul(zq, self.wx).reshape(q, b, t, 4 * h).transpose(2, 1, 0, 3)
+            _matmul_q(zq, self.wx).reshape(q, b, t, 4 * h).transpose(2, 1, 0, 3)
         )
         zx += self.bias
 
@@ -99,19 +118,26 @@ class GroupedBlstmLayer:
         h_all = np.empty_like(gates_i)
         c_all = np.empty_like(gates_i)
 
-        h_t = np.zeros((b, q, h), dtype=x.dtype)
-        c_t = np.zeros((b, q, h), dtype=x.dtype)
-        for step in range(t):
-            a = zx[step] + _qmm(h_t, self.wh)
-            gi = sigmoid(a[..., :h])
-            gf = sigmoid(a[..., h : 2 * h])
-            gg = np.tanh(a[..., 2 * h : 3 * h])
-            go = sigmoid(a[..., 3 * h :])
-            c_t = gf * c_t + gi * gg
-            tc = np.tanh(c_t)
-            h_t = go * tc
-            gates_i[step], gates_f[step], gates_g[step], gates_o[step] = gi, gf, gg, go
-            tanh_c[step], h_all[step], c_all[step] = tc, h_t, c_t
+        def steps(s):
+            wh = self.wh[s]
+            zx_s, i_s, f_s, g_s, o_s, tc_s, h_s, c_s = (
+                a[:, :, s] for a in (zx, gates_i, gates_f, gates_g, gates_o, tanh_c, h_all, c_all)
+            )
+            h_t = np.zeros((b, s.stop - s.start, h), dtype=x.dtype)
+            c_t = np.zeros_like(h_t)
+            for step in range(t):
+                a = zx_s[step] + _qmm(h_t, wh)
+                gi = _gate(a[..., :h])
+                gf = _gate(a[..., h : 2 * h])
+                gg = np.tanh(a[..., 2 * h : 3 * h])
+                go = _gate(a[..., 3 * h :])
+                c_t = gf * c_t + gi * gg
+                tc = np.tanh(c_t)
+                h_t = go * tc
+                i_s[step], f_s[step], g_s[step], o_s[step] = gi, gf, gg, go
+                tc_s[step], h_s[step], c_s[step] = tc, h_t, c_t
+
+        _for_slices(steps, q, b * q * h * 4 * h, PRODUCT_FLOOR)
 
         # [T,B,Q,H] -> [B,T,2,G,H]; un-reverse the backward direction
         out = h_all.transpose(1, 0, 2, 3).reshape(b, t, 2, g, h).copy()
@@ -119,7 +145,7 @@ class GroupedBlstmLayer:
         hcat = out.transpose(0, 1, 3, 2, 4).reshape(b, t, g, 2 * h)
 
         hcat_g = hcat.transpose(2, 0, 1, 3).reshape(g, b * t, 2 * h)
-        proj = np.matmul(hcat_g, self.proj_w).reshape(g, b, t, self.dg)
+        proj = _matmul_q(hcat_g, self.proj_w).reshape(g, b, t, self.dg)
         proj = proj.transpose(1, 2, 0, 3) + self.proj_b
         y_pre = proj.reshape(b, t, f)
         y, ln_cache = layer_norm_forward(y_pre, self.ln_gain, self.ln_offset, self.ln_eps)
@@ -139,9 +165,9 @@ class GroupedBlstmLayer:
         dproj = dpre.reshape(b, t, g, self.dg)
         dproj_g = dproj.transpose(2, 0, 1, 3).reshape(g, b * t, self.dg)
         hcat_g = hcat.transpose(2, 0, 1, 3).reshape(g, b * t, 2 * h)
-        grads[f"{self.prefix}.proj_w"] = np.matmul(hcat_g.transpose(0, 2, 1), dproj_g)
+        grads[f"{self.prefix}.proj_w"] = _matmul_q(hcat_g.transpose(0, 2, 1), dproj_g)
         grads[f"{self.prefix}.proj_b"] = _row_sums(dpre).reshape(g, self.dg)
-        dhcat = np.matmul(dproj_g, self.proj_w.transpose(0, 2, 1))
+        dhcat = _matmul_q(dproj_g, self.proj_w.transpose(0, 2, 1))
         dhcat = dhcat.reshape(g, b, t, 2 * h).transpose(1, 2, 0, 3)
 
         # undo the concat/reverse bookkeeping back to loop-time order [T,B,Q,H]
@@ -152,28 +178,36 @@ class GroupedBlstmLayer:
         # sequential pass collecting gate pre-activation gradients; the
         # weight/input gradients batch into large products afterwards
         da_all = np.empty((t, b, q, 4 * h), dtype=dy.dtype)
-        dh_next = np.zeros((b, q, h), dtype=dy.dtype)
-        dc_next = np.zeros_like(dh_next)
-        for step in range(t - 1, -1, -1):
-            dh = dh_all[step] + dh_next
-            dc = dc_next + dh * go[step] * (1.0 - tc[step] ** 2)
-            c_prev = c_all[step - 1] if step > 0 else np.zeros_like(dc)
-            da = da_all[step]
-            da[..., :h] = dc * gg[step] * gi[step] * (1.0 - gi[step])
-            da[..., h : 2 * h] = dc * c_prev * gf[step] * (1.0 - gf[step])
-            da[..., 2 * h : 3 * h] = dc * gi[step] * (1.0 - gg[step] ** 2)
-            da[..., 3 * h :] = dh * tc[step] * go[step] * (1.0 - go[step])
-            dc_next = dc * gf[step]
-            dh_next = _qmm_t(da, self.wh)
+
+        def steps(s):
+            wh = self.wh[s]
+            dh_s, da_s, gi_s, gf_s, gg_s, go_s, tc_s, c_s = (
+                a[:, :, s] for a in (dh_all, da_all, gi, gf, gg, go, tc, c_all)
+            )
+            dh_next = np.zeros((b, s.stop - s.start, h), dtype=dy.dtype)
+            dc_next = np.zeros_like(dh_next)
+            for step in range(t - 1, -1, -1):
+                dh = dh_s[step] + dh_next
+                dc = dc_next + dh * go_s[step] * (1.0 - tc_s[step] ** 2)
+                c_prev = c_s[step - 1] if step > 0 else np.zeros_like(dc)
+                da = da_s[step]
+                da[..., :h] = dc * gg_s[step] * gi_s[step] * (1.0 - gi_s[step])
+                da[..., h : 2 * h] = dc * c_prev * gf_s[step] * (1.0 - gf_s[step])
+                da[..., 2 * h : 3 * h] = dc * gi_s[step] * (1.0 - gg_s[step] ** 2)
+                da[..., 3 * h :] = dh * tc_s[step] * go_s[step] * (1.0 - go_s[step])
+                dc_next = dc * gf_s[step]
+                dh_next = _qmm_t(da, wh)
+
+        _for_slices(steps, q, b * q * h * 4 * h, PRODUCT_FLOOR)
 
         da_q = da_all.transpose(2, 1, 0, 3).reshape(q, b * t, 4 * h)
         zq = z.transpose(2, 0, 1, 3).reshape(q, b * t, self.dg)
         h_prev_all = np.concatenate([np.zeros((1, b, q, h), dtype=dy.dtype), h_all[:-1]])
         hp_q = h_prev_all.transpose(2, 1, 0, 3).reshape(q, b * t, h)
-        grads[f"{self.prefix}.wx"] = np.matmul(zq.transpose(0, 2, 1), da_q)
-        grads[f"{self.prefix}.wh"] = np.matmul(hp_q.transpose(0, 2, 1), da_q)
+        grads[f"{self.prefix}.wx"] = _matmul_q(zq.transpose(0, 2, 1), da_q)
+        grads[f"{self.prefix}.wh"] = _matmul_q(hp_q.transpose(0, 2, 1), da_q)
         grads[f"{self.prefix}.bias"] = _row_sums(da_all.reshape(t, b, -1)).reshape(q, 4 * h)
-        dz = np.matmul(da_q, self.wx.transpose(0, 2, 1))
+        dz = _matmul_q(da_q, self.wx.transpose(0, 2, 1))
         dz = dz.reshape(q, b, t, self.dg).transpose(1, 2, 0, 3)
 
         dxg = dz[:, :, :g] + dz[:, ::-1, g:]

@@ -61,6 +61,14 @@ class TrainConfig:
         for name in ("lr_init", "clip_max_norm", "adam_eps", "batch_size", "plateau_patience"):
             if getattr(self, name) <= 0:
                 raise InvalidArgument(f"{name} must be positive")
+        for name, lo in (("max_epochs", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if not isinstance(v, int) or v < lo:
+                raise InvalidArgument(f"{name} must be an integer >= {lo}, got {v!r}")
+        for name in ("adam_beta1", "adam_beta2"):
+            # beta = 1 zeroes Adam's bias correction 1 - beta**t
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise InvalidArgument(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -341,6 +341,21 @@ class TestTrainAndEval:
         assert main(["train", "--out", str(tmp_path / "o3"), "--synthetic-demo",
                      "--demo-utterances", "6", "--config", str(zero_stride)]) == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_epochs", 0), ("adam_beta1", 1.0), ("adam_beta2", 1.0), ("seed", -1),
+    ])
+    def test_bad_train_field_is_usage_error(self, tmp_path, capsys, field, value):
+        """Each would otherwise train: epochs 0 and beta1 1 end in a NaN
+        validation loss, beta2 1 divides by zero, seed -1 fails in numpy."""
+        cfg = tmp_path / "cfg.json"
+        reduced = {"block_out_channels": [2, 4], "composite_growth": 4, "blstm_hidden": 32, "groups": 4}
+        cfg.write_text(json.dumps({"model": reduced, "train": {"max_epochs": 1, field: value}}))
+        assert main(["train", "--out", str(tmp_path / "o"), "--synthetic-demo",
+                     "--demo-utterances", "6", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and field in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self):
