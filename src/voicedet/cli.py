@@ -358,6 +358,7 @@ def cmd_train(args) -> int:
         log.warning("skipped %s", line)
 
     echo_config(out_dir, tracker_cfg, model_cfg, train_cfg)
+    failures = [f"{len(skipped)} records skipped"] if skipped and args.strict else []
     for fold in folds:
         result = train(model_cfg, None, fold, data, train_cfg)
         tag = fold.held_out_corpus
@@ -371,6 +372,8 @@ def cmd_train(args) -> int:
             f"fold {tag}: best epoch {result.best_epoch}, "
             f"val loss {min((r.val_loss for r in result.history.records), default=float('nan')):.4f}"
         )
+        if result.history.aborted:  # the epoch after the last recorded one
+            failures.append(f"fold {tag}: training diverged in epoch {len(result.history) + 1}")
         if args.synthetic_demo and fold.test_ids:
             model = DccrnModel(model_cfg, seed=0)
             model.load_state(result.params, result.buffers)
@@ -379,8 +382,8 @@ def cmd_train(args) -> int:
             )
             _atomic_write(out_dir / "demo-eval.csv", report.to_csv())
             sys.stdout.write(report.to_text())
-    if skipped and args.strict:
-        raise PartialFailure(f"{len(skipped)} records skipped")
+    if failures:
+        raise PartialFailure("; ".join(failures))
     return EXIT_OK
 
 

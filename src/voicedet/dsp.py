@@ -19,9 +19,11 @@ Conventions (fixed, not tunable):
 """
 from __future__ import annotations
 
+import math
+import numbers
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,6 +35,23 @@ from scipy.signal import resample_poly
 
 class InvalidArgument(ValueError):
     """Raised when an operation precondition is violated."""
+
+
+def is_integer(value) -> bool:
+    """An integer that is not a bool (JSON's `true` reads as 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_field_types(cfg) -> None:
+    """Reject a dataclass field annotated `float` that is not a finite real
+    number, or one annotated `int` that is not an integer (a bool is neither)."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type in ("float", float) and (isinstance(value, bool) or not (
+                isinstance(value, numbers.Real) and math.isfinite(value))):
+            raise InvalidArgument(f"{f.name} must be a finite number, got {value!r}")
+        if f.type in ("int", int) and not is_integer(value):
+            raise InvalidArgument(f"{f.name} must be an integer, got {value!r}")
 
 
 def read_bytes(path: str | Path) -> bytes:

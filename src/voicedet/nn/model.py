@@ -15,11 +15,11 @@ input frame.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..dsp import InvalidArgument
+from ..dsp import InvalidArgument, check_field_types, is_integer
 from ..tracker import VoicingLabels
 from . import ops
 from .recurrent import RecurrentStack
@@ -54,8 +54,13 @@ class ModelConfig:
     bn_eps: float = 1e-5
 
     def __post_init__(self):
+        check_field_types(self)
         if not (0.0 < self.threshold < 1.0):
             raise InvalidArgument("threshold must be in (0, 1)")
+        if not (0.0 <= self.bn_momentum < 1.0):
+            raise InvalidArgument(f"bn_momentum must be in [0, 1), got {self.bn_momentum!r}")
+        if self.bn_eps <= 0:
+            raise InvalidArgument(f"bn_eps must be positive, got {self.bn_eps!r}")
         if self.dtype not in ("float32", "float64"):
             raise InvalidArgument(f"unsupported dtype {self.dtype}")
         if not self.block_out_channels:
@@ -64,7 +69,7 @@ class ModelConfig:
         bounds += [(f"block_out_channels[{i}]", c, 1) for i, c in enumerate(self.block_out_channels)]
         bounds += [(n, getattr(self, n), 0) for n in ("composite_pad", "gated_pad")]
         for name, v, lo in bounds:
-            if not isinstance(v, int) or v < lo:
+            if not is_integer(v) or v < lo:
                 raise InvalidArgument(f"{name} must be an integer >= {lo}, got {v!r}")
         if 2 * self.composite_pad != self.composite_kernel - 1:
             raise InvalidArgument(
@@ -94,31 +99,12 @@ class ModelConfig:
         return np.float32 if self.dtype == "float32" else np.float64
 
     def to_dict(self) -> dict:
-        return {
-            "block_out_channels": list(self.block_out_channels),
-            "composite_growth": self.composite_growth,
-            "composite_kernel": self.composite_kernel,
-            "composite_pad": self.composite_pad,
-            "composite_layers": self.composite_layers,
-            "gated_kernel": self.gated_kernel,
-            "gated_stride": self.gated_stride,
-            "gated_pad": self.gated_pad,
-            "blstm_layers": self.blstm_layers,
-            "blstm_hidden": self.blstm_hidden,
-            "groups": self.groups,
-            "input_freq_bins": self.input_freq_bins,
-            "input_channels": self.input_channels,
-            "threshold": self.threshold,
-            "dtype": self.dtype,
-            "bn_momentum": self.bn_momentum,
-            "bn_eps": self.bn_eps,
-        }
+        """The fields in declaration order, which fixes the checkpoint header's bytes."""
+        return {**asdict(self), "block_out_channels": list(self.block_out_channels)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["block_out_channels"] = tuple(d["block_out_channels"])
-        return cls(**d)
+        return cls(**{**d, "block_out_channels": tuple(d["block_out_channels"])})
 
 
 @dataclass(frozen=True)
@@ -143,7 +129,7 @@ class CompositeLayer:
     side of the frequency axis, and the input gradient is returned padded
     the same way. Given `out` (in ConvDcBlock, the layer's channel slice of
     the block buffer), the ELU writes its output there, and the ELU cache is
-    that view rather than a copy."""
+    that view rather than a copy. Only a training forward returns a cache."""
 
     def __init__(self, prefix, c_in, c_out, cfg: ModelConfig, rng):
         dtype = cfg.np_dtype()
@@ -168,14 +154,14 @@ class CompositeLayer:
         yield f"{self.prefix}.running_mean", self.running_mean
         yield f"{self.prefix}.running_var", self.running_var
 
-    def forward(self, x, training, update_stats, out=None):
-        y, c_conv = ops.conv_freq_forward(x, self.w, self.b, 1, 0)
+    def forward(self, x, training, out=None):
+        y, c_conv = ops.conv_freq_forward(x, self.w, self.b, 1)
         y, c_bn = ops.batchnorm_forward(
             y, self.gamma, self.beta, self.running_mean, self.running_var,
-            self.cfg.bn_momentum, self.cfg.bn_eps, training, update_stats,
+            self.cfg.bn_momentum, self.cfg.bn_eps, training,
         )
         y, c_elu = ops.elu_forward(y, out)
-        return y, (c_conv, c_bn, c_elu)
+        return y, ((c_conv, c_bn, c_elu) if training else None)
 
     def backward(self, dy, cache, grads):
         c_conv, c_bn, c_elu = cache
@@ -213,7 +199,7 @@ class GatedConv:
         yield f"{self.prefix}.b2", self.b2
 
     def forward(self, x):
-        return ops.gated_conv_forward(x, self.w1, self.b1, self.w2, self.b2, self.cfg.gated_stride, 0)
+        return ops.gated_conv_forward(x, self.w1, self.b1, self.w2, self.b2, self.cfg.gated_stride)
 
     def backward(self, dv, cache, grads):
         du, dw1, db1, dw2, db2 = ops.gated_conv_backward(dv, cache)
@@ -240,6 +226,8 @@ class ConvDcBlock:
     gradient is the block's gradient buffer, and each composite adds the
     interior of its padded input gradient into that buffer's prefix. Pad
     bin gradients are never read; only the interior input slice is returned.
+    An inference forward keeps no cache: the composites return none, and
+    the block returns None.
     """
 
     def __init__(self, prefix, c_in, c_out, cfg: ModelConfig, rng):
@@ -265,7 +253,7 @@ class ConvDcBlock:
         for comp in self.composites:
             yield from comp.buffers()
 
-    def forward(self, x, training, update_stats):
+    def forward(self, x, training):
         b, t, f, c = x.shape
         g, cp, gp = self.growth, self.composite_pad, self.gated_pad
         p = max(cp, gp)
@@ -279,13 +267,11 @@ class ConvDcBlock:
         ops._elementwise(np.copyto, inner[..., :c], x)
         comp_caches = []
         for comp in self.composites:
-            _, cache = comp.forward(
-                buf[:, :, p - cp : p + f + cp, :c], training, update_stats, inner[..., c : c + g]
-            )
+            _, cache = comp.forward(buf[:, :, p - cp : p + f + cp, :c], training, inner[..., c : c + g])
             comp_caches.append(cache)
             c += g
         v, gated_cache = self.gated.forward(buf[:, :, p - gp : p + f + gp])
-        return v, (comp_caches, gated_cache)
+        return v, ((comp_caches, gated_cache) if training else None)
 
     def backward(self, dv, cache, grads):
         comp_caches, gated_cache = cache
@@ -358,11 +344,13 @@ class DccrnModel:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward_batch(self, x, training: bool = False, update_stats: bool | None = None,
-                      want_cache: bool = False):
-        """x: [B, T, F, C] (channels-last) -> probs [B, T] (clamped), optional cache."""
-        if update_stats is None:
-            update_stats = training
+    def forward_batch(self, x, training: bool = False):
+        """x: [B, T, F, C] (channels-last) -> (probs [B, T] (clamped), cache).
+
+        Training uses batch statistics, folds them into the running ones and
+        returns the backward cache. Inference uses the running statistics and
+        returns None, each block's and BLSTM layer's cache dropped before the
+        next one runs."""
         x = np.ascontiguousarray(x, dtype=self.cfg.np_dtype())
         if x.shape[3] != self.cfg.input_channels or x.shape[2] != self.cfg.input_freq_bins:
             raise InvalidArgument(
@@ -371,17 +359,17 @@ class DccrnModel:
             )
         caches = []
         for block in self.blocks:
-            x, cache = block.forward(x, training, update_stats)
+            x, cache = block.forward(x, training)
             caches.append(cache)
         b, t, f, c = x.shape
         # channel-major flatten: feature index = channel * F + freq bin
         flat = x.transpose(0, 1, 3, 2).reshape(b, t, c * f)
-        rec, rec_cache = self.recurrent.forward(flat)
+        rec, rec_cache = self.recurrent.forward(flat, training)
         logits, lin_cache = ops.linear_forward(rec, self.head_w, self.head_b)
         logits = logits[..., 0]
         probs_raw = ops.sigmoid(logits)
         probs = np.clip(probs_raw, POSTERIOR_EPS, 1.0 - POSTERIOR_EPS)
-        if not want_cache:
+        if not training:
             return probs, None
         clamp_mask = (probs_raw > POSTERIOR_EPS) & (probs_raw < 1.0 - POSTERIOR_EPS)
         cache = (caches, (b, t, f, c), rec_cache, lin_cache, probs_raw, clamp_mask)

@@ -5,9 +5,12 @@ so frame count is preserved everywhere. Convolutional activations are laid
 out channels-last as [batch, time, freq, channel]: a convolution is one
 matrix product of tap-major columns, copied once from a sliding-window view
 of the input, with the kernel, and its input gradient is one product per
-tap added into the frequencies that tap read. Recurrent/head stages use
-[batch, time, feature]. Every forward returns (output, cache); the matching
-backward consumes the cache and returns input/parameter gradients.
+tap added into the frequencies that tap read. A convolution's input already
+holds its zero frequency padding (the Conv-DC block's buffer carries the pad
+bins). Recurrent/head stages use [batch, time, feature]. Every forward
+returns (output, cache) and the matching backward consumes the cache and
+returns input/parameter gradients; batch norm returns a cache only in
+training mode, the only mode backprop runs through.
 
 Per-channel elementwise work on a [B, T, F, C] array runs on its
 [B*T, F*C] row view, with each per-channel vector tiled across the F bins,
@@ -137,20 +140,19 @@ def _im2col(xp, k: int, stride: int, fo: int, out=None):
     return out
 
 
-def conv_freq_forward(x, w, b, stride: int, pad: int):
+def conv_freq_forward(x, w, b, stride: int):
     """Convolution with a 1 x K (time x freq) kernel as one matrix product.
 
-    x: [B, T, F, C]; w: [K, C, O]; b: [O] -> y: [B, T, Fo, O]
+    x: [B, T, F, C], already holding any zero frequency padding; w: [K, C, O];
+    b: [O] -> y: [B, T, Fo, O]
 
     The product runs over time-row slices: each worker copies its rows'
     columns, multiplies them and adds the bias.
     """
-    f = x.shape[2]
     k, c, o = w.shape
-    fo = conv_freq_out_size(f, k, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (0, 0))) if pad else x
-    y = np.empty((*xp.shape[:2], fo, o), dtype=np.result_type(xp, w))
-    xr, yr, y_rows = _time_rows(xp), _time_rows(y), _rows(y)
+    fo = conv_freq_out_size(x.shape[2], k, stride, 0)
+    y = np.empty((*x.shape[:2], fo, o), dtype=np.result_type(x, w))
+    xr, yr, y_rows = _time_rows(x), _time_rows(y), _rows(y)
     w2, bias = w.reshape(k * c, o), np.tile(b, fo)
 
     def rows(s):
@@ -160,15 +162,14 @@ def conv_freq_forward(x, w, b, stride: int, pad: int):
 
     n = xr.shape[0]
     _for_slices(rows, n, n * fo * k * c * o, PRODUCT_FLOOR, _product_rows(fo), PRODUCT_CHUNK)
-    cache = (xp, f, w, stride, pad)
-    return y, cache
+    return y, (x, stride, w)
 
 
 def conv_freq_backward(dy, cache):
-    """Returns (dx, dw, db) for conv_freq_forward.
+    """Returns (dx, dw, db) for conv_freq_forward, dx of the whole input.
 
-    Columns are rebuilt from the cached (padded) input rather than cached,
-    keeping activation memory proportional to the input. The input gradient
+    Columns are rebuilt from the cached input rather than cached, keeping
+    activation memory proportional to the input. The input gradient
     needs no column buffer: tap j adds one [N, O] x [O, C] product into the
     frequencies it read, taps in order, so every element sums the same
     length-O dot products in the same order as a scatter of the full
@@ -176,14 +177,14 @@ def conv_freq_backward(dy, cache):
     matrix-vector product, which BLAS sums in another order, so all taps
     then share one [N, O] x [O, K] product.
     """
-    xp, f_in, w, stride, pad = cache
+    x, stride, w = cache
     k, c, o = w.shape
     fo = dy.shape[2]
     span = (fo - 1) * stride + 1
     dy2 = dy.reshape(-1, o)
     n = dy2.shape[0] // fo
-    xr, dyr = _time_rows(xp), dy2.reshape(n, fo, o)
-    cols = np.empty((n, fo, k * c), dtype=xp.dtype)
+    xr, dyr = _time_rows(x), dy2.reshape(n, fo, o)
+    cols = np.empty((n, fo, k * c), dtype=x.dtype)
     _for_slices(lambda s: _im2col(xr[s], k, stride, fo, out=cols[s]), n, cols.size, ELEMENT_FLOOR,
                 most=ELEMENT_CHUNK)
     cols = cols.reshape(-1, k * c)
@@ -195,8 +196,8 @@ def conv_freq_backward(dy, cache):
     slices = _slices(k * c, cols.size * o, PRODUCT_FLOOR, ROW_ALIGN)
     db = _gather(cols.size, *(lambda s=s: dw_rows(s) for s in slices), lambda: _row_sums(dy2))[-1]
     del cols  # freed before the input gradient is built, as without the pool
-    dxp = np.empty(xp.shape, dtype=xp.dtype)
-    dxr = _time_rows(dxp)
+    dx = np.empty(x.shape, dtype=x.dtype)
+    dxr = _time_rows(dx)
     taps = 1 if c > 1 else k
     wt = [w[j0 : j0 + taps].reshape(-1, o).T for j0 in range(0, k, taps)]
 
@@ -209,20 +210,19 @@ def conv_freq_backward(dy, cache):
                 dx_s[:, j : j + span : stride, :] += dcols[:, :, j - j0, :]
 
     _for_slices(dx_rows, n, n * fo * o * taps * c, PRODUCT_FLOOR, _product_rows(fo), PRODUCT_CHUNK)
-    dx = dxp[:, :, pad : pad + f_in, :] if pad else dxp
     return dx, dw.reshape(k, c, o), db
 
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var,
-                      momentum: float, eps: float, training: bool,
-                      update_stats: bool):
+                      momentum: float, eps: float, training: bool):
     """Per-channel batch norm over (batch, time, freq) of a [B,T,F,C] tensor.
 
-    Training mode normalizes with batch statistics; update_stats additionally
-    folds them into the running averages (in place). Inference mode uses the
-    running statistics and is batch-size independent. The batch statistics
-    are those of `x.mean` and `x.var`, with the channel sum taken once: the
-    centred input x - mean gives both the variance and xhat.
+    Training mode normalizes with batch statistics, folds them into the
+    running averages (in place) and returns the backward cache. Inference
+    mode uses the running statistics, is batch-size independent and returns
+    no cache. The batch statistics are those of `x.mean` and `x.var`, with
+    the channel sum taken once: the centred input x - mean gives both the
+    variance and xhat.
     """
     f = x.shape[2]
     mean = _channel_mean(x) if training else running_mean
@@ -233,11 +233,10 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var,
     if training:
         centred = xhat.reshape(x.shape)
         var = _channel_mean(centred, centred)
-        if update_stats:
-            running_mean *= momentum
-            running_mean += (1.0 - momentum) * mean
-            running_var *= momentum
-            running_var += (1.0 - momentum) * var
+        running_mean *= momentum
+        running_mean += (1.0 - momentum) * mean
+        running_var *= momentum
+        running_var += (1.0 - momentum) * var
     else:
         var = running_var
     inv_std = 1.0 / np.sqrt(var + eps)
@@ -250,24 +249,20 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var,
         out += shift
 
     _elementwise(normalize, xhat, y)
-    cache = (xhat.reshape(x.shape), gamma, inv_std, training)
+    cache = (xhat.reshape(x.shape), gamma, inv_std) if training else None
     return y.reshape(x.shape), cache
 
 
 def batchnorm_backward(dy, cache):
-    """Returns (dx, dgamma, dbeta). Each pair of channel sums runs as two
-    parallel tasks, each sum whole."""
-    xhat, gamma, inv_std, training = cache
+    """Returns (dx, dgamma, dbeta) for a training-mode batchnorm_forward.
+    Each pair of channel sums runs as two parallel tasks, each sum whole."""
+    xhat, gamma, inv_std = cache
     f = dy.shape[-2]
     dgamma, dbeta = _gather(dy.size, lambda: _row_sums(dy, xhat), lambda: _row_sums(dy))
     dy2, xhat2 = _rows(dy), _rows(xhat)
     dxhat = np.empty(dy2.shape, dtype=np.result_type(dy2, gamma))
     tiled_gamma = np.tile(gamma, f)
     _elementwise(lambda d, out: np.multiply(d, tiled_gamma, out=out), dy2, dxhat)
-    if not training:
-        scale = np.tile(inv_std, f)
-        _elementwise(lambda d: np.multiply(d, scale, out=d), dxhat)
-        return dxhat.reshape(dy.shape), dgamma, dbeta
     n = dy.size // dy.shape[-1]
     dxhat4 = dxhat.reshape(dy.shape)
     sum_dxhat, sum_dxhat_xhat = _gather(dy.size, lambda: _row_sums(dxhat4), lambda: _row_sums(dxhat4, xhat))
@@ -341,17 +336,16 @@ def sigmoid(x):
     return y
 
 
-def gated_conv_forward(u, w1, b1, w2, b2, stride: int, pad: int):
+def gated_conv_forward(u, w1, b1, w2, b2, stride: int):
     """Gated convolution v = (u*W1 + b1) (.) sigmoid(u*W2 + b2).
 
-    The input is padded once and shared by both convolution paths. With
-    pad 0 the caller may pass a view of an already padded buffer (as the
-    Conv-DC block does); the cache then holds that view, not a copy, and
+    Both convolution paths read the one input, which already holds any
+    zero frequency padding; the Conv-DC block passes a view of its padded
+    buffer, so the cache holds that view, not a copy, and
     gated_conv_backward returns the gradient of the whole view.
     """
-    up = np.pad(u, ((0, 0), (0, 0), (pad, pad), (0, 0))) if pad else u
-    m1, c1 = conv_freq_forward(up, w1, b1, stride, 0)
-    m2, c2 = conv_freq_forward(up, w2, b2, stride, 0)
+    m1, c1 = conv_freq_forward(u, w1, b1, stride)
+    m2, c2 = conv_freq_forward(u, w2, b2, stride)
     s2 = np.empty(m2.shape, dtype=m2.dtype)
     v = np.empty(m1.shape, dtype=np.result_type(m1, s2))
 
@@ -360,8 +354,7 @@ def gated_conv_forward(u, w1, b1, w2, b2, stride: int, pad: int):
         np.multiply(a1, s, out=out)
 
     _elementwise(gate, m1, m2, s2, v)
-    cache = (m1, s2, c1, c2, pad, u.shape[2])
-    return v, cache
+    return v, (m1, s2, c1, c2)
 
 
 def gated_conv_backward(dv, cache):
@@ -373,7 +366,7 @@ def gated_conv_backward(dv, cache):
     """
     if cache is None:
         raise ValueError("gated_conv_backward needs the forward cache")
-    m1, s2, c1, c2, pad, f_in = cache
+    m1, s2, c1, c2 = cache
     dm1 = np.empty(dv.shape, dtype=np.result_type(dv, s2))
     dm2 = np.empty(dv.shape, dtype=np.result_type(dv, m1, s2))
 
@@ -385,8 +378,6 @@ def gated_conv_backward(dv, cache):
     du1, dw1, db1 = conv_freq_backward(dm1, c1)
     du2, dw2, db2 = conv_freq_backward(dm2, c2)
     _elementwise(_add_into, du1, du2)
-    if pad:
-        du1 = du1[:, :, pad : pad + f_in, :]
     return du1, dw1, db1, dw2, db2
 
 

@@ -230,14 +230,18 @@ class RecurrentStack:
         for layer in self.layers:
             yield from layer.params()
 
-    def forward(self, x):
+    def forward(self, x, training):
+        """(y, per-layer caches) in training; in inference (y, None), each
+        layer's cache freed before the next layer runs."""
         caches = []
         for i, layer in enumerate(self.layers):
             if i > 0:
                 x = x[..., self.perm]
             x, cache = layer.forward(x)
-            caches.append(cache)
-        return x, caches
+            if training:
+                caches.append(cache)
+            del cache
+        return x, (caches if training else None)
 
     def backward(self, dy, caches, grads):
         for i in range(len(self.layers) - 1, -1, -1):

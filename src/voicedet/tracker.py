@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .dsp import FrameConfig, InvalidArgument, Waveform
+from .dsp import FrameConfig, InvalidArgument, Waveform, check_field_types
 
 _ENERGY_FLOOR = 1e-20
 _BLOCK = 256  # frames per array block
@@ -46,17 +45,11 @@ class TrackerConfig:
     energy_floor: float = 0.01
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not (
-                isinstance(value, numbers.Real) and math.isfinite(value)
-            ):
-                raise InvalidArgument(f"{f.name} must be a finite number, got {value!r}")
+        check_field_types(self)
         if not (0 < self.f0_min < self.f0_max):
             raise InvalidArgument(f"need 0 < f0_min < f0_max, got {self.f0_min}, {self.f0_max}")
-        k = self.max_candidates_per_frame
-        if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 1:
-            raise InvalidArgument(f"max_candidates_per_frame must be an integer >= 1, got {k!r}")
+        if self.max_candidates_per_frame < 1:
+            raise InvalidArgument(f"max_candidates_per_frame must be >= 1, got {self.max_candidates_per_frame}")
         for name in ("switch_cost", "octave_jump_weight", "energy_floor"):
             if getattr(self, name) < 0:
                 raise InvalidArgument(f"{name} must be >= 0")

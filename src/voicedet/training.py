@@ -22,6 +22,7 @@ from .dsp import (
     FrameConfig,
     InvalidArgument,
     Waveform,
+    check_field_types,
     feature_from_spectrogram,
     peak_normalize,
     resample,
@@ -54,17 +55,16 @@ class TrainConfig:
     min_delta: float = 1e-4
 
     def __post_init__(self):
+        check_field_types(self)
         if not (0.0 < self.lr_factor < 1.0):
             raise InvalidArgument("lr_factor must be in (0, 1)")
         if self.clip_mode not in ("global", "elementwise"):
             raise InvalidArgument(f"unknown clip_mode {self.clip_mode!r}")
-        for name in ("lr_init", "clip_max_norm", "adam_eps", "batch_size", "plateau_patience"):
+        for name in ("lr_init", "clip_max_norm", "adam_eps", "max_epochs", "batch_size", "plateau_patience"):
             if getattr(self, name) <= 0:
-                raise InvalidArgument(f"{name} must be positive")
-        for name, lo in (("max_epochs", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < lo:
-                raise InvalidArgument(f"{name} must be an integer >= {lo}, got {v!r}")
+                raise InvalidArgument(f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise InvalidArgument(f"seed must be >= 0, got {self.seed!r}")
         for name in ("adam_beta1", "adam_beta2"):
             # beta = 1 zeroes Adam's bias correction 1 - beta**t
             if not (0.0 <= getattr(self, name) < 1.0):
@@ -349,7 +349,7 @@ def train(model_cfg: ModelConfig, params_init, fold: FoldPlan, data, cfg: TrainC
             for batch in _batches(order, data, cfg.batch_size):
                 x = np.stack([data[u].x for u in batch])
                 y = np.stack([data[u].y for u in batch])
-                probs, cache = model.forward_batch(x, training=True, want_cache=True)
+                probs, cache = model.forward_batch(x, training=True)
                 loss, dprobs = bce_loss(y, probs)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(f"non-finite loss in epoch {epoch}")

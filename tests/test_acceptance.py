@@ -61,7 +61,7 @@ def _staged_losses(model, x, y):
     caching all activations upstream of it (exact for a feedforward net)."""
     block_in = [x.astype(np.float64)]
     for block in model.blocks:
-        out, _ = block.forward(block_in[-1], True, False)
+        out, _ = block.forward(block_in[-1], True)
         block_in.append(out)
     conv_out = block_in[-1]
     b, t, f, c = conv_out.shape
@@ -91,7 +91,7 @@ def _staged_losses(model, x, y):
     def from_block(i):
         z = block_in[i]
         for block in model.blocks[i:]:
-            z, _ = block.forward(z, True, False)
+            z, _ = block.forward(z, True)
         bb, tt, ff, cc = z.shape
         z = z.transpose(0, 1, 3, 2).reshape(bb, tt, cc * ff)
         return from_recurrent_fresh(z)
@@ -124,7 +124,7 @@ def test_criterion_1_gradient_correctness():
     x = rng.standard_normal((1, 3, 8, 2))
     y = rng.integers(0, 2, size=(1, 3)).astype(np.float64)
 
-    probs, cache = model.forward_batch(x, training=True, update_stats=False, want_cache=True)
+    probs, cache = model.forward_batch(x, training=True)
     _, dprobs = bce_loss(y, probs)
     grads = model.backward_batch(dprobs, cache)
     loss_for = _staged_losses(model, x, y)

@@ -343,18 +343,54 @@ class TestTrainAndEval:
 
     @pytest.mark.parametrize("field, value", [
         ("max_epochs", 0), ("adam_beta1", 1.0), ("adam_beta2", 1.0), ("seed", -1),
+        ("lr_init", float("nan")), ("adam_eps", float("nan")), ("min_delta", float("nan")),
+        ("clip_max_norm", float("inf")), ("batch_size", 2.5), ("batch_size", True), ("plateau_patience", 1.5),
     ])
     def test_bad_train_field_is_usage_error(self, tmp_path, capsys, field, value):
         """Each would otherwise train: epochs 0 and beta1 1 end in a NaN
-        validation loss, beta2 1 divides by zero, seed -1 fails in numpy."""
+        validation loss, beta2 1 divides by zero, seed -1 fails in numpy, and
+        the NaN, infinite, fractional and boolean values ran as given."""
+        self.assert_config_rejected(tmp_path, capsys, "train", field, value)
+
+    @pytest.mark.parametrize("field, value", [
+        ("bn_eps", float("nan")), ("bn_eps", 0.0), ("bn_eps", -1e-5), ("bn_momentum", float("nan")),
+        ("bn_momentum", 1.0), ("bn_momentum", -0.1), ("blstm_layers", True),
+    ])
+    def test_bad_model_field_is_usage_error(self, tmp_path, capsys, field, value):
+        self.assert_config_rejected(tmp_path, capsys, "model", field, value)
+
+    @staticmethod
+    def assert_config_rejected(tmp_path, capsys, section, field, value):
+        # json writes NaN and Infinity, and Python's json reads them back
         cfg = tmp_path / "cfg.json"
-        reduced = {"block_out_channels": [2, 4], "composite_growth": 4, "blstm_hidden": 32, "groups": 4}
-        cfg.write_text(json.dumps({"model": reduced, "train": {"max_epochs": 1, field: value}}))
+        config = {"model": {"block_out_channels": [2, 4], "composite_growth": 4, "blstm_hidden": 32, "groups": 4},
+                  "train": {"max_epochs": 1}}
+        config[section][field] = value
+        cfg.write_text(json.dumps(config))
         assert main(["train", "--out", str(tmp_path / "o"), "--synthetic-demo",
                      "--demo-utterances", "6", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert str(cfg) in err and field in err
         assert not (tmp_path / "o").exists()
+
+    def test_diverged_training_is_partial_failure(self, tmp_path, capsys):
+        import voicedet.corpus as corpus_io
+        from voicedet.synth import generate_synthetic_corpus
+
+        root = tmp_path / "corpus"
+        ids = [r.full_id for r in generate_synthetic_corpus(root, n_utterances=4, seed=3, duration_sec=1.0).records]
+        folds = tmp_path / "folds.json"
+        folds.write_text(corpus_io.folds_to_json([corpus_io.FoldPlan("synthetic", ids[:2], ids[2:3], ids[3:])]))
+        cfg = tmp_path / "cfg.json"
+        reduced = {"block_out_channels": [2, 4], "composite_growth": 4, "blstm_hidden": 32, "groups": 4}
+        cfg.write_text(json.dumps({"model": reduced, "train": {"lr_init": 1e30, "max_epochs": 3, "batch_size": 2}}))
+        out = tmp_path / "run"
+        code = main(["train", "--corpus", f"{root}:synthetic", "--folds", str(folds),
+                     "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "fold synthetic: training diverged in epoch 2" in capsys.readouterr().err
+        # the best checkpoint before the divergence is still written
+        assert (out / "synthetic.ckpt").exists()
 
 
 class TestExitCodes:

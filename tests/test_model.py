@@ -1,11 +1,13 @@
 """Tests for the assembled DC-CRN model, loss, decisions, and checkpoints."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import assert_bits_equal
 from hypothesis import given, settings, strategies as st
+from test_nn_ops import pad_freq
 
 from voicedet.dsp import InvalidArgument, Waveform
 from voicedet.nn.checkpoint import load_checkpoint, save_checkpoint
@@ -97,9 +99,9 @@ class TestShapes:
         cfg = tiny_config()
         model = DccrnModel(cfg, seed=0)
         x = np.random.default_rng(0).standard_normal((1, 4, 8, 2))
-        v, _ = model.blocks[0].forward(x, False, False)
+        v, _ = model.blocks[0].forward(x, False)
         assert v.shape == (1, 4, 4, 2)  # freq halved, block channels out
-        v2, _ = model.blocks[1].forward(v, False, False)
+        v2, _ = model.blocks[1].forward(v, False)
         assert v2.shape == (1, 4, 2, 4)
 
     def test_output_length_matches_frames(self):
@@ -119,21 +121,19 @@ class TestShapes:
             model.forward_batch(np.zeros((1, 4, 8, 3)))
 
 
-def pad_freq(x, pad):
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (0, 0)))
-
-
 def concat_reference(block, x, dv, training):
     """The block's forward and backward written with explicit per-layer
     concatenations, each zero-padded for the layer that reads it, and a
-    per-piece gradient split: (v, dx, grads)."""
+    per-piece gradient split: (v, dx, grads), with no backward in inference."""
     cp, gp, f = block.composite_pad, block.gated_pad, x.shape[2]
     pieces, caches = [x], []
     for comp in block.composites:
-        y, cache = comp.forward(pad_freq(np.concatenate(pieces, axis=3), cp), training, False)
+        y, cache = comp.forward(pad_freq(np.concatenate(pieces, axis=3), cp), training)
         caches.append(cache)
         pieces.append(y)
     v, gated_cache = block.gated.forward(pad_freq(np.concatenate(pieces, axis=3), gp))
+    if not training:
+        return v, None, None
     grads = {}
     dcat = block.gated.backward(dv, gated_cache, grads)[:, :, gp : gp + f]
     bounds = np.cumsum([0] + [p.shape[3] for p in pieces])
@@ -150,19 +150,21 @@ def check_blocks_against_reference(cfg, training):
     # fold one training batch into the running statistics so inference
     # mode does not run on the identity initialisation
     rng = np.random.default_rng(12)
-    model.forward_batch(rng.standard_normal((2, 3, cfg.input_freq_bins, 2)), training=True,
-                        update_stats=True)
+    model.forward_batch(rng.standard_normal((2, 3, cfg.input_freq_bins, 2)), training=True)
     freqs = cfg.freq_chain()
     dtype = cfg.dtype
     for i, block in enumerate(model.blocks):
         x = rng.standard_normal((2, 3, freqs[i], block.c_in)).astype(dtype)
-        v, cache = block.forward(x, training, False)
+        v, cache = block.forward(x, training)
         dv = rng.standard_normal(v.shape).astype(dtype)
-        grads = {}
-        dx = block.backward(dv, cache, grads)
         ref_v, ref_dx, ref_grads = concat_reference(block, x, dv, training)
         assert v.dtype == np.dtype(dtype)
         assert_bits_equal(v, ref_v, "v")
+        if not training:
+            assert cache is None
+            continue
+        grads = {}
+        dx = block.backward(dv, cache, grads)
         assert_bits_equal(dx, ref_dx, "dx")
         assert grads.keys() == ref_grads.keys() == dict(block.params()).keys()
         for name in grads:
@@ -192,7 +194,7 @@ class TestDenseWiring:
         for comp in block.composites:
             spy(comp)
         spy(block.gated)
-        block.forward(x, False, False)
+        block.forward(x, False)
         return inputs, outputs[:-1]
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -246,7 +248,7 @@ class TestDenseWiring:
         comp.w[...] = 0.0
         comp.b[...] = 0.0
         x = np.random.default_rng(8).standard_normal((1, 4, 8, 2))
-        y, _ = comp.forward(x, False, False)
+        y, _ = comp.forward(x, False)
         assert np.all(y == 0)
 
     def test_zero_input_zero_params_zero_block_output(self):
@@ -256,7 +258,7 @@ class TestDenseWiring:
         for _, arr in block.params():
             arr[...] = 0.0
         x = np.zeros((1, 3, 8, 2))
-        v, _ = block.forward(x, False, False)
+        v, _ = block.forward(x, False)
         assert np.all(v == 0)  # gate = sigmoid(0) = 0.5 scales a zero path
 
 
@@ -269,7 +271,7 @@ class TestPaddedBuffer:
         cfg = tiny_config(composite_pad=cp, gated_pad=gp, dtype="float32", input_freq_bins=16)
         block = DccrnModel(cfg, seed=5).blocks[0]
         x = np.random.default_rng(6).standard_normal((2, 3, 16, 2)).astype(np.float32)
-        _, (comp_caches, gated_cache) = block.forward(x, True, False)
+        _, (comp_caches, gated_cache) = block.forward(x, True)
         inputs = [c_conv[0] for c_conv, _, _ in comp_caches]
         inputs += [gated_cache[2][0], gated_cache[3][0]]
         buf = inputs[-1].base
@@ -407,7 +409,7 @@ class TestCheckpoint:
         model = DccrnModel(cfg, seed=1)
         # dirty the buffers so they are not all default
         x = np.random.default_rng(2).standard_normal((1, 5, 8, 2))
-        model.forward_batch(x, training=True, update_stats=True)
+        model.forward_batch(x, training=True)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, cfg, model.params(), model.buffers())
         cfg2, params2, buffers2 = load_checkpoint(path)
@@ -425,7 +427,7 @@ class TestCheckpoint:
         model = DccrnModel(cfg, seed=3)
         rng = np.random.default_rng(4)
         x = rng.standard_normal((1, 6, 8, 2))
-        model.forward_batch(x, training=True, update_stats=True)
+        model.forward_batch(x, training=True)
         ref, _ = model.forward_batch(x, training=False)
         save_checkpoint(tmp_path / "m.ckpt", cfg, model.params(), model.buffers())
         cfg2, params2, buffers2 = load_checkpoint(tmp_path / "m.ckpt")
@@ -483,11 +485,29 @@ class TestCheckpoint:
 
 
 class TestBatchNormModes:
+    def test_inference_forward_keeps_no_backward_cache(self):
+        # tracemalloc sees numpy's buffers; the reduced model at 3 s
+        cfg = ModelConfig(block_out_channels=(2, 4), composite_growth=4, blstm_hidden=32, groups=4)
+        model = DccrnModel(cfg, seed=0)
+        x = np.random.default_rng(0).standard_normal((1, 301, 513, 2)).astype(np.float32)
+
+        def peak(training):
+            tracemalloc.start()
+            try:
+                probs, cache = model.forward_batch(x, training=training)
+                assert (cache is None) == (not training)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        inference, training = peak(False), peak(True)
+        assert inference <= 0.75 * training, (inference, training)
+
     def test_inference_batch_independent_end_to_end(self):
         cfg = tiny_config()
         model = DccrnModel(cfg, seed=5)
         rng = np.random.default_rng(6)
-        model.forward_batch(rng.standard_normal((2, 5, 8, 2)), training=True, update_stats=True)
+        model.forward_batch(rng.standard_normal((2, 5, 8, 2)), training=True)
         a = rng.standard_normal((1, 5, 8, 2))
         b = rng.standard_normal((3, 5, 8, 2))
         pa, _ = model.forward_batch(a, training=False)
@@ -502,12 +522,12 @@ class TestBatchNormModes:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((1, 3, 8, 2))
         y = rng.integers(0, 2, size=(1, 3)).astype(float)
-        probs, cache = model.forward_batch(x, training=True, update_stats=False, want_cache=True)
+        probs, cache = model.forward_batch(x, training=True)
         loss, dp = bce_loss(y, probs)
         grads = model.backward_batch(dp, cache)
 
         def loss_at():
-            p, _ = model.forward_batch(x, training=True, update_stats=False)
+            p, _ = model.forward_batch(x, training=True)
             return bce_loss(y, p)[0]
 
         eps = 1e-5
@@ -573,7 +593,7 @@ def test_training_step_matches_plain_sums(dtype, monkeypatch):
 
     def step():
         model = DccrnModel(cfg, seed=9)
-        probs, cache = model.forward_batch(x, training=True, want_cache=True)
+        probs, cache = model.forward_batch(x, training=True)
         return probs, model.backward_batch(dp.astype(probs.dtype), cache), model.buffers()
 
     probs, grads, buffers = step()

@@ -9,6 +9,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from voicedet.nn import ops
 
 
+def pad_freq(x, pad):
+    """x with `pad` zero bins on each side of the frequency axis."""
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (0, 0)))
+
+
 def naive_conv_freq(x, w, b, stride, pad):
     """Explicit-loop convolution oracle, channels-last."""
     bsz, t, f, c = x.shape
@@ -36,7 +41,7 @@ class TestConvFreq:
             x = rng.standard_normal((2, 3, 9, 4))
             w = rng.standard_normal((k, 4, 5))
             b = rng.standard_normal(5)
-            y, _ = ops.conv_freq_forward(x, w, b, stride, pad)
+            y, _ = ops.conv_freq_forward(pad_freq(x, pad), w, b, stride)
             assert np.allclose(y, naive_conv_freq(x, w, b, stride, pad), atol=1e-12)
 
     def test_freq_sizes(self):
@@ -55,11 +60,12 @@ class TestConvFreq:
         u = rng.standard_normal((1, 2, 7, 4))  # random upstream projection
 
         def loss(x_, w_, b_):
-            y, _ = ops.conv_freq_forward(x_, w_, b_, 1, 1)
+            y, _ = ops.conv_freq_forward(pad_freq(x_, 1), w_, b_, 1)
             return float((y * u).sum())
 
-        y, cache = ops.conv_freq_forward(x, w, b, 1, 1)
-        dx, dw, db = ops.conv_freq_backward(u, cache)
+        y, cache = ops.conv_freq_forward(pad_freq(x, 1), w, b, 1)
+        dxp, dw, db = ops.conv_freq_backward(u, cache)
+        dx = dxp[:, :, 1:-1]
         eps = 1e-6
         for arr, grad, name in ((x, dx, "x"), (w, dw, "w"), (b, db, "b")):
             flat = arr.ravel()
@@ -88,7 +94,7 @@ def column_conv_reference(x, w, b, dy, stride, pad):
     """(xp, cols, y, dx, dw, db) of the unrolled convolution with the loop
     columns and the input gradient scattered from one full column gradient."""
     k, c, o = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (0, 0))) if pad else x
+    xp = pad_freq(x, pad) if pad else x
     fo = ops.conv_freq_out_size(x.shape[2], k, stride, pad)
     span = (fo - 1) * stride + 1
     cols = loop_im2col(xp, k, stride, fo)
@@ -107,17 +113,21 @@ def column_conv_reference(x, w, b, dy, stride, pad):
 
 def assert_conv_matches_reference(rng, shape, k, o, stride, pad, dtype, spare=3):
     """Bit-equal columns, output and gradients for an input that is the
-    channel prefix of a wider buffer, as ConvDcBlock passes it."""
+    channel prefix of a wider buffer with `pad` zero bins on each side of
+    the frequency axis, as ConvDcBlock passes it."""
     b, t, f, c = shape
-    x = rng.standard_normal((b, t, f, c + spare)).astype(dtype)[..., :c]
+    buf = np.zeros((b, t, f + 2 * pad, c + spare), dtype=dtype)
+    buf[:, :, pad : pad + f] = rng.standard_normal((b, t, f, c + spare)).astype(dtype)
+    x = buf[:, :, pad : pad + f, :c]
     w = rng.standard_normal((k, c, o)).astype(dtype)
     bias = rng.standard_normal(o).astype(dtype)
     fo = ops.conv_freq_out_size(f, k, stride, pad)
     dy = rng.standard_normal((b, t, fo, o)).astype(dtype)
     xp, cols, *want = column_conv_reference(x, w, bias, dy, stride, pad)
     assert_bits_equal(ops._im2col(xp, k, stride, fo), cols, "cols")
-    y, cache = ops.conv_freq_forward(x, w, bias, stride, pad)
-    got = (y, *ops.conv_freq_backward(dy, cache))
+    y, cache = ops.conv_freq_forward(buf[..., :c], w, bias, stride)
+    dxp, dw, db = ops.conv_freq_backward(dy, cache)
+    got = (y, dxp[:, :, pad : pad + f], dw, db)
     for name, g, r in zip(("y", "dx", "dw", "db"), got, want):
         assert_bits_equal(g, r, name)
 
@@ -163,7 +173,7 @@ class TestGatedConv:
         b1 = rng.standard_normal(5)
         w2 = rng.standard_normal((4, 3, 5))
         b2 = rng.standard_normal(5)
-        v, _ = ops.gated_conv_forward(u, w1, b1, w2, b2, 2, 1)
+        v, _ = ops.gated_conv_forward(pad_freq(u, 1), w1, b1, w2, b2, 2)
         m1 = naive_conv_freq(u, w1, b1, 2, 1)
         m2 = naive_conv_freq(u, w2, b2, 2, 1)
         expect = m1 * (1.0 / (1.0 + np.exp(-m2)))
@@ -176,10 +186,8 @@ class TestGatedConv:
         b1 = rng.standard_normal(5)
         w2 = np.zeros((4, 3, 5))
         b2 = np.full(5, 50.0)  # gate ~ 1
-        v, _ = ops.gated_conv_forward(u, w1, b1, w2, b2, 2, 1)
-        m1, _ = ops.conv_freq_forward(
-            np.pad(u, ((0, 0), (0, 0), (1, 1), (0, 0))), w1, b1, 2, 0
-        )
+        v, _ = ops.gated_conv_forward(pad_freq(u, 1), w1, b1, w2, b2, 2)
+        m1, _ = ops.conv_freq_forward(pad_freq(u, 1), w1, b1, 2)
         assert np.allclose(v, m1, atol=1e-9)
 
     def test_saturated_gate_low(self):
@@ -187,7 +195,7 @@ class TestGatedConv:
         u = rng.standard_normal((1, 2, 8, 3))
         w1 = rng.standard_normal((4, 3, 5))
         b1 = rng.standard_normal(5)
-        v, _ = ops.gated_conv_forward(u, w1, b1, np.zeros((4, 3, 5)), np.full(5, -50.0), 2, 1)
+        v, _ = ops.gated_conv_forward(pad_freq(u, 1), w1, b1, np.zeros((4, 3, 5)), np.full(5, -50.0), 2)
         assert np.allclose(v, 0.0, atol=1e-12)
 
     def test_backward_finite_differences(self):
@@ -200,11 +208,12 @@ class TestGatedConv:
         up = rng.standard_normal((1, 2, 3, 2))
 
         def loss():
-            v, _ = ops.gated_conv_forward(u, w1, b1, w2, b2, 2, 1)
+            v, _ = ops.gated_conv_forward(pad_freq(u, 1), w1, b1, w2, b2, 2)
             return float((v * up).sum())
 
-        v, cache = ops.gated_conv_forward(u, w1, b1, w2, b2, 2, 1)
-        du, dw1, db1, dw2, db2 = ops.gated_conv_backward(up, cache)
+        v, cache = ops.gated_conv_forward(pad_freq(u, 1), w1, b1, w2, b2, 2)
+        dup, dw1, db1, dw2, db2 = ops.gated_conv_backward(up, cache)
+        du = dup[:, :, 1:-1]
         eps = 1e-6
         for arr, grad in ((u, du), (w1, dw1), (b1, db1), (w2, dw2), (b2, db2)):
             flat = arr.ravel()
@@ -223,7 +232,7 @@ class TestGatedConv:
         u = rng.standard_normal((1, 2, 6, 3))
         w = rng.standard_normal((4, 3, 2))
         b = rng.standard_normal(2)
-        v, cache = ops.gated_conv_forward(u, w, b, w.copy(), b.copy(), 2, 1)
+        v, cache = ops.gated_conv_forward(pad_freq(u, 1), w, b, w.copy(), b.copy(), 2)
         du, dw1, db1, dw2, db2 = ops.gated_conv_backward(np.zeros_like(v), cache)
         for g in (du, dw1, db1, dw2, db2):
             assert np.all(g == 0)
@@ -238,12 +247,11 @@ class TestGatedConv:
         w1 = rng.standard_normal((4, 3, 2))
         b1 = rng.standard_normal(2)
         up = rng.standard_normal((1, 2, 3, 2))
-        v, cache = ops.gated_conv_forward(u, w1, b1, np.zeros((4, 3, 2)), np.full(2, 60.0), 2, 1)
+        v, cache = ops.gated_conv_forward(pad_freq(u, 1), w1, b1, np.zeros((4, 3, 2)), np.full(2, 60.0), 2)
         du, dw1, _, _, _ = ops.gated_conv_backward(up, cache)
-        up_pad = np.pad(u, ((0, 0), (0, 0), (1, 1), (0, 0)))
-        _, cache_plain = ops.conv_freq_forward(up_pad, w1, b1, 2, 0)
+        _, cache_plain = ops.conv_freq_forward(pad_freq(u, 1), w1, b1, 2)
         du_plain, dw_plain, _ = ops.conv_freq_backward(up, cache_plain)
-        assert np.allclose(du, du_plain[:, :, 1:-1, :], atol=1e-6)
+        assert np.allclose(du, du_plain, atol=1e-6)
         assert np.allclose(dw1, dw_plain, atol=1e-6)
 
 
@@ -260,7 +268,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 5, 7, 3)) * 4 + 2
         gamma, beta, rm, rv = self.args(3)
-        y, _ = ops.batchnorm_forward(x, gamma, beta, rm, rv, 0.9, 1e-5, True, False)
+        y, _ = ops.batchnorm_forward(x, gamma, beta, rm, rv, 0.9, 1e-5, True)
         assert np.allclose(y.mean(axis=(0, 1, 2)), 0.0, atol=1e-10)
         assert np.allclose(y.var(axis=(0, 1, 2)), 1.0, atol=1e-3)
 
@@ -268,7 +276,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(9)
         x = rng.standard_normal((2, 5, 7, 3)) + 5
         gamma, beta, rm, rv = self.args(3)
-        ops.batchnorm_forward(x, gamma, beta, rm, rv, 0.9, 1e-5, True, True)
+        ops.batchnorm_forward(x, gamma, beta, rm, rv, 0.9, 1e-5, True)
         assert np.allclose(rm, 0.1 * x.mean(axis=(0, 1, 2)))
         assert np.allclose(rv, 0.9 * 1.0 + 0.1 * x.var(axis=(0, 1, 2)))
 
@@ -279,9 +287,9 @@ class TestBatchNorm:
         rm = rng.standard_normal(3)
         rv = rng.uniform(0.5, 2.0, 3)
         x = rng.standard_normal((1, 4, 6, 3))
-        y1, _ = ops.batchnorm_forward(x, gamma, beta, rm, rv, 0.9, 1e-5, False, False)
+        y1, _ = ops.batchnorm_forward(x, gamma, beta, rm, rv, 0.9, 1e-5, False)
         stacked = np.concatenate([x, rng.standard_normal((3, 4, 6, 3))], axis=0)
-        y4, _ = ops.batchnorm_forward(stacked, gamma, beta, rm, rv, 0.9, 1e-5, False, False)
+        y4, _ = ops.batchnorm_forward(stacked, gamma, beta, rm, rv, 0.9, 1e-5, False)
         assert np.array_equal(y1, y4[:1])
 
     def test_training_backward_finite_differences(self):
@@ -294,12 +302,12 @@ class TestBatchNorm:
         def loss():
             rm = np.zeros(2)
             rv = np.ones(2)
-            y, _ = ops.batchnorm_forward(x, gamma, beta, rm, rv, 0.9, 1e-5, True, False)
+            y, _ = ops.batchnorm_forward(x, gamma, beta, rm, rv, 0.9, 1e-5, True)
             return float((y * up).sum())
 
         rm = np.zeros(2)
         rv = np.ones(2)
-        _, cache = ops.batchnorm_forward(x, gamma, beta, rm, rv, 0.9, 1e-5, True, False)
+        _, cache = ops.batchnorm_forward(x, gamma, beta, rm, rv, 0.9, 1e-5, True)
         dx, dgamma, dbeta = ops.batchnorm_backward(up, cache)
         eps = 1e-6
         for arr, grad in ((x, dx), (gamma, dgamma), (beta, dbeta)):
@@ -340,34 +348,30 @@ class TestEluAndSigmoid:
 # The broadcast and branch formulas the row-view ops replaced, kept verbatim
 # as bit-exact references.
 
-def ref_batchnorm_forward(x, gamma, beta, running_mean, running_var,
-                          momentum, eps, training, update_stats):
+def ref_batchnorm_forward(x, gamma, beta, running_mean, running_var, momentum, eps, training):
     if training:
         mean = x.mean(axis=(0, 1, 2))
         var = x.var(axis=(0, 1, 2))
-        if update_stats:
-            running_mean *= momentum
-            running_mean += (1.0 - momentum) * mean
-            running_var *= momentum
-            running_var += (1.0 - momentum) * var
+        running_mean *= momentum
+        running_mean += (1.0 - momentum) * mean
+        running_var *= momentum
+        running_var += (1.0 - momentum) * var
     else:
         mean = running_mean
         var = running_var
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x - mean) * inv_std
     y = gamma * xhat + beta
-    cache = (xhat, gamma, inv_std, training)
+    cache = (xhat, gamma, inv_std) if training else None
     return y, cache
 
 
 def ref_batchnorm_backward(dy, cache):
-    xhat, gamma, inv_std, training = cache
+    xhat, gamma, inv_std = cache
     axes = tuple(range(dy.ndim - 1))
     dgamma = (dy * xhat).sum(axis=axes)
     dbeta = dy.sum(axis=axes)
     dxhat = dy * gamma
-    if not training:
-        return dxhat * inv_std, dgamma, dbeta
     n = dy.size // dy.shape[-1]
     sum_dxhat = dxhat.sum(axis=axes)
     sum_dxhat_xhat = (dxhat * xhat).sum(axis=axes)
@@ -435,10 +439,11 @@ class TestRowViewOpsBitEqual:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("shape", CHANNEL_SHAPES)
-    @pytest.mark.parametrize("training,update_stats", [(True, True), (True, False), (False, False), (False, True)])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("momentum", [0.9, 0.0])  # 0: a stray inference update would replace the statistics
     @pytest.mark.parametrize("sliced", [False, True])
-    def test_batchnorm(self, dtype, shape, training, update_stats, sliced):
-        rng = np.random.default_rng([shape[-2], shape[-1], training, update_stats, sliced])
+    def test_batchnorm(self, dtype, shape, training, momentum, sliced):
+        rng = np.random.default_rng([shape[-2], shape[-1], training, sliced])
         c = shape[-1]
         x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
         dy = rng.standard_normal(shape).astype(dtype)
@@ -447,12 +452,13 @@ class TestRowViewOpsBitEqual:
         gamma, beta, mean = (rng.standard_normal(c).astype(dtype) for _ in range(3))
         var = rng.uniform(0.5, 2.0, c).astype(dtype)
         stats, ref_stats = (mean.copy(), var.copy()), (mean.copy(), var.copy())
-        got = ops.batchnorm_forward(x, gamma, beta, *stats, 0.9, 1e-5, training, update_stats)
-        want = ref_batchnorm_forward(x, gamma, beta, *ref_stats, 0.9, 1e-5, training, update_stats)
+        got = ops.batchnorm_forward(x, gamma, beta, *stats, momentum, 1e-5, training)
+        want = ref_batchnorm_forward(x, gamma, beta, *ref_stats, momentum, 1e-5, training)
         assert_results_bit_equal(got, want, "forward")
         assert_results_bit_equal(stats, ref_stats, "running statistics")
-        assert_results_bit_equal(ops.batchnorm_backward(dy, got[1]),
-                                 ref_batchnorm_backward(dy, want[1]), "backward")
+        if training:
+            assert_results_bit_equal(ops.batchnorm_backward(dy, got[1]),
+                                     ref_batchnorm_backward(dy, want[1]), "backward")
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("shape", [(67,), (1,), (16,), *CHANNEL_SHAPES])

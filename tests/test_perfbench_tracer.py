@@ -1,0 +1,39 @@
+"""The benchmark's span tracer still fits the model's caches.
+
+perfbench/tracer.py counts FLOPs and cache bytes from what the model hands
+across call boundaries: `[0]` (the input) and `[2]` (the weights) of a
+convolution cache, and `[1]` of each Conv-DC block's and each BLSTM layer's
+forward result. A change to that layout would otherwise show only in the
+traced benchmark pass.
+"""
+import numpy as np
+
+from test_train_canary import perfbench_module
+from voicedet.nn.model import ConvDcBlock, DccrnModel, ModelConfig, bce_loss
+from voicedet.training import AdamState, TrainConfig, adam_step
+
+
+def test_tracer_counts_a_training_step_and_an_inference_forward():
+    tracer_module = perfbench_module("tracer")
+    model = DccrnModel(ModelConfig(block_out_channels=(2, 4), composite_growth=4, blstm_hidden=32, groups=4),
+                       seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2, 20, 513, 2)).astype(np.float32)
+    labels = rng.random((2, 20)) < 0.5
+    original = ConvDcBlock.forward
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert ConvDcBlock.forward is not original
+        probs, cache = model.forward_batch(x, training=True)
+        grads = model.backward_batch(bce_loss(labels, probs)[1], cache)
+        params = model.params()
+        adam_step(params, grads, AdamState.for_params(params), TrainConfig(), lr=1e-3)
+        model.forward_batch(x)
+    finally:
+        tracer.restore()
+    assert ConvDcBlock.forward is original
+    metrics = tracer_module.layer_metrics(tracer.spans, tracer.counts, pass_wall=1.0, untraced_wall=1.0)
+    for name in ("nn.ops.conv.flop", "nn.model.block_cache_bytes", "nn.recurrent.cache_bytes"):
+        assert metrics[name] > 0, name
+    assert metrics["nn.model.forward_batch.calls"] == 2

@@ -1,14 +1,17 @@
 """The nn worker pool: results that do not depend on the worker count, and
 a pool that neither starts at import nor reaches the label path."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import assert_bits_equal
 from test_nn_ops import assert_conv_matches_reference
 
+import voicedet
 from voicedet.cli import main
 from voicedet.nn import _pool, ops
 from voicedet.nn.model import DccrnModel, ModelConfig, bce_loss
@@ -28,7 +31,7 @@ def train_step(dtype):
     rng = np.random.default_rng(5)
     x = rng.standard_normal(SHAPE).astype(dtype)
     labels = rng.random(SHAPE[:2]) < 0.5
-    probs, cache = model.forward_batch(x, training=True, want_cache=True)
+    probs, cache = model.forward_batch(x, training=True)
     _, dprobs = bce_loss(labels, probs)
     grads = model.backward_batch(dprobs, cache)
     params = model.params()
@@ -96,7 +99,12 @@ def test_slices_keep_alignment_and_floor(monkeypatch):
 def test_import_starts_no_thread():
     code = ("import threading, voicedet.cli, voicedet.nn.model; from voicedet.nn import _pool; "
             "print(threading.active_count(), _pool._executor)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120)
+    # the child imports voicedet from where this process found it, also when
+    # only pytest's `pythonpath` setting put src/ on the path
+    src = str(Path(voicedet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+                         env=env)
     assert out.stdout.split() == ["1", "None"]
 
 

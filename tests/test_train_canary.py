@@ -20,8 +20,9 @@ from voicedet.cli import main
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def benchmark_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+def perfbench_module(name):
+    """perfbench/<name>.py, loaded as a module without making perfbench a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
@@ -33,7 +34,7 @@ def read_posteriors(path):
 
 
 def test_train_canary_matches_reference(tmp_path):
-    workloads = benchmark_workloads()
+    workloads = perfbench_module("workloads")
     inputs = tmp_path / "inputs"
     workloads.setup_train(inputs, seed=0, size="tiny")  # the canary's inputs do not depend on the seed
     for argv in workloads.commands_train(inputs / "canary", tmp_path / "out"):
