@@ -17,13 +17,17 @@ split once a slice holds `ELEMENT_FLOOR` elements. Ops whose slices make
 temporaries (columns, per-tap products) cut them into tasks of at most
 `PRODUCT_CHUNK` multiply-adds or `ELEMENT_CHUNK` elements, which the
 workers take from one queue: small temporaries stay in cache and keep the
-worker threads' malloc arenas small.
+worker threads' malloc arenas small. A queue may also hold whole tasks
+beside such slices (a convolution's weight-gradient products and bias sums
+run whole next to its input-gradient slices). Every task runs in a copy of
+the caller's context, so the caller's `np.errstate` holds in all workers.
 
 A forked child forgets its parent's pool (it has none of its threads) and
 creates its own if it needs one.
 """
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import itertools
 import os
@@ -86,7 +90,9 @@ def _forget_pool() -> None:
 
 def _run(tasks) -> None:
     """Call every task once, spread over the workers; return when all are
-    done, raising the first error. A task must not call `_run` itself."""
+    done, raising the first error. A task must not call `_run` itself.
+    Each helper runs in a copy of the caller's context, so the tasks see the
+    caller's `np.errstate` (a context variable) wherever they run."""
     tasks = list(tasks)
     helpers = min(_workers(), len(tasks)) - 1
     if helpers < 1:
@@ -100,7 +106,7 @@ def _run(tasks) -> None:
             tasks[i]()
 
     pool = _pool(_workers() - 1)
-    futures = [pool.submit(drain) for _ in range(helpers)]
+    futures = [pool.submit(contextvars.copy_context().run, drain) for _ in range(helpers)]
     try:
         drain()
     finally:

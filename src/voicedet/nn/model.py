@@ -163,11 +163,13 @@ class CompositeLayer:
         y, c_elu = ops.elu_forward(y, out)
         return y, ((c_conv, c_bn, c_elu) if training else None)
 
-    def backward(self, dy, cache, grads):
+    def backward(self, dy, cache, grads, into=None):
+        """The padded input gradient; given `into` (the unpadded input's
+        gradient), adds the interior bins into it instead and returns None."""
         c_conv, c_bn, c_elu = cache
         dy = ops.elu_backward(dy, c_elu)
         dy, dgamma, dbeta = ops.batchnorm_backward(dy, c_bn)
-        dx, dw, db = ops.conv_freq_backward(dy, c_conv)
+        dx, dw, db = ops.conv_freq_backward(dy, c_conv, into)
         grads[f"{self.prefix}.w"] = dw
         grads[f"{self.prefix}.b"] = db
         grads[f"{self.prefix}.gamma"] = dgamma
@@ -223,11 +225,12 @@ class ConvDcBlock:
     gated convolution the whole buffer, each as a view that includes just
     its own padding, so no convolution copies or caches a padded input.
     The backward pass mirrors this: the gated convolution's padded input
-    gradient is the block's gradient buffer, and each composite adds the
-    interior of its padded input gradient into that buffer's prefix. Pad
-    bin gradients are never read; only the interior input slice is returned.
-    An inference forward keeps no cache: the composites return none, and
-    the block returns None.
+    gradient is the block's gradient buffer, and each composite's input
+    gradient chunks add their interior bins into that buffer's prefix, so
+    no composite input gradient exists whole. Pad bin gradients are never
+    read; only the interior input slice is returned. Each cache slot is
+    set to None once its backward has run. An inference forward keeps no
+    cache: the composites return none, and the block returns None.
     """
 
     def __init__(self, prefix, c_in, c_out, cfg: ModelConfig, rng):
@@ -271,18 +274,19 @@ class ConvDcBlock:
             comp_caches.append(cache)
             c += g
         v, gated_cache = self.gated.forward(buf[:, :, p - gp : p + f + gp])
-        return v, ((comp_caches, gated_cache) if training else None)
+        return v, ([comp_caches, gated_cache] if training else None)
 
     def backward(self, dv, cache, grads):
-        comp_caches, gated_cache = cache
-        dbuf = self.gated.backward(dv, gated_cache, grads)
-        g, cp, gp = self.growth, self.composite_pad, self.gated_pad
+        dbuf = self.gated.backward(dv, cache[1], grads)
+        cache[1] = None
+        comp_caches = cache[0]
+        g, gp = self.growth, self.gated_pad
         f = dbuf.shape[2] - 2 * gp
         dinner = dbuf[:, :, gp : gp + f]
         for l in range(len(self.composites) - 1, -1, -1):
             c = self.c_in + g * l
-            dx = self.composites[l].backward(dinner[..., c : c + g], comp_caches[l], grads)
-            ops._elementwise(ops._add_into, dinner[..., :c], dx[:, :, cp : cp + f])
+            self.composites[l].backward(dinner[..., c : c + g], comp_caches[l], grads, dinner[..., :c])
+            comp_caches[l] = None
         # a copy, so the whole padded buffer gradient is freed before the
         # previous block's backward
         return dinner[..., : self.c_in].copy()
@@ -376,7 +380,8 @@ class DccrnModel:
         return probs, cache
 
     def backward_batch(self, dprobs, cache) -> dict[str, np.ndarray]:
-        """dprobs: [B, T] gradient w.r.t. the clamped posterior."""
+        """dprobs: [B, T] gradient w.r.t. the clamped posterior. Each block's
+        and BLSTM layer's cache slot is set to None once it is consumed."""
         caches, conv_shape, rec_cache, lin_cache, probs_raw, clamp_mask = cache
         grads: dict[str, np.ndarray] = {}
         dlogits = dprobs * clamp_mask * probs_raw * (1.0 - probs_raw)
@@ -388,6 +393,7 @@ class DccrnModel:
         dx = dflat.reshape(b, t, c, f).transpose(0, 1, 3, 2)
         for i in range(len(self.blocks) - 1, -1, -1):
             dx = self.blocks[i].backward(dx, caches[i], grads)
+            caches[i] = None
         return grads
 
 

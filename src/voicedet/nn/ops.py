@@ -5,7 +5,9 @@ so frame count is preserved everywhere. Convolutional activations are laid
 out channels-last as [batch, time, freq, channel]: a convolution is one
 matrix product of tap-major columns, copied once from a sliding-window view
 of the input, with the kernel, and its input gradient is one product per
-tap added into the frequencies that tap read. A convolution's input already
+run of `stride` adjacent taps, added into the frequencies those taps read
+(contiguous bins). The gated convolution's two paths share one column copy
+in the forward and one in the backward. A convolution's input already
 holds its zero frequency padding (the Conv-DC block's buffer carries the pad
 bins). Recurrent/head stages use [batch, time, feature]. Every forward
 returns (output, cache) and the matching backward consumes the cache and
@@ -36,11 +38,14 @@ memory order, so there `_row_sums` keeps sum.
 The large ops run on the worker pool of `_pool`, each worker on disjoint
 slices of the output, and no sum is ever split across workers, so every
 result has the same bits for any worker count (and BLAS runs one thread):
-- the convolution forward (column copy, product, bias) and the input
-  gradient (zeroing, per-tap products, tap adds) over slices of the B*T
-  time rows, cut where `_pool` keeps OpenBLAS's arithmetic unchanged;
-- the weight gradient `cols.T @ dy` over its output rows, each slice one
-  product over all N rows, next to the bias sum;
+- the convolution forward (column copy, product, bias; for the gated
+  convolution both products and the gate) and the input gradient (zeroing,
+  tap-run products, tap adds, and the add into the block's gradient
+  buffer or of the second gated path) over slices of the B*T time rows,
+  cut where `_pool` keeps OpenBLAS's arithmetic unchanged, on one path's
+  work so that no product falls under the floor;
+- each weight gradient `cols.T @ dy` and each bias sum whole, one task
+  each, on the same queue as the input gradient's time-row slices;
 - the batch-norm, ELU, sigmoid and gated-convolution elementwise passes
   over time rows, and each pair of independent channel sums as two tasks.
 A channel sum split over rows would add partial sums in another order, and
@@ -81,10 +86,6 @@ def _elementwise(body, *arrays):
     rows = [_time_rows(a) for a in arrays]
     _for_slices(lambda s: body(*(r[s] for r in rows)), rows[0].shape[0], arrays[0].size, ELEMENT_FLOOR,
                 most=ELEMENT_CHUNK)
-
-
-def _add_into(a, b):
-    a += b
 
 
 def _product_rows(fo: int) -> int:
@@ -165,52 +166,110 @@ def conv_freq_forward(x, w, b, stride: int):
     return y, (x, stride, w)
 
 
-def conv_freq_backward(dy, cache):
-    """Returns (dx, dw, db) for conv_freq_forward, dx of the whole input.
-
-    Columns are rebuilt from the cached input rather than cached, keeping
-    activation memory proportional to the input. The input gradient
-    needs no column buffer: tap j adds one [N, O] x [O, C] product into the
-    frequencies it read, taps in order, so every element sums the same
-    length-O dot products in the same order as a scatter of the full
-    column gradient would. With one channel that product would be a
-    matrix-vector product, which BLAS sums in another order, so all taps
-    then share one [N, O] x [O, K] product.
-    """
-    x, stride, w = cache
+def _tap_products(w, stride: int):
+    """(first tap, tap count, [O, taps*C] weights) of each product of the
+    input gradient: runs of `stride` adjacent taps, or all K taps at once
+    with one channel, where a one-column product would be a matrix-vector
+    product that BLAS sums in another order."""
     k, c, o = w.shape
-    fo = dy.shape[2]
+    group = k if c == 1 else stride
+    return [(j0, min(group, k - j0), w[j0 : j0 + group].reshape(-1, o).T) for j0 in range(0, k, group)]
+
+
+def _input_grad(dx, dy, products, stride: int):
+    """Set dx ([rows, Fp, C]) to the input gradient of dy ([rows, Fo, O]).
+
+    Taps are added in order, so every element sums the same length-O dot
+    products in the same order as a scatter of the full column gradient: on
+    stride-2 even bins (0 + t0) + t2, on odd bins (0 + t1) + t3. A run of
+    `stride` adjacent taps covers contiguous bins, so it is one add.
+    """
+    rows, fo, o = dy.shape
+    c = dx.shape[-1]
     span = (fo - 1) * stride + 1
-    dy2 = dy.reshape(-1, o)
-    n = dy2.shape[0] // fo
-    xr, dyr = _time_rows(x), dy2.reshape(n, fo, o)
-    cols = np.empty((n, fo, k * c), dtype=x.dtype)
+    dx[...] = 0
+    for j0, taps, wt in products:
+        dcols = (dy.reshape(-1, o) @ wt).reshape(rows, fo, taps, c)
+        for r in range(0, taps, stride):
+            j = j0 + r
+            if r + stride <= taps:
+                run = dx[:, j : j + stride * fo].reshape(rows, fo, stride, c)  # splits an axis: a view
+                run += dcols[:, :, r : r + stride]
+            else:
+                for i in range(r, taps):
+                    dx[:, j0 + i : j0 + i + span : stride] += dcols[:, :, i]
+
+
+def _param_grads(xr, w, stride: int, dys, chunk) -> list:
+    """[dw, db, ...] for each dy ([B, T, Fo, O]) of a convolution path with
+    weights shaped like w that read the time rows xr ([N, Fp, C]).
+
+    The columns of xr are copied once. Every `cols.T @ dy` and every bias
+    sum runs whole, one task each, on one queue with chunk(s) for the
+    time-row slices s of the input gradient; the columns are freed when it
+    drains. The slices are cut on one tap's input-gradient product (all K
+    taps' with one channel), which no product of `_tap_products` is smaller
+    than, so every product stays above the floor.
+    """
+    k, c, o = w.shape
+    n, fo = xr.shape[0], dys[0].shape[2]
+    cols = np.empty((n, fo, k * c), dtype=xr.dtype)
     _for_slices(lambda s: _im2col(xr[s], k, stride, fo, out=cols[s]), n, cols.size, ELEMENT_FLOOR,
                 most=ELEMENT_CHUNK)
     cols = cols.reshape(-1, k * c)
-    dw = np.empty((k * c, o), dtype=np.result_type(cols, dy2))
+    whole = []
+    for dy in (dy.reshape(-1, o) for dy in dys):
+        whole += [lambda dy=dy: np.matmul(cols.T, dy).reshape(k, c, o), lambda dy=dy: _row_sums(dy)]
+    work = n * fo * o * c * (1 if c > 1 else k)
+    slices = _slices(n, work, PRODUCT_FLOOR, _product_rows(fo), PRODUCT_CHUNK)
+    return _gather(cols.size, *whole, *(lambda s=s: chunk(s) for s in slices))[: len(whole)]
 
-    def dw_rows(s):
-        np.matmul(cols[:, s].T, dy2, out=dw[s])
 
-    slices = _slices(k * c, cols.size * o, PRODUCT_FLOOR, ROW_ALIGN)
-    db = _gather(cols.size, *(lambda s=s: dw_rows(s) for s in slices), lambda: _row_sums(dy2))[-1]
-    del cols  # freed before the input gradient is built, as without the pool
-    dx = np.empty(x.shape, dtype=x.dtype)
-    dxr = _time_rows(dx)
-    taps = 1 if c > 1 else k
-    wt = [w[j0 : j0 + taps].reshape(-1, o).T for j0 in range(0, k, taps)]
+def _rows_view(a, name: str):
+    """_time_rows(a), which must be a view of a: the pool writes its slices."""
+    rows = _time_rows(a)
+    if not np.may_share_memory(rows, a):
+        raise ValueError(f"{name}: the batch and time axes do not merge")
+    return rows
 
-    def dx_rows(s):
-        dx_s = dxr[s]
-        dx_s[...] = 0
-        for j0, w_j in zip(range(0, k, taps), wt):
-            dcols = (dyr[s].reshape(-1, o) @ w_j).reshape(-1, fo, taps, c)
-            for j in range(j0, j0 + taps):
-                dx_s[:, j : j + span : stride, :] += dcols[:, :, j - j0, :]
 
-    _for_slices(dx_rows, n, n * fo * o * taps * c, PRODUCT_FLOOR, _product_rows(fo), PRODUCT_CHUNK)
-    return dx, dw.reshape(k, c, o), db
+def conv_freq_backward(dy, cache, into=None):
+    """Returns (dx, dw, db) for conv_freq_forward, dx of the whole input.
+
+    Given `into`, the input's shape less the same number of pad bins at
+    each end of the frequency axis (in ConvDcBlock, the layer's channel
+    prefix of the block's gradient buffer), the gradient of the interior
+    bins is added into it instead, and dx is None.
+
+    Columns are rebuilt from the cached input rather than cached, keeping
+    activation memory proportional to the input; the weight gradient and
+    the bias sum run beside the input gradient's chunks (`_param_grads`).
+    The input gradient needs no column buffer (`_input_grad`), and each
+    chunk adds its interior into `into` itself.
+    """
+    x, stride, w = cache
+    xr, dyr = _time_rows(x), _time_rows(dy)
+    products = _tap_products(w, stride)
+    if into is None:
+        dx = np.empty(x.shape, dtype=x.dtype)
+        dxr = _time_rows(dx)
+
+        def chunk(s):
+            _input_grad(dxr[s], dyr[s], products, stride)
+    else:
+        dx, f = None, into.shape[2]
+        pad = (x.shape[2] - f) // 2
+        if into.shape != (*x.shape[:2], f, x.shape[3]) or 2 * pad + f != x.shape[2]:
+            raise ValueError(f"conv_freq_backward: into {into.shape} is not the interior of {x.shape}")
+        intor = _rows_view(into, "conv_freq_backward into")
+
+        def chunk(s):
+            dx_s = np.empty(xr[s].shape, dtype=x.dtype)
+            _input_grad(dx_s, dyr[s], products, stride)
+            intor[s] += dx_s[:, pad : pad + f]
+
+    dw, db = _param_grads(xr, w, stride, [dy], chunk)
+    return dx, dw, db
 
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var,
@@ -294,8 +353,7 @@ def elu_forward(x, out=None):
     instead of a new array.
     """
     y = np.empty(x.shape, dtype=x.dtype) if out is None else out
-    if not np.may_share_memory(_time_rows(y), y):
-        raise ValueError("elu_forward: the batch and time axes of out do not merge")
+    _rows_view(y, "elu_forward out")
     _elementwise(_elu, x, y)
     return y, y
 
@@ -342,19 +400,34 @@ def gated_conv_forward(u, w1, b1, w2, b2, stride: int):
     Both convolution paths read the one input, which already holds any
     zero frequency padding; the Conv-DC block passes a view of its padded
     buffer, so the cache holds that view, not a copy, and
-    gated_conv_backward returns the gradient of the whole view.
+    gated_conv_backward returns the gradient of the whole view. Over
+    time-row slices, each worker copies its rows' columns once, multiplies
+    them by W1 and then by W2, and gates the result; the slices are those
+    of one path's product, so each product stays above the pool's floor.
+    The cache holds (u*W1 + b1, the gate, and a conv_freq_forward cache per
+    path).
     """
-    m1, c1 = conv_freq_forward(u, w1, b1, stride)
-    m2, c2 = conv_freq_forward(u, w2, b2, stride)
-    s2 = np.empty(m2.shape, dtype=m2.dtype)
+    k, c, o = w1.shape
+    fo = conv_freq_out_size(u.shape[2], k, stride, 0)
+    m1 = np.empty((*u.shape[:2], fo, o), dtype=np.result_type(u, w1))
+    s2 = np.empty(m1.shape, dtype=np.result_type(u, w2))
     v = np.empty(m1.shape, dtype=np.result_type(m1, s2))
+    ur, m1r, s2r, vr = (_time_rows(a) for a in (u, m1, s2, v))
+    w1f, w2f, bias1, bias2 = w1.reshape(k * c, o), w2.reshape(k * c, o), np.tile(b1, fo), np.tile(b2, fo)
 
-    def gate(a1, a2, s, out):
-        _sigmoid(a2, s)
-        np.multiply(a1, s, out=out)
+    def rows(s):
+        cols = _im2col(ur[s], k, stride, fo).reshape(-1, k * c)
+        m2 = np.empty(s2r[s].shape, dtype=s2.dtype)
+        for m, w, bias in ((m1r[s], w1f, bias1), (m2, w2f, bias2)):
+            np.matmul(cols, w, out=m.reshape(-1, o))
+            m_rows = _rows(m)
+            m_rows += bias
+        _sigmoid(m2, s2r[s])
+        np.multiply(m1r[s], s2r[s], out=vr[s])
 
-    _elementwise(gate, m1, m2, s2, v)
-    return v, (m1, s2, c1, c2)
+    n = ur.shape[0]
+    _for_slices(rows, n, n * fo * k * c * o, PRODUCT_FLOOR, _product_rows(fo), PRODUCT_CHUNK)
+    return v, (m1, s2, (u, stride, w1), (u, stride, w2))
 
 
 def gated_conv_backward(dv, cache):
@@ -362,11 +435,15 @@ def gated_conv_backward(dv, cache):
     d(m1 (.) sigma(m2)) = dm1 (.) sigma(m2) + sigma'(m2) dm2 (.) m1,
     chained through both convolutions.
 
+    One column copy serves both weight gradients, and all four weight and
+    bias sums share the queue of the input-gradient chunks, where each chunk
+    adds its second path's gradient into its first's.
+
     Returns (du, dw1, db1, dw2, db2).
     """
     if cache is None:
         raise ValueError("gated_conv_backward needs the forward cache")
-    m1, s2, c1, c2 = cache
+    m1, s2, (u, stride, w1), (_, _, w2) = cache
     dm1 = np.empty(dv.shape, dtype=np.result_type(dv, s2))
     dm2 = np.empty(dv.shape, dtype=np.result_type(dv, m1, s2))
 
@@ -375,10 +452,17 @@ def gated_conv_backward(dv, cache):
         np.multiply(d * a1 * s, 1.0 - s, out=d2)
 
     _elementwise(gate, dv, m1, s2, dm1, dm2)
-    du1, dw1, db1 = conv_freq_backward(dm1, c1)
-    du2, dw2, db2 = conv_freq_backward(dm2, c2)
-    _elementwise(_add_into, du1, du2)
-    return du1, dw1, db1, dw2, db2
+    du = np.empty(u.shape, dtype=u.dtype)
+    ur, dur, dm1r, dm2r = (_time_rows(a) for a in (u, du, dm1, dm2))
+    p1, p2 = _tap_products(w1, stride), _tap_products(w2, stride)
+
+    def chunk(s):
+        _input_grad(dur[s], dm1r[s], p1, stride)
+        du2 = np.empty(dur[s].shape, dtype=du.dtype)
+        _input_grad(du2, dm2r[s], p2, stride)
+        dur[s] += du2
+
+    return (du, *_param_grads(ur, w1, stride, [dm1, dm2], chunk))
 
 
 def linear_forward(x, w, b):

@@ -38,12 +38,6 @@ def _qmm_t(a, w):
     return np.matmul(a.transpose(1, 0, 2), w.transpose(0, 2, 1)).transpose(1, 0, 2)
 
 
-def _gate(a):
-    y = np.empty(a.shape, dtype=a.dtype)
-    _sigmoid(a, y)
-    return y
-
-
 def shuffle_permutation(width: int, groups: int) -> np.ndarray:
     """Channel-shuffle: view features as [groups, width//groups], transpose."""
     return np.arange(width).reshape(groups, width // groups).T.ravel()
@@ -110,32 +104,26 @@ class GroupedBlstmLayer:
         )
         zx += self.bias
 
-        gates_i = np.empty((t, b, q, h), dtype=x.dtype)
-        gates_f = np.empty_like(gates_i)
-        gates_g = np.empty_like(gates_i)
-        gates_o = np.empty_like(gates_i)
-        tanh_c = np.empty_like(gates_i)
-        h_all = np.empty_like(gates_i)
-        c_all = np.empty_like(gates_i)
+        # i, f, g, o gate activations side by side, as zx holds their inputs
+        gates = np.empty((t, b, q, 4 * h), dtype=x.dtype)
+        tanh_c = np.empty((t, b, q, h), dtype=x.dtype)
+        h_all = np.empty_like(tanh_c)
+        c_all = np.empty_like(tanh_c)
 
         def steps(s):
             wh = self.wh[s]
-            zx_s, i_s, f_s, g_s, o_s, tc_s, h_s, c_s = (
-                a[:, :, s] for a in (zx, gates_i, gates_f, gates_g, gates_o, tanh_c, h_all, c_all)
-            )
+            zx_s, gates_s, tc_s, h_s, c_s = (a[:, :, s] for a in (zx, gates, tanh_c, h_all, c_all))
             h_t = np.zeros((b, s.stop - s.start, h), dtype=x.dtype)
             c_t = np.zeros_like(h_t)
             for step in range(t):
                 a = zx_s[step] + _qmm(h_t, wh)
-                gi = _gate(a[..., :h])
-                gf = _gate(a[..., h : 2 * h])
-                gg = np.tanh(a[..., 2 * h : 3 * h])
-                go = _gate(a[..., 3 * h :])
-                c_t = gf * c_t + gi * gg
-                tc = np.tanh(c_t)
-                h_t = go * tc
-                i_s[step], f_s[step], g_s[step], o_s[step] = gi, gf, gg, go
-                tc_s[step], h_s[step], c_s[step] = tc, h_t, c_t
+                gate = gates_s[step]
+                _sigmoid(a, gate)
+                np.tanh(a[..., 2 * h : 3 * h], out=gate[..., 2 * h : 3 * h])
+                gi, gf, gg, go = (gate[..., j * h : (j + 1) * h] for j in range(4))
+                c_t = np.multiply(gf, c_t, out=c_s[step])
+                c_t += gi * gg
+                h_t = np.multiply(go, np.tanh(c_t, out=tc_s[step]), out=h_s[step])
 
         _for_slices(steps, q, b * q * h * 4 * h, PRODUCT_FLOOR)
 
@@ -149,11 +137,12 @@ class GroupedBlstmLayer:
         proj = proj.transpose(1, 2, 0, 3) + self.proj_b
         y_pre = proj.reshape(b, t, f)
         y, ln_cache = layer_norm_forward(y_pre, self.ln_gain, self.ln_offset, self.ln_eps)
-        cache = (z, gates_i, gates_f, gates_g, gates_o, tanh_c, h_all, c_all, hcat, ln_cache)
+        cache = (z, gates, tanh_c, h_all, c_all, hcat, ln_cache)
         return y, cache
 
     def backward(self, dy, cache, grads):
-        z, gi, gf, gg, go, tc, h_all, c_all, hcat, ln_cache = cache
+        z, gates, tc, h_all, c_all, hcat, ln_cache = cache
+        gi, gf, gg, go = (gates[..., j * self.hidden : (j + 1) * self.hidden] for j in range(4))
         b, t, f = dy.shape
         g, h = self.groups, self.hidden
         q = 2 * g
@@ -244,8 +233,10 @@ class RecurrentStack:
         return x, (caches if training else None)
 
     def backward(self, dy, caches, grads):
+        """Sets each layer's cache slot to None once consumed."""
         for i in range(len(self.layers) - 1, -1, -1):
             dy = self.layers[i].backward(dy, caches[i], grads)
+            caches[i] = None
             if i > 0:
                 dy = dy[..., self.inv_perm]
         return dy

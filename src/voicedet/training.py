@@ -285,14 +285,16 @@ def _batches(ids: list[str], data, batch_size: int):
 
 
 def _epoch_loss(model: DccrnModel, ids, data, batch_size: int) -> float:
-    """Frame-weighted BCE in inference mode."""
+    """Frame-weighted BCE in inference mode; a diverged model's is NaN,
+    without numpy's overflow warnings."""
     total = 0.0
     frames = 0
     for batch in _batches(sorted(ids), data, batch_size):
         x = np.stack([data[u].x for u in batch])
         y = np.stack([data[u].y for u in batch])
-        probs, _ = model.forward_batch(x, training=False)
-        loss, _ = bce_loss(y, probs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            probs, _ = model.forward_batch(x, training=False)
+            loss, _ = bce_loss(y, probs)
         total += loss * y.size
         frames += y.size
     return total / max(frames, 1)
@@ -349,11 +351,14 @@ def train(model_cfg: ModelConfig, params_init, fold: FoldPlan, data, cfg: TrainC
             for batch in _batches(order, data, cfg.batch_size):
                 x = np.stack([data[u].x for u in batch])
                 y = np.stack([data[u].y for u in batch])
-                probs, cache = model.forward_batch(x, training=True)
-                loss, dprobs = bce_loss(y, probs)
-                if not np.isfinite(loss):
-                    raise TrainingDiverged(f"non-finite loss in epoch {epoch}")
-                grads = model.backward_batch(dprobs, cache)
+                # a diverging step overflows inside the model; the loss check
+                # reports that, and numpy's warnings would only repeat it
+                with np.errstate(over="ignore", invalid="ignore"):
+                    probs, cache = model.forward_batch(x, training=True)
+                    loss, dprobs = bce_loss(y, probs)
+                    if not np.isfinite(loss):
+                        raise TrainingDiverged(f"non-finite loss in epoch {epoch}")
+                    grads = model.backward_batch(dprobs, cache)
                 clip_gradients(grads, cfg.clip_max_norm, cfg.clip_mode)
                 adam_step(live_params, grads, opt, cfg, lr)
                 total += loss * y.size

@@ -145,7 +145,7 @@ def concat_reference(block, x, dv, training):
     return v, dpieces[0], grads
 
 
-def check_blocks_against_reference(cfg, training):
+def check_blocks_against_reference(cfg, training, frames=(2, 3)):
     model = DccrnModel(cfg, seed=11)
     # fold one training batch into the running statistics so inference
     # mode does not run on the identity initialisation
@@ -154,7 +154,7 @@ def check_blocks_against_reference(cfg, training):
     freqs = cfg.freq_chain()
     dtype = cfg.dtype
     for i, block in enumerate(model.blocks):
-        x = rng.standard_normal((2, 3, freqs[i], block.c_in)).astype(dtype)
+        x = rng.standard_normal((*frames, freqs[i], block.c_in)).astype(dtype)
         v, cache = block.forward(x, training)
         dv = rng.standard_normal(v.shape).astype(dtype)
         ref_v, ref_dx, ref_grads = concat_reference(block, x, dv, training)
@@ -502,6 +502,16 @@ class TestBatchNormModes:
 
         inference, training = peak(False), peak(True)
         assert inference <= 0.75 * training, (inference, training)
+
+    def test_backward_frees_each_consumed_cache(self):
+        model = DccrnModel(tiny_config(), seed=0)
+        x = np.random.default_rng(1).standard_normal((2, 3, 8, 2))
+        probs, cache = model.forward_batch(x, training=True)
+        block_cache = cache[0][0]
+        block_caches, blstm_caches = cache[0], cache[2]
+        model.backward_batch(np.ones_like(probs), cache)
+        assert all(c is None for c in block_caches + blstm_caches)
+        assert block_cache[1] is None and all(c is None for c in block_cache[0])
 
     def test_inference_batch_independent_end_to_end(self):
         cfg = tiny_config()

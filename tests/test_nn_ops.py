@@ -130,6 +130,39 @@ def assert_conv_matches_reference(rng, shape, k, o, stride, pad, dtype, spare=3)
     got = (y, dxp[:, :, pad : pad + f], dw, db)
     for name, g, r in zip(("y", "dx", "dw", "db"), got, want):
         assert_bits_equal(g, r, name)
+    # the interior gradient added into the channel prefix of a wider
+    # gradient buffer, as ConvDcBlock passes it
+    acc = rng.standard_normal((b, t, f, c + spare)).astype(dtype)
+    want_acc = acc[..., :c] + want[1]
+    none, dw, db = ops.conv_freq_backward(dy, cache, into=acc[..., :c])
+    assert none is None
+    for name, g, r in zip(("into", "dw", "db"), (acc[..., :c], dw, db), (want_acc, *want[2:])):
+        assert_bits_equal(g, r, name)
+
+
+def assert_gated_matches_reference(rng, shape, k, o, stride, dtype, pad=1, spare=3):
+    """Bit-equal output, cache and gradients of the gated convolution against
+    each path's column reference and the gate written out, for an input that
+    is the channel prefix of a wider buffer with `pad` zero bins per side."""
+    b, t, f, c = shape
+    buf = np.zeros((b, t, f + 2 * pad, c + spare), dtype=dtype)
+    buf[:, :, pad : pad + f] = rng.standard_normal((b, t, f, c + spare)).astype(dtype)
+    x = buf[:, :, pad : pad + f, :c]
+    w1, w2 = (rng.standard_normal((k, c, o)).astype(dtype) for _ in range(2))
+    b1, b2 = (rng.standard_normal(o).astype(dtype) for _ in range(2))
+    fo = ops.conv_freq_out_size(f, k, stride, pad)
+    dv = rng.standard_normal((b, t, fo, o)).astype(dtype)
+    m1 = column_conv_reference(x, w1, b1, dv, stride, pad)[2]
+    s2 = ops.sigmoid(column_conv_reference(x, w2, b2, dv, stride, pad)[2])
+    *_, dx1, dw1, db1 = column_conv_reference(x, w1, b1, dv * s2, stride, pad)
+    *_, dx2, dw2, db2 = column_conv_reference(x, w2, b2, dv * m1 * s2 * (1.0 - s2), stride, pad)
+    v, cache = ops.gated_conv_forward(buf[..., :c], w1, b1, w2, b2, stride)
+    for name, g, r in (("v", v, m1 * s2), ("m1", cache[0], m1), ("gate", cache[1], s2)):
+        assert_bits_equal(g, r, name)
+    du, *grads = ops.gated_conv_backward(dv, cache)
+    assert_bits_equal(du[:, :, pad : pad + f], dx1 + dx2, "du")
+    for name, g, r in zip(("dw1", "db1", "dw2", "db2"), grads, (dw1, db1, dw2, db2)):
+        assert_bits_equal(g, r, name)
 
 
 class TestConvColumnsBitEqual:
@@ -163,6 +196,27 @@ class TestConvColumnsBitEqual:
     def test_random_shapes(self, b, t, f, c, k, o, stride, pad, dtype, seed):
         assume(f + 2 * pad >= k)
         assert_conv_matches_reference(np.random.default_rng(seed), (b, t, f, c), k, o, stride, pad, dtype)
+
+    @settings(max_examples=40)
+    @given(
+        b=st.integers(1, 3), t=st.integers(1, 4), f=st.integers(1, 40), c=st.integers(1, 24),
+        k=st.integers(1, 5), o=st.integers(1, 12), stride=st.integers(1, 3), pad=st.integers(0, 2),
+        dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_gated_shapes(self, b, t, f, c, k, o, stride, pad, dtype, seed):
+        assume(f + 2 * pad >= k)
+        assert_gated_matches_reference(np.random.default_rng(seed), (b, t, f, c), k, o, stride, dtype, pad)
+
+    def test_into_must_be_the_interior_and_a_row_view(self):
+        x = np.zeros((2, 3, 10, 4))
+        y, cache = ops.conv_freq_forward(x, np.ones((3, 4, 2)), np.zeros(2), 1)
+        dy = np.ones(y.shape)
+        with pytest.raises(ValueError, match="interior"):
+            ops.conv_freq_backward(dy, cache, into=np.zeros((2, 3, 7, 4)))
+        into = np.zeros((3, 2, 8, 4)).transpose(1, 0, 2, 3)
+        with pytest.raises(ValueError, match="do not merge"):
+            ops.conv_freq_backward(dy, cache, into=into)
+        assert not into.any()
 
 
 class TestGatedConv:

@@ -4,12 +4,14 @@ a pool that neither starts at import nor reaches the label path."""
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import assert_bits_equal
-from test_nn_ops import assert_conv_matches_reference
+from test_model import check_blocks_against_reference
+from test_nn_ops import assert_conv_matches_reference, assert_gated_matches_reference
 
 import voicedet
 from voicedet.cli import main
@@ -81,6 +83,49 @@ def test_split_convolutions_match_whole_products(monkeypatch, workers, dtype):
     rng = np.random.default_rng(workers)
     assert_conv_matches_reference(rng, (2, 48, 513, 14), 3, 4, 1, 1, dtype)
     assert_conv_matches_reference(rng, (2, 48, 513, 18), 4, 2, 2, 1, dtype)
+
+
+# B*T from one frame to the pool test's batch; at 2 x 20 one path's product
+# is between one and two product floors, so it stays whole at two workers.
+FRAMES = [(1, 1), (1, 7), (2, 3), (2, 20), (2, 48)]
+
+
+@pytest.mark.parametrize("frames", FRAMES)
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_gated_convolution_matches_per_path_references(monkeypatch, workers, frames):
+    # the reduced model's first gated convolution (18 channels, stride 2):
+    # one column copy for both paths, and both paths' input gradients added
+    # chunk by chunk
+    monkeypatch.setattr(_pool, "_workers", lambda: workers)
+    rng = np.random.default_rng([workers, *frames])
+    for dtype in (np.float32, np.float64):
+        assert_gated_matches_reference(rng, (*frames, 513, 18), 4, 2, 2, dtype)
+
+
+@pytest.mark.parametrize("frames", FRAMES)
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_block_backward_matches_concatenation_reference(monkeypatch, workers, frames):
+    # composite input gradients added into the block buffer chunk by chunk
+    monkeypatch.setattr(_pool, "_workers", lambda: workers)
+    cfg = ModelConfig(block_out_channels=(2, 4), composite_growth=4, blstm_hidden=8, groups=4, dtype="float32")
+    check_blocks_against_reference(cfg, True, frames)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_workers_follow_the_callers_errstate(monkeypatch, workers):
+    # every element is inf * 0 (dy inf, ELU slope y + 1 = 0), in each slice
+    monkeypatch.setattr(_pool, "_workers", lambda: workers)
+    counts = count_tasks(monkeypatch)
+    dy = np.full((64, 64, 64, 2), np.inf, np.float32)
+    y = np.full(dy.shape, -1.0, np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            dx = ops.elu_backward(dy, y)
+    assert np.isnan(dx).all()
+    assert max(counts, default=1) >= workers  # the helpers ran slices
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        ops.elu_backward(dy, y)
 
 
 def test_slices_keep_alignment_and_floor(monkeypatch):

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from conftest import assert_bits_equal
 
-from voicedet.nn.ops import layer_norm_forward
-from voicedet.nn.recurrent import GroupedBlstmLayer, RecurrentStack, shuffle_permutation
+from voicedet.nn import _pool
+from voicedet.nn.ops import _sigmoid, layer_norm_forward
+from voicedet.nn.recurrent import GroupedBlstmLayer, RecurrentStack, _qmm, shuffle_permutation
 
 
 def sigmoid(x):
@@ -138,3 +140,46 @@ def test_indivisible_width_rejected():
     rng = np.random.default_rng(5)
     with pytest.raises(ValueError):
         GroupedBlstmLayer("l", 7, 2, 4, rng, np.float64)
+
+
+def per_gate_steps(layer, x):
+    """The time loop with one sigmoid call per gate and fresh arrays per
+    step: (i, f, g, o, tanh(c), h, c), each [T, B, Q, H]."""
+    b, t, _ = x.shape
+    g, h, q = layer.groups, layer.hidden, 2 * layer.groups
+    xg = x.reshape(b, t, g, layer.dg)
+    z = np.concatenate([xg, xg[:, ::-1]], axis=2)
+    zx = (np.matmul(z.transpose(2, 0, 1, 3).reshape(q, b * t, layer.dg), layer.wx)
+          .reshape(q, b, t, 4 * h).transpose(2, 1, 0, 3) + layer.bias)
+    out = [np.empty((t, b, q, h), dtype=x.dtype) for _ in range(7)]
+    h_t = np.zeros((b, q, h), dtype=x.dtype)
+    c_t = np.zeros_like(h_t)
+    for step in range(t):
+        a = zx[step] + _qmm(h_t, layer.wh)
+        gi, gf, go = (np.empty((b, q, h), dtype=x.dtype) for _ in range(3))
+        for j, gate in ((0, gi), (1, gf), (3, go)):
+            _sigmoid(a[..., j * h : (j + 1) * h], gate)
+        gg = np.tanh(a[..., 2 * h : 3 * h])
+        c_t = gf * c_t + gi * gg
+        tc = np.tanh(c_t)
+        h_t = go * tc
+        for arr, val in zip(out, (gi, gf, gg, go, tc, h_t, c_t)):
+            arr[step] = val
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_gate_cache_matches_per_gate_steps(monkeypatch, workers, dtype):
+    # hidden 256 at batch 2 runs the time loop over Q slices at 2 and 3 workers
+    monkeypatch.setattr(_pool, "_workers", lambda: workers)
+    rng = np.random.default_rng(6)
+    layer = GroupedBlstmLayer("l", 16, 4, 256, rng, dtype)
+    x = rng.standard_normal((2, 4, 16)).astype(dtype)
+    assert len(_pool._slices(8, 2 * 8 * 256 * 1024, _pool.PRODUCT_FLOOR)) == min(workers, 3)
+    _, cache = layer.forward(x)
+    gates, tanh_c, h_all, c_all = cache[1:5]
+    h = layer.hidden
+    got = [gates[..., j * h : (j + 1) * h] for j in range(4)] + [tanh_c, h_all, c_all]
+    for name, g, r in zip(("i", "f", "g", "o", "tanh_c", "h", "c"), got, per_gate_steps(layer, x)):
+        assert_bits_equal(g, r, name)
