@@ -126,10 +126,12 @@ class CompositeLayer:
     time/freq, growth channels out).
 
     The input arrives already padded with `composite_pad` zero bins on each
-    side of the frequency axis, and the input gradient is returned padded
-    the same way. Given `out` (in ConvDcBlock, the layer's channel slice of
-    the block buffer), the ELU writes its output there, and the ELU cache is
-    that view rather than a copy. Only a training forward returns a cache."""
+    side of the frequency axis; backward adds the gradient of the unpadded
+    input into `into` (in ConvDcBlock, the input's channel prefix of the
+    block's gradient buffer). Given `out` (in ConvDcBlock, the layer's
+    channel slice of the block buffer), the ELU writes its output there, and
+    the ELU cache is that view rather than a copy. Only a training forward
+    returns a cache."""
 
     def __init__(self, prefix, c_in, c_out, cfg: ModelConfig, rng):
         dtype = cfg.np_dtype()
@@ -163,25 +165,22 @@ class CompositeLayer:
         y, c_elu = ops.elu_forward(y, out)
         return y, ((c_conv, c_bn, c_elu) if training else None)
 
-    def backward(self, dy, cache, grads, into=None):
-        """The padded input gradient; given `into` (the unpadded input's
-        gradient), adds the interior bins into it instead and returns None."""
+    def backward(self, dy, cache, grads, into):
         c_conv, c_bn, c_elu = cache
         dy = ops.elu_backward(dy, c_elu)
         dy, dgamma, dbeta = ops.batchnorm_backward(dy, c_bn)
-        dx, dw, db = ops.conv_freq_backward(dy, c_conv, into)
+        dw, db = ops.conv_freq_backward(dy, c_conv, into)
         grads[f"{self.prefix}.w"] = dw
         grads[f"{self.prefix}.b"] = db
         grads[f"{self.prefix}.gamma"] = dgamma
         grads[f"{self.prefix}.beta"] = dbeta
-        return dx
 
 
 class GatedConv:
     """Gated 1x4 convolution, frequency stride 2: the block's downsampler.
 
-    Like CompositeLayer it takes an input padded with `gated_pad` zero bins
-    per side and returns the padded input gradient."""
+    It takes an input padded with `gated_pad` zero bins per side and returns
+    the padded input gradient."""
 
     def __init__(self, prefix, c_in, c_out, cfg: ModelConfig, rng):
         dtype = cfg.np_dtype()

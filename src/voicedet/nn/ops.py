@@ -60,7 +60,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._pool import (
-    ELEMENT_CHUNK, ELEMENT_FLOOR, PRODUCT_CHUNK, PRODUCT_FLOOR, ROW_ALIGN, _for_slices, _gather, _slices,
+    ELEMENT_CHUNK, ELEMENT_FLOOR, PRODUCT_CHUNK, PRODUCT_FLOOR, ROW_ALIGN, _for_slices, _gather, _run, _slices,
 )
 
 
@@ -88,10 +88,13 @@ def _elementwise(body, *arrays):
                 most=ELEMENT_CHUNK)
 
 
-def _product_rows(fo: int) -> int:
-    """Time-row alignment that puts every cut of a product with fo output
-    rows per time row at a multiple of ROW_ALIGN product rows."""
-    return ROW_ALIGN // gcd(fo, ROW_ALIGN)
+def _product_slices(n: int, fo: int, work: int) -> list[slice]:
+    """Time-row slices of a product of `work` multiply-adds over n time rows
+    of fo output rows each, so OpenBLAS computes each slice's elements as it
+    would the whole product's: every cut at a multiple of ROW_ALIGN product
+    rows and every slice at least PRODUCT_FLOOR of the work, with more
+    slices than workers where one would hold over PRODUCT_CHUNK."""
+    return _slices(n, work, PRODUCT_FLOOR, ROW_ALIGN // gcd(fo, ROW_ALIGN), PRODUCT_CHUNK)
 
 
 def _row_sums(a, b=None):
@@ -141,6 +144,24 @@ def _im2col(xp, k: int, stride: int, fo: int, out=None):
     return out
 
 
+def _conv_rows(x, k: int, stride: int, fo: int, o: int, body) -> None:
+    """body(s, cols) for each time-row slice s of x ([B, T, Fp, C]), cols the
+    slice's [rows*Fo, K*C] tap-major columns, copied once per slice; the
+    slices are those of one K-tap product with o outputs, spread over the
+    workers."""
+    xr = _time_rows(x)
+    n, c = xr.shape[0], xr.shape[-1]
+    _run([lambda s=s: body(s, _im2col(xr[s], k, stride, fo).reshape(-1, k * c))
+          for s in _product_slices(n, fo, n * fo * k * c * o)])
+
+
+def _affine(cols, w, bias, out) -> None:
+    """out ([rows, Fo, O]) = cols @ w ([K*C, O]) + bias, tiled over Fo."""
+    np.matmul(cols, w, out=out.reshape(-1, w.shape[1]))
+    out_rows = _rows(out)
+    out_rows += bias
+
+
 def conv_freq_forward(x, w, b, stride: int):
     """Convolution with a 1 x K (time x freq) kernel as one matrix product.
 
@@ -148,21 +169,13 @@ def conv_freq_forward(x, w, b, stride: int):
     b: [O] -> y: [B, T, Fo, O]
 
     The product runs over time-row slices: each worker copies its rows'
-    columns, multiplies them and adds the bias.
+    columns, multiplies them and adds the bias (`_conv_rows`).
     """
     k, c, o = w.shape
     fo = conv_freq_out_size(x.shape[2], k, stride, 0)
     y = np.empty((*x.shape[:2], fo, o), dtype=np.result_type(x, w))
-    xr, yr, y_rows = _time_rows(x), _time_rows(y), _rows(y)
-    w2, bias = w.reshape(k * c, o), np.tile(b, fo)
-
-    def rows(s):
-        cols = _im2col(xr[s], k, stride, fo)
-        np.matmul(cols.reshape(-1, k * c), w2, out=yr[s].reshape(-1, o))
-        y_rows[s] += bias
-
-    n = xr.shape[0]
-    _for_slices(rows, n, n * fo * k * c * o, PRODUCT_FLOOR, _product_rows(fo), PRODUCT_CHUNK)
+    yr, w2, bias = _time_rows(y), w.reshape(k * c, o), np.tile(b, fo)
+    _conv_rows(x, k, stride, fo, o, lambda s, cols: _affine(cols, w2, bias, yr[s]))
     return y, (x, stride, w)
 
 
@@ -220,8 +233,7 @@ def _param_grads(xr, w, stride: int, dys, chunk) -> list:
     whole = []
     for dy in (dy.reshape(-1, o) for dy in dys):
         whole += [lambda dy=dy: np.matmul(cols.T, dy).reshape(k, c, o), lambda dy=dy: _row_sums(dy)]
-    work = n * fo * o * c * (1 if c > 1 else k)
-    slices = _slices(n, work, PRODUCT_FLOOR, _product_rows(fo), PRODUCT_CHUNK)
+    slices = _product_slices(n, fo, n * fo * o * c * (1 if c > 1 else k))
     return _gather(cols.size, *whole, *(lambda s=s: chunk(s) for s in slices))[: len(whole)]
 
 
@@ -233,14 +245,13 @@ def _rows_view(a, name: str):
     return rows
 
 
-def conv_freq_backward(dy, cache, into=None):
-    """Returns (dx, dw, db) for conv_freq_forward, dx of the whole input.
+def conv_freq_backward(dy, cache, into):
+    """Adds the input gradient of conv_freq_forward at the interior bins into
+    `into` and returns (dw, db).
 
-    Given `into`, the input's shape less the same number of pad bins at
-    each end of the frequency axis (in ConvDcBlock, the layer's channel
-    prefix of the block's gradient buffer), the gradient of the interior
-    bins is added into it instead, and dx is None.
-
+    `into` has the input's shape less the same number of pad bins at each
+    end of the frequency axis (in ConvDcBlock, the layer's channel prefix
+    of the block's gradient buffer); the pad bins' gradient is never read.
     Columns are rebuilt from the cached input rather than cached, keeping
     activation memory proportional to the input; the weight gradient and
     the bias sum run beside the input gradient's chunks (`_param_grads`).
@@ -248,28 +259,19 @@ def conv_freq_backward(dy, cache, into=None):
     chunk adds its interior into `into` itself.
     """
     x, stride, w = cache
-    xr, dyr = _time_rows(x), _time_rows(dy)
+    f = into.shape[2]
+    pad = (x.shape[2] - f) // 2
+    if into.shape != (*x.shape[:2], f, x.shape[3]) or 2 * pad + f != x.shape[2]:
+        raise ValueError(f"conv_freq_backward: into {into.shape} is not the interior of {x.shape}")
+    xr, dyr, intor = _time_rows(x), _time_rows(dy), _rows_view(into, "conv_freq_backward into")
     products = _tap_products(w, stride)
-    if into is None:
-        dx = np.empty(x.shape, dtype=x.dtype)
-        dxr = _time_rows(dx)
 
-        def chunk(s):
-            _input_grad(dxr[s], dyr[s], products, stride)
-    else:
-        dx, f = None, into.shape[2]
-        pad = (x.shape[2] - f) // 2
-        if into.shape != (*x.shape[:2], f, x.shape[3]) or 2 * pad + f != x.shape[2]:
-            raise ValueError(f"conv_freq_backward: into {into.shape} is not the interior of {x.shape}")
-        intor = _rows_view(into, "conv_freq_backward into")
+    def chunk(s):
+        dx_s = np.empty(xr[s].shape, dtype=x.dtype)
+        _input_grad(dx_s, dyr[s], products, stride)
+        intor[s] += dx_s[:, pad : pad + f]
 
-        def chunk(s):
-            dx_s = np.empty(xr[s].shape, dtype=x.dtype)
-            _input_grad(dx_s, dyr[s], products, stride)
-            intor[s] += dx_s[:, pad : pad + f]
-
-    dw, db = _param_grads(xr, w, stride, [dy], chunk)
-    return dx, dw, db
+    return tuple(_param_grads(xr, w, stride, [dy], chunk))
 
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var,
@@ -412,21 +414,17 @@ def gated_conv_forward(u, w1, b1, w2, b2, stride: int):
     m1 = np.empty((*u.shape[:2], fo, o), dtype=np.result_type(u, w1))
     s2 = np.empty(m1.shape, dtype=np.result_type(u, w2))
     v = np.empty(m1.shape, dtype=np.result_type(m1, s2))
-    ur, m1r, s2r, vr = (_time_rows(a) for a in (u, m1, s2, v))
+    m1r, s2r, vr = (_time_rows(a) for a in (m1, s2, v))
     w1f, w2f, bias1, bias2 = w1.reshape(k * c, o), w2.reshape(k * c, o), np.tile(b1, fo), np.tile(b2, fo)
 
-    def rows(s):
-        cols = _im2col(ur[s], k, stride, fo).reshape(-1, k * c)
+    def rows(s, cols):
         m2 = np.empty(s2r[s].shape, dtype=s2.dtype)
-        for m, w, bias in ((m1r[s], w1f, bias1), (m2, w2f, bias2)):
-            np.matmul(cols, w, out=m.reshape(-1, o))
-            m_rows = _rows(m)
-            m_rows += bias
+        _affine(cols, w1f, bias1, m1r[s])
+        _affine(cols, w2f, bias2, m2)
         _sigmoid(m2, s2r[s])
         np.multiply(m1r[s], s2r[s], out=vr[s])
 
-    n = ur.shape[0]
-    _for_slices(rows, n, n * fo * k * c * o, PRODUCT_FLOOR, _product_rows(fo), PRODUCT_CHUNK)
+    _conv_rows(u, k, stride, fo, o, rows)
     return v, (m1, s2, (u, stride, w1), (u, stride, w2))
 
 

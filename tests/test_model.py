@@ -139,7 +139,8 @@ def concat_reference(block, x, dv, training):
     bounds = np.cumsum([0] + [p.shape[3] for p in pieces])
     dpieces = [dcat[..., lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     for l in range(len(block.composites) - 1, -1, -1):
-        dcat_l = block.composites[l].backward(dpieces[l + 1], caches[l], grads)[:, :, cp : cp + f]
+        dcat_l = np.zeros((*x.shape[:3], bounds[l + 1]), dtype=dcat.dtype)
+        block.composites[l].backward(dpieces[l + 1], caches[l], grads, dcat_l)
         for i in range(l + 1):
             dpieces[i] = dpieces[i] + dcat_l[..., bounds[i] : bounds[i + 1]]
     return v, dpieces[0], grads

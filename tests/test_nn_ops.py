@@ -64,8 +64,8 @@ class TestConvFreq:
             return float((y * u).sum())
 
         y, cache = ops.conv_freq_forward(pad_freq(x, 1), w, b, 1)
-        dxp, dw, db = ops.conv_freq_backward(u, cache)
-        dx = dxp[:, :, 1:-1]
+        dx = np.zeros(x.shape)
+        dw, db = ops.conv_freq_backward(u, cache, dx)
         eps = 1e-6
         for arr, grad, name in ((x, dx, "x"), (w, dw, "w"), (b, db, "b")):
             flat = arr.ravel()
@@ -114,7 +114,8 @@ def column_conv_reference(x, w, b, dy, stride, pad):
 def assert_conv_matches_reference(rng, shape, k, o, stride, pad, dtype, spare=3):
     """Bit-equal columns, output and gradients for an input that is the
     channel prefix of a wider buffer with `pad` zero bins on each side of
-    the frequency axis, as ConvDcBlock passes it."""
+    the frequency axis, and an interior input gradient added into the
+    channel prefix of a wider gradient buffer, as ConvDcBlock passes them."""
     b, t, f, c = shape
     buf = np.zeros((b, t, f + 2 * pad, c + spare), dtype=dtype)
     buf[:, :, pad : pad + f] = rng.standard_normal((b, t, f, c + spare)).astype(dtype)
@@ -126,18 +127,17 @@ def assert_conv_matches_reference(rng, shape, k, o, stride, pad, dtype, spare=3)
     xp, cols, *want = column_conv_reference(x, w, bias, dy, stride, pad)
     assert_bits_equal(ops._im2col(xp, k, stride, fo), cols, "cols")
     y, cache = ops.conv_freq_forward(buf[..., :c], w, bias, stride)
-    dxp, dw, db = ops.conv_freq_backward(dy, cache)
-    got = (y, dxp[:, :, pad : pad + f], dw, db)
-    for name, g, r in zip(("y", "dx", "dw", "db"), got, want):
-        assert_bits_equal(g, r, name)
-    # the interior gradient added into the channel prefix of a wider
-    # gradient buffer, as ConvDcBlock passes it
-    acc = rng.standard_normal((b, t, f, c + spare)).astype(dtype)
-    want_acc = acc[..., :c] + want[1]
-    none, dw, db = ops.conv_freq_backward(dy, cache, into=acc[..., :c])
-    assert none is None
-    for name, g, r in zip(("into", "dw", "db"), (acc[..., :c], dw, db), (want_acc, *want[2:])):
-        assert_bits_equal(g, r, name)
+    assert_bits_equal(y, want[0], "y")
+    # a zero prefix, so it receives dx itself, then a prefix holding values;
+    # the spare channels must not change
+    for prefix in (np.zeros, rng.standard_normal):
+        acc = rng.standard_normal((b, t, f, c + spare)).astype(dtype)
+        acc[..., :c] = prefix((b, t, f, c))
+        want_acc = acc.copy()
+        want_acc[..., :c] += want[1]
+        dw, db = ops.conv_freq_backward(dy, cache, acc[..., :c])
+        for name, g, r in zip(("dx", "dw", "db"), (acc, dw, db), (want_acc, *want[2:])):
+            assert_bits_equal(g, r, name)
 
 
 def assert_gated_matches_reference(rng, shape, k, o, stride, dtype, pad=1, spare=3):
@@ -304,8 +304,9 @@ class TestGatedConv:
         v, cache = ops.gated_conv_forward(pad_freq(u, 1), w1, b1, np.zeros((4, 3, 2)), np.full(2, 60.0), 2)
         du, dw1, _, _, _ = ops.gated_conv_backward(up, cache)
         _, cache_plain = ops.conv_freq_forward(pad_freq(u, 1), w1, b1, 2)
-        du_plain, dw_plain, _ = ops.conv_freq_backward(up, cache_plain)
-        assert np.allclose(du, du_plain, atol=1e-6)
+        du_plain = np.zeros(u.shape)
+        dw_plain, _ = ops.conv_freq_backward(up, cache_plain, du_plain)
+        assert np.allclose(du[:, :, 1:-1], du_plain, atol=1e-6)
         assert np.allclose(dw1, dw_plain, atol=1e-6)
 
 
