@@ -9,10 +9,12 @@ run of `stride` adjacent taps, added into the frequencies those taps read
 (contiguous bins). The gated convolution's two paths share one column copy
 in the forward and one in the backward. A convolution's input already
 holds its zero frequency padding (the Conv-DC block's buffer carries the pad
-bins). Recurrent/head stages use [batch, time, feature]. Every forward
-returns (output, cache) and the matching backward consumes the cache and
-returns input/parameter gradients; batch norm returns a cache only in
-training mode, the only mode backprop runs through.
+bins), and `conv_freq_backward` adds the interior bins' input gradient into
+a buffer the caller passes (the block's gradient buffer). Recurrent/head
+stages use [batch, time, feature]. Every forward returns (output, cache)
+and the matching backward consumes the cache and returns input/parameter
+gradients; batch norm returns a cache only in training mode, the only mode
+backprop runs through.
 
 Per-channel elementwise work on a [B, T, F, C] array runs on its
 [B*T, F*C] row view, with each per-channel vector tiled across the F bins,
@@ -42,8 +44,8 @@ result has the same bits for any worker count (and BLAS runs one thread):
   convolution both products and the gate) and the input gradient (zeroing,
   tap-run products, tap adds, and the add into the block's gradient
   buffer or of the second gated path) over slices of the B*T time rows,
-  cut where `_pool` keeps OpenBLAS's arithmetic unchanged, on one path's
-  work so that no product falls under the floor;
+  cut by `_product_slices` where OpenBLAS's arithmetic stays unchanged,
+  on one path's work so that no product falls under the floor;
 - each weight gradient `cols.T @ dy` and each bias sum whole, one task
   each, on the same queue as the input gradient's time-row slices;
 - the batch-norm, ELU, sigmoid and gated-convolution elementwise passes
