@@ -26,14 +26,15 @@ from . import labels as label_io
 from .dsp import InvalidArgument, read_text, read_wav, resample
 from .labels import SpeakerMeta, align_for_lowest_vde, extract_reference_labels, mismatch_rate
 from .nn.checkpoint import load_checkpoint, save_checkpoint
-from .nn.model import DccrnModel, ModelConfig, decide_voicing
+from .nn.model import DccrnModel, ModelConfig
 from .synth import generate_synthetic_corpus
-from .tracker import TrackerConfig, track_voicing
+from .tracker import TrackerConfig
 from .training import (
+    TARGET_RATE,
     Example,
     TrainConfig,
+    detect_wave,
     evaluate_cross_corpus,
-    features_for_wave,
     make_example,
     train,
 )
@@ -132,8 +133,8 @@ def parse_corpus_args(specs: list[str]) -> dict[str, corpus_io.Manifest]:
     return manifests
 
 
-def load_examples(manifests: dict[str, corpus_io.Manifest], input_freq_bins: int,
-                  keep_wave: bool = False) -> tuple[dict[str, Example], list[str]]:
+def load_examples(manifests: dict[str, corpus_io.Manifest],
+                  input_freq_bins: int) -> tuple[dict[str, Example], list[str]]:
     """Examples keyed by full id from mic audio + provided labels."""
     data = {}
     skipped = []
@@ -145,9 +146,7 @@ def load_examples(manifests: dict[str, corpus_io.Manifest], input_freq_bins: int
             wave = read_wav(rec.mic_path)
             labels = label_io.read_labels_as(rec.provided_label_path, rec.label_format)
             try:
-                data[rec.full_id] = make_example(
-                    rec.full_id, wave, labels, input_freq_bins, keep_wave=keep_wave
-                )
+                data[rec.full_id] = make_example(rec.full_id, wave, labels, input_freq_bins)
             except InvalidArgument as err:
                 skipped.append(f"{rec.full_id}: {err}")
     return data, skipped
@@ -171,8 +170,8 @@ def _extract_one(task):
     error string."""
     utt_id, laryn_path, sex, cutoff, tracker_cfg, out_path = task
     wave = read_wav(laryn_path)
-    if wave.sample_rate != 8000:
-        wave = resample(wave, 8000)
+    if wave.sample_rate != TARGET_RATE:
+        wave = resample(wave, TARGET_RATE)
     labels = extract_reference_labels(
         wave, SpeakerMeta(utt_id, sex), tracker_cfg, cutoff_hz=cutoff
     )
@@ -286,21 +285,11 @@ def cmd_detect(args) -> int:
     if missing:
         raise InvalidArgument(f"input file not found: {missing[0]}")
     for path in args.wavs:
-        wave = read_wav(path)
-        if wave.sample_rate != 8000:
-            wave = resample(wave, 8000)
         utt = Path(path).stem
-        if args.method == "rapt":
-            labels = track_voicing(wave, tracker_cfg)
-        else:
-            x = features_for_wave(wave, model.cfg.input_freq_bins)
-            probs, _ = model.forward_batch(x[None], training=False)
-            labels = decide_voicing(probs[0], model.cfg.threshold)
-            if args.posteriors:
-                post_lines = ["frame,probability"] + [
-                    f"{i},{p:.6f}" for i, p in enumerate(probs[0])
-                ]
-                _atomic_write(out_dir / f"{utt}.posteriors.csv", "\n".join(post_lines) + "\n")
+        labels, post = detect_wave(read_wav(path), args.method, model, tracker_cfg)
+        if post is not None and args.posteriors:
+            post_lines = ["frame,probability"] + [f"{i},{p:.6f}" for i, p in enumerate(post.probs)]
+            _atomic_write(out_dir / f"{utt}.posteriors.csv", "\n".join(post_lines) + "\n")
         label_io.write_labels(out_dir / f"{utt}.lab", labels)
     print(f"wrote {len(args.wavs)} label files to {out_dir}")
     return EXIT_OK
@@ -392,8 +381,7 @@ def cmd_eval(args) -> int:
     methods = args.methods.split(",")
     folds = corpus_io.read_folds(args.folds)
     manifests = parse_corpus_args(args.corpus)
-    keep_wave = "rapt" in methods
-    data, skipped = load_examples(manifests, model_cfg.input_freq_bins, keep_wave=keep_wave)
+    data, skipped = load_examples(manifests, model_cfg.input_freq_bins)
     for line in skipped:
         log.warning("skipped %s", line)
     models = {}

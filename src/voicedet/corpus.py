@@ -94,16 +94,19 @@ class FoldPlan:
 
 
 # ---------------------------------------------------------------------------
-# Layout adapters
+# Corpus layout
 # ---------------------------------------------------------------------------
 
-def _scan_paired_dirs(root: Path, corpus: str) -> list[UtteranceRecord]:
-    """Layout: root/mic/<utt>.wav, optional root/laryn/<utt>.wav,
-    optional root/labels/<utt>.lab, optional root/meta.tsv
-    (lines: utt_id<TAB>speaker_id<TAB>sex)."""
+def scan_corpus(root: str | Path, corpus: str) -> Manifest:
+    """Scan a corpus directory laid out as root/mic/<utt>.wav, optional
+    root/laryn/<utt>.wav, optional root/labels/<utt>.lab, optional
+    root/meta.tsv (lines: utt_id<TAB>speaker_id<TAB>sex)."""
+    root = Path(root)
+    if not root.is_dir():
+        raise InvalidArgument(f"corpus root {root} does not exist")
     mic_dir = root / "mic"
     if not mic_dir.is_dir():
-        raise InvalidArgument(f"adapter 'paired_dirs': missing {mic_dir}")
+        raise InvalidArgument(f"corpus {root}: missing {mic_dir}")
     meta: dict[str, SpeakerMeta] = {}
     meta_path = root / "meta.tsv"
     if meta_path.exists():
@@ -138,26 +141,6 @@ def _scan_paired_dirs(root: Path, corpus: str) -> list[UtteranceRecord]:
                 flags=flags,
             )
         )
-    return records
-
-
-LAYOUT_ADAPTERS = {
-    "paired_dirs": _scan_paired_dirs,
-}
-
-
-def scan_corpus(root: str | Path, corpus: str, adapter: str = "paired_dirs") -> Manifest:
-    """Scan a corpus directory with a registered layout adapter."""
-    root = Path(root)
-    if not root.is_dir():
-        raise InvalidArgument(f"corpus root {root} does not exist")
-    try:
-        scan = LAYOUT_ADAPTERS[adapter]
-    except KeyError:
-        raise InvalidArgument(
-            f"unknown layout adapter {adapter!r}; known: {sorted(LAYOUT_ADAPTERS)}"
-        ) from None
-    records = scan(root, corpus)
     if not records:
         log.warning("scan of %s (%s) found no utterances", root, corpus)
     return Manifest(tuple(records))

@@ -112,12 +112,11 @@ class Waveform:
 
 @dataclass(frozen=True)
 class FrameConfig:
-    """STFT framing parameters (window length, hop, FFT size in samples)."""
+    """STFT framing parameters (Hamming window length, hop, FFT size in samples)."""
 
     window_len: int
     hop: int
     fft_size: int
-    window_kind: str = "hamming"
 
     def __post_init__(self):
         if not (0 < self.hop <= self.window_len <= self.fft_size):
@@ -125,18 +124,14 @@ class FrameConfig:
                 f"need 0 < hop <= window_len <= fft_size, got "
                 f"hop={self.hop} window_len={self.window_len} fft_size={self.fft_size}"
             )
-        if self.window_kind != "hamming":
-            raise InvalidArgument(f"unsupported window kind: {self.window_kind}")
 
     @classmethod
-    def for_rate(cls, sample_rate: int, window_ms: float = 128.0, hop_ms: float = 10.0,
-                 fft_size: int | None = None) -> "FrameConfig":
-        """Derive the framing config from a sample rate (128 ms window, 10 ms hop)."""
-        window_len = int(round(sample_rate * window_ms / 1000.0))
-        hop = int(round(sample_rate * hop_ms / 1000.0))
-        if fft_size is None:
-            fft_size = window_len
-        return cls(window_len=window_len, hop=hop, fft_size=fft_size)
+    def for_rate(cls, sample_rate: int) -> "FrameConfig":
+        """The framing config at a sample rate: 128 ms window, FFT of the
+        window's length, 10 ms hop."""
+        window_len = int(round(sample_rate * 128.0 / 1000.0))
+        hop = int(round(sample_rate * 10.0 / 1000.0))
+        return cls(window_len=window_len, hop=hop, fft_size=window_len)
 
     @property
     def n_bins(self) -> int:

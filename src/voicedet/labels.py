@@ -1,8 +1,8 @@
 """Reference-label generation, label file I/O, comparison, and alignment.
 
 Reference voicing labels come from high-pass-filtered laryngograph signals
-run through the NCCF/DP tracker; pretraining pseudo-labels come from the
-same tracker applied directly to microphone recordings.
+run through the NCCF/DP tracker (pretraining pseudo-labels, the same tracker
+on microphone recordings, are `training.pseudo_labels_from_mic`).
 
 Label file format (bit-exact round trip):
     #hop_ms=10
@@ -90,11 +90,6 @@ def extract_reference_labels(
         tracker_cfg = TrackerConfig()
     filtered = apply_fir(laryn, _reference_highpass(cutoff_hz, laryn.sample_rate))
     return track_voicing(filtered, tracker_cfg)
-
-
-def pseudo_labels_from_mic(mic: Waveform, tracker_cfg: TrackerConfig | None = None) -> VoicingLabels:
-    """Tracker labels straight off the microphone signal (no high-pass)."""
-    return track_voicing(mic, tracker_cfg or TrackerConfig())
 
 
 def _count_mismatch(est: VoicingLabels, ref: VoicingLabels, shift: int = 0,

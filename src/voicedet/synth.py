@@ -4,8 +4,8 @@ Each utterance is a seeded sequence of sawtooth (100-300 Hz), white-noise,
 and silence segments with ground-truth frame labels constructed from the
 segment plan. The "laryngograph" channel is the same signal plus a
 low-frequency drift component, exercising the high-pass step of reference
-label extraction. Written in the `paired_dirs` layout with the constructed
-truth as provided labels.
+label extraction. Written in the layout `corpus.scan_corpus` reads, with the
+constructed truth as provided labels.
 """
 from __future__ import annotations
 

@@ -1,5 +1,6 @@
 """Training loop (Adam, plateau LR halving, gradient clipping), the
-pretrain-then-finetune protocol, the VDE metric, and cross-corpus reports.
+pretrain-then-finetune protocol, the one inference route (`detect_wave`),
+the VDE metric, and cross-corpus reports.
 
 Training is fully deterministic given (seed, config, data): shuffling comes
 from one seeded generator, parameters update in place, and the best
@@ -29,7 +30,7 @@ from .dsp import (
     stft,
 )
 from .labels import LabelComparison, _count_mismatch, align_for_lowest_vde, pool_comparisons
-from .nn.model import DccrnModel, ModelConfig, bce_loss, decide_voicing
+from .nn.model import DccrnModel, ModelConfig, VoicingPosterior, bce_loss, decide_voicing
 from .tracker import TrackerConfig, VoicingLabels, track_voicing
 
 log = logging.getLogger(__name__)
@@ -248,6 +249,27 @@ def features_for_wave(wave: Waveform, input_freq_bins: int = 513) -> np.ndarray:
     return np.stack([feat.values[:, :f], feat.values[:, f:]], axis=-1)
 
 
+def detect_wave(wave: Waveform, method: str, model: DccrnModel | None = None,
+                tracker_cfg: TrackerConfig | None = None
+                ) -> tuple[VoicingLabels, VoicingPosterior | None]:
+    """Voicing decisions for one recording, resampled once to TARGET_RATE:
+    the one inference route of `detect`, `eval`, the demo and pretraining
+    pseudo-labels. "rapt" tracks the signal and returns no posterior;
+    "dccrn" thresholds the model's posterior at its configured threshold."""
+    if method not in ("rapt", "dccrn"):
+        raise InvalidArgument(f"unknown method {method!r}")
+    if method == "dccrn" and model is None:
+        raise InvalidArgument("dccrn decoding needs a model/checkpoint")
+    if wave.sample_rate != TARGET_RATE:
+        wave = resample(wave, TARGET_RATE)
+    if method == "rapt":
+        return track_voicing(wave, tracker_cfg or TrackerConfig()), None
+    x = features_for_wave(wave, model.cfg.input_freq_bins)
+    probs, _ = model.forward_batch(x[None], training=False)
+    post = VoicingPosterior(probs[0])
+    return decide_voicing(post, model.cfg.threshold), post
+
+
 @dataclass(frozen=True)
 class Example:
     """One utterance ready for training/evaluation."""
@@ -255,18 +277,18 @@ class Example:
     utt_id: str
     x: np.ndarray  # [T, F, 2]
     y: np.ndarray  # [T] float {0, 1}
-    wave: Waveform | None = None  # kept when tracker methods are evaluated
+    wave: Waveform | None = None  # the recording evaluation decodes; training reads x
 
 
 def make_example(utt_id: str, wave: Waveform, labels: VoicingLabels,
-                 input_freq_bins: int = 513, keep_wave: bool = False) -> Example:
+                 input_freq_bins: int = 513) -> Example:
     x = features_for_wave(wave, input_freq_bins)
     t = x.shape[0]
     y = labels.labels.astype(np.float64)
     if abs(t - y.size) > 2:
         raise InvalidArgument(f"{utt_id}: {t} frames vs {y.size} labels")
     n = min(t, y.size)
-    return Example(utt_id, x[:n], y[:n], wave if keep_wave else None)
+    return Example(utt_id, x[:n], y[:n], wave)
 
 
 def _batches(ids: list[str], data, batch_size: int):
@@ -398,6 +420,12 @@ def split_for_pretrain(ids: list[str], seed: int, val_fraction: float = 0.1) -> 
     return FoldPlan(held_out_corpus="synthetic", train_ids=tr, val_ids=val, test_ids=())
 
 
+def pseudo_labels_from_mic(mic: Waveform, tracker_cfg: TrackerConfig | None = None) -> VoicingLabels:
+    """Pretraining pseudo-labels: tracker decisions straight off the
+    microphone signal (no high-pass), on `detect`'s route."""
+    return detect_wave(mic, "rapt", tracker_cfg=tracker_cfg)[0]
+
+
 def pretrain_then_finetune(model_cfg: ModelConfig, pretrain_data, fold: FoldPlan, data,
                            cfg: TrainConfig, pretrain_cfg: TrainConfig | None = None
                            ) -> tuple[TrainResult, TrainHistory | None]:
@@ -468,32 +496,16 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def decode_method(method: str, ex: Example, model: DccrnModel | None,
-                  tracker_cfg: TrackerConfig | None) -> VoicingLabels:
-    if method == "dccrn":
-        if model is None:
-            raise InvalidArgument("dccrn decoding needs a model/checkpoint")
-        probs, _ = model.forward_batch(ex.x[None], training=False)
-        return decide_voicing(probs[0], model.cfg.threshold)
-    if method == "rapt":
-        if ex.wave is None:
-            raise InvalidArgument(f"{ex.utt_id}: no waveform kept for tracker decoding")
-        labels = track_voicing(ex.wave, tracker_cfg or TrackerConfig())
-        return VoicingLabels(labels.labels[: ex.y.size])
-    if method == "reference":
-        return VoicingLabels(ex.y.astype(np.int8))
-    raise InvalidArgument(f"unknown method {method!r}")
-
-
 def evaluate_cross_corpus(folds: list[FoldPlan], methods: list[str], data,
                           models: dict[str, DccrnModel] | None = None,
                           tracker_cfg: TrackerConfig | None = None,
                           max_shift: int = 5,
                           keep_decisions: bool = False):
-    """Per fold and method: decode the held-out corpus, align each utterance
-    for the lowest VDE, pool frame counts. Returns (EvalReport, decisions)
-    where decisions maps (fold, method, utt_id) -> (ref, est, shift) when
-    keep_decisions is set."""
+    """Per fold and method: decode each held-out recording whole through
+    `detect_wave` and cut the decisions to its labels ("reference" scores
+    the labels themselves), align each utterance for the lowest VDE, pool
+    frame counts. Returns (EvalReport, decisions) where decisions maps
+    (fold, method, utt_id) -> (ref, est, shift) when keep_decisions is set."""
     models = models or {}
     rows = []
     decisions = {}
@@ -512,7 +524,13 @@ def evaluate_cross_corpus(folds: list[FoldPlan], methods: list[str], data,
                     continue
                 ex = data[utt_id]
                 ref = VoicingLabels(ex.y.astype(np.int8))
-                est = decode_method(method, ex, model, tracker_cfg)
+                if method == "reference":
+                    est = ref
+                elif ex.wave is None:
+                    raise InvalidArgument(f"{utt_id}: no waveform to decode with {method}")
+                else:
+                    labels, _ = detect_wave(ex.wave, method, model, tracker_cfg)
+                    est = VoicingLabels(labels.labels[: len(ref)])
                 shift, aligned_cmp = align_for_lowest_vde(est, ref, max_shift)
                 plain.append(LabelComparison(*vde_counts(est, ref)))
                 aligned.append(aligned_cmp)

@@ -24,12 +24,11 @@ from voicedet.labels import (
     SpeakerMeta,
     extract_reference_labels,
     mismatch_rate,
-    pseudo_labels_from_mic,
     read_labels,
     write_labels,
 )
 from voicedet.nn.checkpoint import load_checkpoint, save_checkpoint
-from voicedet.nn.model import DccrnModel, ModelConfig, bce_loss, count_params, decide_voicing
+from voicedet.nn.model import DccrnModel, ModelConfig, bce_loss, count_params
 from voicedet.nn.recurrent import GroupedBlstmLayer
 from voicedet.synth import boundary_exclusion_mask, generate_synthetic_corpus, synth_utterance
 from voicedet.tracker import PitchCandidate, TrackerConfig, VoicingLabels, path_cost, viterbi_path
@@ -38,7 +37,9 @@ from voicedet.training import (
     PlateauSchedule,
     TrainConfig,
     clip_gradients,
+    detect_wave,
     pretrain_then_finetune,
+    pseudo_labels_from_mic,
     train,
     vde,
     vde_counts,
@@ -302,7 +303,7 @@ def _synthetic_examples(seed, count, labeler="truth"):
         x = training.features_for_wave(mic).astype(np.float32)
         n = min(x.shape[0], len(labels))
         data[f"synthetic/utt{i:04d}"] = Example(
-            f"synthetic/utt{i:04d}", x[:n], labels.labels[:n].astype(np.float64)
+            f"synthetic/utt{i:04d}", x[:n], labels.labels[:n].astype(np.float64), wave=mic
         )
     return data
 
@@ -321,8 +322,7 @@ def test_criterion_7_model_end_to_end():
     total = 0
     for utt in fold.test_ids:
         ex = data[utt]
-        probs, _ = model.forward_batch(ex.x[None], training=False)
-        est = decide_voicing(probs[0], REDUCED_MODEL.threshold)
+        est, _ = detect_wave(ex.wave, "dccrn", model)
         ref = VoicingLabels(ex.y.astype(np.int8))
         n_wrong, n_counted = vde_counts(est, ref)
         wrong += n_wrong

@@ -328,6 +328,49 @@ class TestTrainAndEval:
         assert strip_lines[0] == "fold,method,utt_id,frame,reference,estimate"
         assert len(strip_lines) > 300
 
+    @pytest.mark.parametrize("rate", [8000, 16000])
+    @pytest.mark.parametrize("short_labels", [False, True])
+    def test_eval_decides_every_frame_as_detect(self, tmp_path, rate, short_labels):
+        """`eval --strips` and `detect` run one route: the estimate of every
+        strip frame equals the frame's decision in `detect`'s label file, for
+        the tracker and the model, at any corpus rate, and also when the
+        provided labels stop two frames early (the slack `eval` accepts)."""
+        import voicedet.corpus as corpus_io
+        from voicedet.synth import generate_synthetic_corpus
+
+        root = tmp_path / "corpus"
+        records = generate_synthetic_corpus(root, n_utterances=3, seed=4242, sample_rate=rate).records
+        if short_labels:
+            for rec in records:
+                full = read_labels(rec.provided_label_path)
+                write_labels(rec.provided_label_path, VoicingLabels(full.labels[:-2], f0=full.f0[:-2]))
+        ckpts = tmp_path / "ckpts"
+        ckpts.mkdir()
+        tiny_checkpoint(ckpts / "synthetic.ckpt")
+        folds = tmp_path / "folds.json"
+        ids = tuple(r.full_id for r in records)
+        folds.write_text(corpus_io.folds_to_json([corpus_io.FoldPlan("synthetic", ("other/x",), (), ids)]))
+        strips = tmp_path / "strips.csv"
+        assert main(["eval", "--corpus", f"{root}:synthetic", "--folds", str(folds),
+                     "--methods", "rapt,dccrn", "--checkpoints", str(ckpts),
+                     "--out", str(tmp_path / "report.csv"), "--strips", str(strips)]) == 0
+        estimates = {}
+        for line in strips.read_text().splitlines()[1:]:
+            _, method, utt_id, frame, _, est = line.split(",")
+            estimates.setdefault((method, utt_id), []).append((int(frame), int(est)))
+        for method in ("rapt", "dccrn"):
+            out = tmp_path / method
+            argv = ["detect", "--method", method, "--out", str(out), *(r.mic_path for r in records)]
+            if method == "dccrn":
+                argv[3:3] = ["--checkpoint", str(ckpts / "synthetic.ckpt")]
+            assert main(argv) == 0
+            for rec in records:
+                detected = read_labels(out / f"{rec.utt_id}.lab").labels
+                frames, est = zip(*estimates[method, rec.full_id])
+                assert list(frames) == list(range(len(frames)))
+                assert len(frames) == len(detected) - (2 if short_labels else 0)
+                assert np.array_equal(np.array(est), detected[: len(frames)]), (method, rec.utt_id)
+
     def test_unknown_config_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"train": {"learning_rate": 1}}))

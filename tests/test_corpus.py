@@ -80,11 +80,6 @@ class TestScan:
         m = scan_corpus(root, "FDA")  # laryngograph corpus
         assert all(r.flags == ("incomplete",) for r in m.records)
 
-    def test_unknown_adapter(self, tmp_path):
-        root = build_toy_corpus(tmp_path)
-        with pytest.raises(InvalidArgument, match="bogus"):
-            scan_corpus(root, "FDA", adapter="bogus")
-
     @pytest.mark.parametrize("line", ["u01\tspk1", "u01\tspk1\tmale\textra", "u01\tspk1\tboth"])
     def test_malformed_meta_line_names_file_and_line(self, tmp_path, line):
         root = build_toy_corpus(tmp_path)

@@ -10,20 +10,20 @@ from hypothesis import given, settings, strategies as st
 from scipy.signal import sawtooth
 
 from voicedet import labels as label_io
-from voicedet.dsp import InvalidArgument, Waveform, apply_fir, design_kaiser_highpass
+from voicedet.dsp import InvalidArgument, Waveform, apply_fir, design_kaiser_highpass, resample
 from voicedet.labels import (
     LabelComparison,
     SpeakerMeta,
     align_for_lowest_vde,
     extract_reference_labels,
     mismatch_rate,
-    pseudo_labels_from_mic,
     read_labels,
     read_labels_as,
     read_three_class_labels,
     write_labels,
 )
 from voicedet.tracker import TrackerConfig, VoicingLabels, track_voicing
+from voicedet.training import pseudo_labels_from_mic
 
 SR = 8000
 
@@ -118,11 +118,16 @@ class TestPseudoLabels:
         assert labels.labels[2:98].mean() >= 0.95
         assert labels.labels[102:].mean() <= 0.1
 
-    def test_identical_to_track_voicing(self):
+    @pytest.mark.parametrize("rate", [SR, 2 * SR])
+    def test_identical_to_track_voicing_at_8khz(self, rate):
+        """The tracker's decisions on the 8 kHz signal, as `detect` makes
+        them: bit-equal to tracking the input itself when it is at 8 kHz."""
         rng = np.random.default_rng(3)
-        w = Waveform(rng.standard_normal(SR), SR)
+        t = np.arange(rate) / rate
+        w = Waveform(0.5 * sawtooth(2 * np.pi * 180 * t) * (t < 0.5) + 0.1 * rng.standard_normal(rate), rate)
         cfg = TrackerConfig()
-        assert np.array_equal(pseudo_labels_from_mic(w, cfg).labels, track_voicing(w, cfg).labels)
+        at_8k = w if rate == SR else resample(w, SR)
+        assert np.array_equal(pseudo_labels_from_mic(w, cfg).labels, track_voicing(at_8k, cfg).labels)
 
 
 class TestMismatchRate:

@@ -5,9 +5,10 @@ import pytest
 
 import voicedet.training as training
 from voicedet.corpus import FoldPlan
-from voicedet.dsp import InvalidArgument
+from voicedet.dsp import InvalidArgument, Waveform
 from voicedet.labels import mismatch_rate
 from voicedet.nn.model import DccrnModel, ModelConfig
+from voicedet.synth import synth_utterance
 from voicedet.tracker import VoicingLabels
 from voicedet.training import (
     AdamState,
@@ -19,6 +20,7 @@ from voicedet.training import (
     adam_step,
     clip_gradients,
     evaluate_cross_corpus,
+    make_example,
     pretrain_then_finetune,
     train,
     vde,
@@ -320,11 +322,21 @@ class TestEvaluateCrossCorpus:
         for i in range(n):
             x = rng.standard_normal((t_len, 8, 2))
             y = (x[:, 0, 0] > 0).astype(np.float64)
-            data[f"{corpus}/u{i}"] = Example(f"{corpus}/u{i}", x, y)
+            wave = Waveform(rng.standard_normal(80 * t_len), 8000)
+            data[f"{corpus}/u{i}"] = Example(f"{corpus}/u{i}", x, y, wave)
         return data
 
     def fold_for(self, data, corpus="FDA"):
         return FoldPlan(corpus, ("KEELE/x",), ("KEELE/y",), tuple(sorted(data)))
+
+    @staticmethod
+    def detect_from_labels(data, decide):
+        """A `detect_wave` stand-in: `decide` of the labels of the example
+        whose wave it is handed."""
+        def detect(wave, method, model=None, tracker_cfg=None):
+            (y,) = [ex.y for ex in data.values() if ex.wave is wave]
+            return VoicingLabels(decide(y)), None
+        return detect
 
     def test_reference_method_is_exact(self):
         rng = np.random.default_rng(12)
@@ -339,12 +351,12 @@ class TestEvaluateCrossCorpus:
         rng = np.random.default_rng(13)
         data = self.eval_data(rng, n=2, t_len=20)
 
-        def stub_decode(method, ex, model, tracker_cfg):
-            est = ex.y.astype(np.int8).copy()
+        def corrupt(y):
+            est = y.astype(np.int8)
             est[:3] ^= 1  # corrupt exactly 3 frames per utterance
-            return VoicingLabels(est)
+            return est
 
-        monkeypatch.setattr(training, "decode_method", stub_decode)
+        monkeypatch.setattr(training, "detect_wave", self.detect_from_labels(data, corrupt))
         report, _ = evaluate_cross_corpus([self.fold_for(data)], ["rapt"], data)
         row = report.rows[0]
         assert row.n_frames == 40
@@ -355,11 +367,10 @@ class TestEvaluateCrossCorpus:
         rng = np.random.default_rng(14)
         data = self.eval_data(rng, n=3, t_len=40)
 
-        def stub_decode(method, ex, model, tracker_cfg):
-            est = np.concatenate([[0, 0], ex.y[:-2]]).astype(np.int8)
-            return VoicingLabels(est)
+        def delay(y):
+            return np.concatenate([[0, 0], y[:-2]]).astype(np.int8)
 
-        monkeypatch.setattr(training, "decode_method", stub_decode)
+        monkeypatch.setattr(training, "detect_wave", self.detect_from_labels(data, delay))
         report, decisions = evaluate_cross_corpus(
             [self.fold_for(data)], ["rapt"], data, keep_decisions=True
         )
@@ -378,14 +389,27 @@ class TestEvaluateCrossCorpus:
         assert "no checkpoint" in caplog.text
 
     def test_dccrn_method_produces_row(self):
-        rng = np.random.default_rng(16)
-        data = self.eval_data(rng)
-        model = DccrnModel(toy_config(), seed=0)
+        data = {}
+        for i in range(3):
+            mic, _, truth = synth_utterance(16, i, duration_sec=0.5)
+            data[f"FDA/u{i}"] = make_example(f"FDA/u{i}", mic, truth)
+        model = DccrnModel(
+            ModelConfig(block_out_channels=(2, 4), blstm_hidden=8, groups=2, dtype="float32"), seed=0
+        )
         report, _ = evaluate_cross_corpus(
             [self.fold_for(data)], ["dccrn"], data, models={"FDA": model}
         )
         assert len(report.rows) == 1
+        assert report.rows[0].n_frames == 150
         assert 0.0 <= report.rows[0].vde_percent <= 100.0
+
+    @pytest.mark.parametrize("method", ["rapt", "dccrn"])
+    def test_example_without_wave_names_utterance(self, method):
+        rng = np.random.default_rng(18)
+        data = {"FDA/u0": Example("FDA/u0", rng.standard_normal((20, 8, 2)), np.zeros(20))}
+        model = DccrnModel(toy_config(), seed=0)
+        with pytest.raises(InvalidArgument, match="FDA/u0"):
+            evaluate_cross_corpus([self.fold_for(data)], [method], data, models={"FDA": model})
 
     def test_csv_header_format(self):
         rng = np.random.default_rng(17)
@@ -400,7 +424,6 @@ class TestEvaluateCrossCorpus:
 
 class TestFeaturePrep:
     def test_features_shape_and_rate_handling(self):
-        from voicedet.dsp import Waveform
         from voicedet.training import features_for_wave
 
         rng = np.random.default_rng(18)
@@ -409,9 +432,6 @@ class TestFeaturePrep:
         assert x.shape == (100, 513, 2)
 
     def test_make_example_label_slack(self):
-        from voicedet.dsp import Waveform
-        from voicedet.training import make_example
-
         rng = np.random.default_rng(19)
         w = Waveform(rng.standard_normal(8000), 8000)
         labels = VoicingLabels(np.zeros(99, dtype=np.int8))
