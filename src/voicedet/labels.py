@@ -1,8 +1,7 @@
 """Reference-label generation, label file I/O, comparison, and alignment.
 
 Reference voicing labels come from high-pass-filtered laryngograph signals
-run through the NCCF/DP tracker (pretraining pseudo-labels, the same tracker
-on microphone recordings, are `training.pseudo_labels_from_mic`).
+run through the NCCF/DP tracker.
 
 Label file format (bit-exact round trip):
     #hop_ms=10

@@ -277,11 +277,13 @@ class Example:
     utt_id: str
     x: np.ndarray  # [T, F, 2]
     y: np.ndarray  # [T] float {0, 1}
-    wave: Waveform | None = None  # the recording evaluation decodes; training reads x
+    wave: Waveform  # the 8 kHz recording evaluation decodes; training reads x
 
 
 def make_example(utt_id: str, wave: Waveform, labels: VoicingLabels,
                  input_freq_bins: int = 513) -> Example:
+    if wave.sample_rate != TARGET_RATE:
+        wave = resample(wave, TARGET_RATE)
     x = features_for_wave(wave, input_freq_bins)
     t = x.shape[0]
     y = labels.labels.astype(np.float64)
@@ -420,12 +422,6 @@ def split_for_pretrain(ids: list[str], seed: int, val_fraction: float = 0.1) -> 
     return FoldPlan(held_out_corpus="synthetic", train_ids=tr, val_ids=val, test_ids=())
 
 
-def pseudo_labels_from_mic(mic: Waveform, tracker_cfg: TrackerConfig | None = None) -> VoicingLabels:
-    """Pretraining pseudo-labels: tracker decisions straight off the
-    microphone signal (no high-pass), on `detect`'s route."""
-    return detect_wave(mic, "rapt", tracker_cfg=tracker_cfg)[0]
-
-
 def pretrain_then_finetune(model_cfg: ModelConfig, pretrain_data, fold: FoldPlan, data,
                            cfg: TrainConfig, pretrain_cfg: TrainConfig | None = None
                            ) -> tuple[TrainResult, TrainHistory | None]:
@@ -526,8 +522,6 @@ def evaluate_cross_corpus(folds: list[FoldPlan], methods: list[str], data,
                 ref = VoicingLabels(ex.y.astype(np.int8))
                 if method == "reference":
                     est = ref
-                elif ex.wave is None:
-                    raise InvalidArgument(f"{utt_id}: no waveform to decode with {method}")
                 else:
                     labels, _ = detect_wave(ex.wave, method, model, tracker_cfg)
                     est = VoicingLabels(labels.labels[: len(ref)])

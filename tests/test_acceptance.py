@@ -19,7 +19,7 @@ from voicedet.corpus import (
     manifest_from_text,
     manifest_to_text,
 )
-from voicedet.dsp import design_kaiser_highpass
+from voicedet.dsp import Waveform, design_kaiser_highpass
 from voicedet.labels import (
     SpeakerMeta,
     extract_reference_labels,
@@ -39,7 +39,6 @@ from voicedet.training import (
     clip_gradients,
     detect_wave,
     pretrain_then_finetune,
-    pseudo_labels_from_mic,
     train,
     vde,
     vde_counts,
@@ -299,7 +298,7 @@ def _synthetic_examples(seed, count, labeler="truth"):
     data = {}
     for i in range(count):
         mic, _, truth = synth_utterance(seed, i)
-        labels = truth if labeler == "truth" else pseudo_labels_from_mic(mic)
+        labels = truth if labeler == "truth" else detect_wave(mic, "rapt")[0]
         x = training.features_for_wave(mic).astype(np.float32)
         n = min(x.shape[0], len(labels))
         data[f"synthetic/utt{i:04d}"] = Example(
@@ -387,7 +386,9 @@ def test_criterion_8_training_contract():
     data = {}
     for i in range(6):
         x = rng.standard_normal((20, 8, 2))
-        data[f"synthetic/u{i}"] = Example(f"synthetic/u{i}", x, (x[:, 0, 0] > 0).astype(np.float64))
+        data[f"synthetic/u{i}"] = Example(
+            f"synthetic/u{i}", x, (x[:, 0, 0] > 0).astype(np.float64), Waveform(np.zeros(1600), 8000)
+        )
     ids = sorted(data)
     fold = FoldPlan("FDA", tuple(ids[2:]), tuple(ids[:2]), ())
     tc = TrainConfig(lr_init=1e-3, max_epochs=3, batch_size=2, seed=9)

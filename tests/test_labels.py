@@ -23,7 +23,7 @@ from voicedet.labels import (
     write_labels,
 )
 from voicedet.tracker import TrackerConfig, VoicingLabels, track_voicing
-from voicedet.training import pseudo_labels_from_mic
+from voicedet.training import detect_wave
 
 SR = 8000
 
@@ -114,7 +114,7 @@ class TestPseudoLabels:
         x = np.concatenate(
             [0.5 * sawtooth(2 * np.pi * 180 * t), 0.1 * rng.standard_normal(SR)]
         )
-        labels = pseudo_labels_from_mic(Waveform(x, SR))
+        labels, _ = detect_wave(Waveform(x, SR), "rapt")
         assert labels.labels[2:98].mean() >= 0.95
         assert labels.labels[102:].mean() <= 0.1
 
@@ -127,7 +127,8 @@ class TestPseudoLabels:
         w = Waveform(0.5 * sawtooth(2 * np.pi * 180 * t) * (t < 0.5) + 0.1 * rng.standard_normal(rate), rate)
         cfg = TrackerConfig()
         at_8k = w if rate == SR else resample(w, SR)
-        assert np.array_equal(pseudo_labels_from_mic(w, cfg).labels, track_voicing(at_8k, cfg).labels)
+        labels, _ = detect_wave(w, "rapt", tracker_cfg=cfg)
+        assert np.array_equal(labels.labels, track_voicing(at_8k, cfg).labels)
 
 
 class TestMismatchRate:

@@ -187,7 +187,8 @@ def toy_dataset(n_utts, t_len, rng, corpus="synthetic"):
     for i in range(n_utts):
         x = rng.standard_normal((t_len, 8, 2))
         y = (x[:, 0, 0] > 0).astype(np.float64)
-        data[f"{corpus}/u{i:03d}"] = Example(f"{corpus}/u{i:03d}", x, y)
+        wave = Waveform(np.zeros(80 * t_len), 8000)
+        data[f"{corpus}/u{i:03d}"] = Example(f"{corpus}/u{i:03d}", x, y, wave)
     return data
 
 
@@ -229,9 +230,10 @@ class TestTrainLoop:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((40, 8, 2))
         y = rng.integers(0, 2, 40).astype(np.float64)
+        wave = Waveform(np.zeros(80 * 40), 8000)
         data = {
-            "synthetic/solo": Example("synthetic/solo", x, y),
-            "synthetic/solo2": Example("synthetic/solo2", x, y),
+            "synthetic/solo": Example("synthetic/solo", x, y, wave),
+            "synthetic/solo2": Example("synthetic/solo2", x, y, wave),
         }
         fold = FoldPlan("FDA", ("synthetic/solo",), ("synthetic/solo2",), ())
         cfg = TrainConfig(lr_init=3e-3, max_epochs=500, batch_size=1, seed=0)
@@ -403,14 +405,6 @@ class TestEvaluateCrossCorpus:
         assert report.rows[0].n_frames == 150
         assert 0.0 <= report.rows[0].vde_percent <= 100.0
 
-    @pytest.mark.parametrize("method", ["rapt", "dccrn"])
-    def test_example_without_wave_names_utterance(self, method):
-        rng = np.random.default_rng(18)
-        data = {"FDA/u0": Example("FDA/u0", rng.standard_normal((20, 8, 2)), np.zeros(20))}
-        model = DccrnModel(toy_config(), seed=0)
-        with pytest.raises(InvalidArgument, match="FDA/u0"):
-            evaluate_cross_corpus([self.fold_for(data)], [method], data, models={"FDA": model})
-
     def test_csv_header_format(self):
         rng = np.random.default_rng(17)
         data = self.eval_data(rng)
@@ -439,3 +433,14 @@ class TestFeaturePrep:
         assert ex.x.shape[0] == 99 and ex.y.size == 99
         with pytest.raises(InvalidArgument):
             make_example("u", w, VoicingLabels(np.zeros(90, dtype=np.int8)))
+
+    def test_make_example_keeps_the_8khz_wave(self):
+        """A 16 kHz recording is resampled once: the example holds the
+        8 kHz wave, and its features are those of the native recording."""
+        from voicedet.training import features_for_wave
+
+        rng = np.random.default_rng(20)
+        w16 = Waveform(rng.standard_normal(16000), 16000)
+        ex = make_example("u", w16, VoicingLabels(np.zeros(100, dtype=np.int8)))
+        assert ex.wave.sample_rate == 8000 and len(ex.wave) == 8000
+        assert np.array_equal(ex.x, features_for_wave(w16))
