@@ -9,14 +9,11 @@ cross-corpus training/evaluation utilities.
 __version__ = "0.1.0"
 
 from .dsp import (
-    ComplexSpectrogram,
-    FeatureTensor,
     FirFilter,
     FrameConfig,
     Waveform,
     apply_fir,
     design_kaiser_highpass,
-    feature_from_spectrogram,
     resample,
     stft,
 )
@@ -24,8 +21,6 @@ from .tracker import TrackerConfig, VoicingLabels, track_voicing
 from .labels import extract_reference_labels, mismatch_rate, align_for_lowest_vde
 
 __all__ = [
-    "ComplexSpectrogram",
-    "FeatureTensor",
     "FirFilter",
     "FrameConfig",
     "TrackerConfig",
@@ -35,7 +30,6 @@ __all__ = [
     "apply_fir",
     "design_kaiser_highpass",
     "extract_reference_labels",
-    "feature_from_spectrogram",
     "mismatch_rate",
     "resample",
     "stft",

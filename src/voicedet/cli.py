@@ -134,7 +134,7 @@ def parse_corpus_args(specs: list[str]) -> dict[str, corpus_io.Manifest]:
 
 
 def load_examples(manifests: dict[str, corpus_io.Manifest],
-                  input_freq_bins: int) -> tuple[dict[str, Example], list[str]]:
+                  model_cfg: ModelConfig) -> tuple[dict[str, Example], list[str]]:
     """Examples keyed by full id from mic audio + provided labels."""
     data = {}
     skipped = []
@@ -146,7 +146,7 @@ def load_examples(manifests: dict[str, corpus_io.Manifest],
             wave = read_wav(rec.mic_path)
             labels = label_io.read_labels_as(rec.provided_label_path, rec.label_format)
             try:
-                data[rec.full_id] = make_example(rec.full_id, wave, labels, input_freq_bins)
+                data[rec.full_id] = make_example(rec.full_id, wave, labels, model_cfg)
             except InvalidArgument as err:
                 skipped.append(f"{rec.full_id}: {err}")
     return data, skipped
@@ -182,10 +182,16 @@ def _extract_one(task):
 def cmd_labels_extract(args) -> int:
     tracker_cfg, model_cfg, train_cfg = load_run_config(args.config, args.seed)
     manifest = corpus_io.read_manifest(args.manifest)
+    corrections = {}  # full id -> the labels of its correction file
     if args.exclusions:
-        manifest = corpus_io.apply_exclusions(manifest, corpus_io.read_exclusions(args.exclusions))
+        exclusions = corpus_io.read_exclusions(args.exclusions)
+        manifest = corpus_io.apply_exclusions(manifest, exclusions)
+        kept = {r.full_id for r in manifest.records}
+        corrections = {f"{c}/{u}": label_io.read_labels(path)
+                       for c, u, path in exclusions.corrections if f"{c}/{u}" in kept}
     missing = [r.laryn_path for r in manifest.records
-               if r.laryn_path is not None and not Path(r.laryn_path).exists()]
+               if r.full_id not in corrections and r.laryn_path is not None
+               and not Path(r.laryn_path).exists()]
     if missing:
         raise InvalidArgument(f"laryngograph file not found: {missing[0]}")
     out_dir = Path(args.out)
@@ -194,7 +200,13 @@ def cmd_labels_extract(args) -> int:
 
     tasks = []
     skipped = []
+    results = []
     for rec in manifest.records:
+        if rec.full_id in corrections:  # written as corrected, not tracked
+            labels = corrections[rec.full_id]
+            label_io.write_labels(out_dir / f"{rec.utt_id}.lab", labels)
+            results.append((rec.full_id, float(labels.labels.mean())))
+            continue
         if rec.laryn_path is None:
             skipped.append((rec.full_id, "no laryngograph recording"))
             continue
@@ -212,12 +224,11 @@ def cmd_labels_extract(args) -> int:
             )
         )
 
-    results = []
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_extract_one, tasks))
+            results += pool.map(_extract_one, tasks)
     else:
-        results = [_extract_one(t) for t in tasks]
+        results += map(_extract_one, tasks)
 
     per_corpus: dict[str, list[float]] = {}
     for utt_id, frac in results:
@@ -251,10 +262,8 @@ def cmd_labels_compare(args) -> int:
         aligned.append(align_for_lowest_vde(a, b, args.max_shift)[1])
     if len(hops) != 1:
         raise InvalidArgument(f"inconsistent hop_ms across label files: {sorted(hops)}")
-    hop = hops.pop()
-    hop_txt = str(int(hop)) if float(hop).is_integer() else repr(hop)
     lines = [
-        f"#hop_ms={hop_txt}",
+        label_io.hop_header(hops.pop()),
         "utt_id,n_frames,mismatch_percent,mismatch_aligned_percent,shift",
     ]
     for utt, p, al in zip(common, plain, aligned):
@@ -270,6 +279,14 @@ def cmd_labels_compare(args) -> int:
     return EXIT_OK
 
 
+def _load_model(path) -> DccrnModel:
+    """The DC-CRN stored in a checkpoint file."""
+    cfg, params, buffers = load_checkpoint(path)
+    model = DccrnModel(cfg, seed=0)
+    model.load_state(params, buffers)
+    return model
+
+
 def cmd_detect(args) -> int:
     tracker_cfg, _, _ = load_run_config(args.config, args.seed)
     out_dir = Path(args.out)
@@ -278,9 +295,7 @@ def cmd_detect(args) -> int:
     if args.method == "dccrn":
         if not args.checkpoint:
             raise InvalidArgument("--method dccrn requires --checkpoint")
-        cfg, params, buffers = load_checkpoint(args.checkpoint)
-        model = DccrnModel(cfg, seed=0)
-        model.load_state(params, buffers)
+        model = _load_model(args.checkpoint)
     missing = [p for p in args.wavs if not Path(p).exists()]
     if missing:
         raise InvalidArgument(f"input file not found: {missing[0]}")
@@ -334,7 +349,7 @@ def cmd_train(args) -> int:
             corpus_dir, n_utterances=args.demo_utterances, seed=train_cfg.seed
         )
         manifests = {"synthetic": manifest}
-        data, skipped = load_examples(manifests, model_cfg.input_freq_bins)
+        data, skipped = load_examples(manifests, model_cfg)
         n_side = max(1, args.demo_utterances // 10)
         folds = [_demo_fold(data, n_side, n_side)]
     else:
@@ -342,7 +357,7 @@ def cmd_train(args) -> int:
             raise InvalidArgument("train needs --corpus and --folds (or --synthetic-demo)")
         manifests = parse_corpus_args(args.corpus)
         folds = corpus_io.read_folds(args.folds)
-        data, skipped = load_examples(manifests, model_cfg.input_freq_bins)
+        data, skipped = load_examples(manifests, model_cfg)
     for line in skipped:
         log.warning("skipped %s", line)
 
@@ -352,7 +367,7 @@ def cmd_train(args) -> int:
         result = train(model_cfg, None, fold, data, train_cfg)
         tag = fold.held_out_corpus
         save_checkpoint(out_dir / f"{tag}.ckpt", model_cfg, result.params, result.buffers)
-        _atomic_write(out_dir / f"{tag}.history.csv", result.history.to_csv(include_wall_time=False))
+        _atomic_write(out_dir / f"{tag}.history.csv", result.history.to_csv())
         _atomic_write(
             out_dir / f"{tag}.timing.log",
             "".join(f"epoch {r.epoch}: {r.wall_time:.3f}s\n" for r in result.history.records),
@@ -381,7 +396,7 @@ def cmd_eval(args) -> int:
     methods = args.methods.split(",")
     folds = corpus_io.read_folds(args.folds)
     manifests = parse_corpus_args(args.corpus)
-    data, skipped = load_examples(manifests, model_cfg.input_freq_bins)
+    data, skipped = load_examples(manifests, model_cfg)
     for line in skipped:
         log.warning("skipped %s", line)
     models = {}
@@ -390,13 +405,9 @@ def cmd_eval(args) -> int:
         for fold in folds:
             path = ckpt_dir / f"{fold.held_out_corpus}.ckpt" if ckpt_dir else None
             if path and path.exists():
-                cfg, params, buffers = load_checkpoint(path)
-                model = DccrnModel(cfg, seed=0)
-                model.load_state(params, buffers)
-                models[fold.held_out_corpus] = model
+                models[fold.held_out_corpus] = _load_model(path)
     report, decisions = evaluate_cross_corpus(
-        folds, methods, data, models=models, tracker_cfg=tracker_cfg,
-        max_shift=args.max_shift, keep_decisions=bool(args.strips),
+        folds, methods, data, models=models, tracker_cfg=tracker_cfg, max_shift=args.max_shift
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

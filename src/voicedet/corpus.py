@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -151,25 +151,17 @@ def scan_corpus(root: str | Path, corpus: str) -> Manifest:
 # ---------------------------------------------------------------------------
 
 def apply_exclusions(manifest: Manifest, exclusions: ExclusionList) -> Manifest:
-    """Drop excluded records and repoint corrected label paths. Idempotent."""
+    """Drop excluded records. Idempotent. Correction rows keep their record;
+    `labels-extract` writes its labels from the correction file."""
     excluded = {(c, u) for c, u, _ in exclusions.entries}
-    corrected = {(c, u): p for c, u, p in exclusions.corrections}
+    corrected = {(c, u) for c, u, _ in exclusions.corrections}
     present = {(r.corpus, r.utt_id) for r in manifest.records}
-    for key in excluded | set(corrected):
+    for key in excluded | corrected:
         if key not in present:
             log.warning("exclusion/correction entry %s matches no record", key)
-    out = []
-    n_removed = 0
-    for r in manifest.records:
-        key = (r.corpus, r.utt_id)
-        if key in excluded:
-            n_removed += 1
-            continue
-        if key in corrected:
-            r = replace(r, provided_label_path=corrected[key])
-        out.append(r)
-    log.info("exclusions removed %d of %d records", n_removed, len(manifest))
-    return Manifest(tuple(out))
+    out = tuple(r for r in manifest.records if (r.corpus, r.utt_id) not in excluded)
+    log.info("exclusions removed %d of %d records", len(manifest) - len(out), len(manifest))
+    return Manifest(out)
 
 
 def write_exclusions(path: str | Path, exclusions: ExclusionList) -> None:

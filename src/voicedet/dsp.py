@@ -1,10 +1,9 @@
 """Deterministic signal-processing primitives.
 
-Resampling, framing/STFT, linear-phase FIR high-pass design, and assembly
-of the stacked real/imaginary STFT feature. All functions but the WAV
-readers and writers are pure, and all but `read_wav` (which sets the
-process-wide warning filters while it reads) are safe to call from
-multiple threads.
+Resampling, framing/STFT and linear-phase FIR high-pass design. All
+functions but the WAV readers and writers are pure, and all but `read_wav`
+(which sets the process-wide warning filters while it reads) are safe to
+call from multiple threads.
 
 FIR filtering and integer-ratio decimation share one overlap-save kernel
 (`_fir_samples`): FFT blocks sized from the filter length, so temporaries
@@ -28,6 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
 from scipy.io import wavfile
 from scipy.signal import resample_poly
@@ -133,10 +133,6 @@ class FrameConfig:
         hop = int(round(sample_rate * 10.0 / 1000.0))
         return cls(window_len=window_len, hop=hop, fft_size=window_len)
 
-    @property
-    def n_bins(self) -> int:
-        return self.fft_size // 2 + 1
-
     def n_frames(self, n_samples: int) -> int:
         """Frame count for a signal of n_samples: ceil(n / hop)."""
         if n_samples <= 0:
@@ -147,49 +143,6 @@ class FrameConfig:
         n = self.window_len
         k = np.arange(n)
         return 0.54 - 0.46 * np.cos(2.0 * np.pi * k / (n - 1))
-
-
-@dataclass(frozen=True)
-class ComplexSpectrogram:
-    """T x F one-sided complex STFT with its framing config."""
-
-    values: np.ndarray
-    frame_config: FrameConfig
-    sample_rate: int
-
-    def __post_init__(self):
-        if self.values.ndim != 2 or self.values.shape[1] != self.frame_config.n_bins:
-            raise InvalidArgument(
-                f"spectrogram shape {self.values.shape} inconsistent with "
-                f"F={self.frame_config.n_bins}"
-            )
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class FeatureTensor:
-    """T x 2F real matrix: real parts in columns [0, F), imaginary in [F, 2F)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.ndim != 2 or self.values.shape[1] % 2 != 0:
-            raise InvalidArgument(f"feature tensor must be T x 2F, got {self.values.shape}")
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.values.shape[1] // 2
 
 
 @dataclass(frozen=True)
@@ -299,19 +252,17 @@ def resample(wave: Waveform, target_rate: int) -> Waveform:
     return Waveform(out, target_rate)
 
 
-def stft(wave: Waveform, cfg: FrameConfig) -> ComplexSpectrogram:
-    """Hamming-windowed one-sided STFT, left-aligned frames, right zero-padding."""
+def stft(wave: Waveform, cfg: FrameConfig) -> np.ndarray:
+    """Hamming-windowed one-sided STFT, left-aligned frames, right zero-padding:
+    a C-ordered complex [T, fft_size // 2 + 1] array."""
     x = wave.samples
     if x.size == 0:
         raise InvalidArgument("empty signal")
     n_frames = cfg.n_frames(x.size)
-    padded_len = (n_frames - 1) * cfg.hop + cfg.window_len
-    padded = np.zeros(padded_len, dtype=np.float64)
+    padded = np.zeros((n_frames - 1) * cfg.hop + cfg.window_len)
     padded[: x.size] = x
-    idx = np.arange(cfg.window_len)[None, :] + cfg.hop * np.arange(n_frames)[:, None]
-    frames = padded[idx] * cfg.window()[None, :]
-    spec = np.fft.rfft(frames, n=cfg.fft_size, axis=1)
-    return ComplexSpectrogram(spec, cfg, wave.sample_rate)
+    frames = sliding_window_view(padded, cfg.window_len)[:: cfg.hop] * cfg.window()
+    return np.fft.rfft(frames, n=cfg.fft_size, axis=1)
 
 
 def design_kaiser_highpass(beta: float, n: int, cutoff_hz: float, sample_rate: int) -> FirFilter:
@@ -348,18 +299,6 @@ def apply_fir(wave: Waveform, filt: FirFilter) -> Waveform:
     """
     out = _fir_samples(wave.samples, filt.taps, filt.group_delay, 1, len(wave))
     return Waveform(out, wave.sample_rate)
-
-
-def feature_from_spectrogram(spec: ComplexSpectrogram) -> FeatureTensor:
-    """Stack real and imaginary parts along frequency: X[:, :F]=Re, X[:, F:]=Im."""
-    return FeatureTensor(np.hstack([spec.values.real, spec.values.imag]))
-
-
-def spectrogram_from_feature(feat: FeatureTensor, cfg: FrameConfig, sample_rate: int) -> ComplexSpectrogram:
-    """Inverse of `feature_from_spectrogram` (exact)."""
-    f = feat.n_bins
-    values = feat.values[:, :f] + 1j * feat.values[:, f:]
-    return ComplexSpectrogram(values, cfg, sample_rate)
 
 
 def read_wav(path: str | Path) -> Waveform:

@@ -148,6 +148,12 @@ def align_for_lowest_vde(
     return best.shift_applied, best
 
 
+def hop_header(hop_ms: float) -> str:
+    """The `#hop_ms=` line of a label file and of a labels-compare CSV."""
+    hop = float(hop_ms)
+    return f"#hop_ms={int(hop) if hop.is_integer() else repr(hop)}"
+
+
 def write_labels(path: str | Path, labels: VoicingLabels) -> None:
     """Write the canonical label file format (deterministic bytes).
 
@@ -155,9 +161,7 @@ def write_labels(path: str | Path, labels: VoicingLabels) -> None:
     would print as 0.000: `read_labels` drops such an F0, so writing the
     zeros keeps a write -> read -> write round trip byte-stable.
     """
-    hop = labels.hop_ms
-    hop_txt = str(int(hop)) if float(hop).is_integer() else repr(float(hop))
-    lines = [f"#hop_ms={hop_txt}"]
+    lines = [hop_header(labels.hop_ms)]
     f0 = labels.f0
     if f0 is None or np.any(f0[labels.labels == 1] < 0.0005):
         f0 = np.zeros(len(labels))

@@ -24,12 +24,17 @@ from .dsp import (
     InvalidArgument,
     Waveform,
     check_field_types,
-    feature_from_spectrogram,
     peak_normalize,
     resample,
     stft,
 )
-from .labels import LabelComparison, _count_mismatch, align_for_lowest_vde, pool_comparisons
+from .labels import (
+    MAX_LENGTH_SLACK,
+    LabelComparison,
+    _count_mismatch,
+    align_for_lowest_vde,
+    pool_comparisons,
+)
 from .nn.model import DccrnModel, ModelConfig, VoicingPosterior, bce_loss, decide_voicing
 from .tracker import TrackerConfig, VoicingLabels, track_voicing
 
@@ -98,29 +103,15 @@ class TrainHistory:
         """Everything except wall_time, for bit-exact comparisons."""
         return [(r.epoch, r.train_loss, r.val_loss, r.lr) for r in self.records]
 
-    def to_csv(self, include_wall_time: bool = True) -> str:
-        """Omitting wall_time keeps the file byte-identical across reruns."""
+    def to_csv(self) -> str:
+        """The deterministic fields, byte-identical across reruns; wall times
+        are left out."""
         buf = io.StringIO()
         writer = csv.writer(buf)
-        cols = ["epoch", "train_loss", "val_loss", "lr"]
-        if include_wall_time:
-            cols.append("wall_time")
-        writer.writerow(cols)
+        writer.writerow(["epoch", "train_loss", "val_loss", "lr"])
         for r in self.records:
-            row = [r.epoch, repr(r.train_loss), repr(r.val_loss), repr(r.lr)]
-            if include_wall_time:
-                row.append(f"{r.wall_time:.3f}")
-            writer.writerow(row)
+            writer.writerow([r.epoch, repr(r.train_loss), repr(r.val_loss), repr(r.lr)])
         return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "TrainHistory":
-        rows = list(csv.reader(io.StringIO(text)))
-        records = tuple(
-            EpochRecord(int(e), float(tl), float(vl), float(lr), float(wt))
-            for e, tl, vl, lr, wt in rows[1:]
-        )
-        return cls(records)
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +228,14 @@ TARGET_RATE = 8000
 
 
 def features_for_wave(wave: Waveform, input_freq_bins: int = 513) -> np.ndarray:
-    """Resample to 8 kHz, peak-normalize, STFT, arrange as [T, F, 2]."""
+    """Resample to 8 kHz, peak-normalize, STFT: the [T, F, 2] real and
+    imaginary parts, a float64 view of the complex STFT (no copy)."""
     if wave.sample_rate != TARGET_RATE:
         wave = resample(wave, TARGET_RATE)
-    wave = peak_normalize(wave)
-    spec = stft(wave, FrameConfig.for_rate(TARGET_RATE))
-    feat = feature_from_spectrogram(spec)
-    f = feat.n_bins
-    if f != input_freq_bins:
-        raise InvalidArgument(f"feature has {f} bins, expected {input_freq_bins}")
-    return np.stack([feat.values[:, :f], feat.values[:, f:]], axis=-1)
+    spec = stft(peak_normalize(wave), FrameConfig.for_rate(TARGET_RATE))
+    if spec.shape[1] != input_freq_bins:
+        raise InvalidArgument(f"feature has {spec.shape[1]} bins, expected {input_freq_bins}")
+    return spec.view(np.float64).reshape(*spec.shape, 2)
 
 
 def detect_wave(wave: Waveform, method: str, model: DccrnModel | None = None,
@@ -275,22 +264,24 @@ class Example:
     """One utterance ready for training/evaluation."""
 
     utt_id: str
-    x: np.ndarray  # [T, F, 2]
+    x: np.ndarray  # [T, F, 2] in the model's dtype
     y: np.ndarray  # [T] float {0, 1}
     wave: Waveform  # the 8 kHz recording evaluation decodes; training reads x
 
 
 def make_example(utt_id: str, wave: Waveform, labels: VoicingLabels,
-                 input_freq_bins: int = 513) -> Example:
+                 model_cfg: ModelConfig) -> Example:
+    """The one Example builder: features at the model's bins and dtype, cut
+    with the labels to their common length (at most MAX_LENGTH_SLACK apart)."""
     if wave.sample_rate != TARGET_RATE:
         wave = resample(wave, TARGET_RATE)
-    x = features_for_wave(wave, input_freq_bins)
+    x = features_for_wave(wave, model_cfg.input_freq_bins)
     t = x.shape[0]
     y = labels.labels.astype(np.float64)
-    if abs(t - y.size) > 2:
+    if abs(t - y.size) > MAX_LENGTH_SLACK:
         raise InvalidArgument(f"{utt_id}: {t} frames vs {y.size} labels")
     n = min(t, y.size)
-    return Example(utt_id, x[:n], y[:n], wave)
+    return Example(utt_id, x[:n].astype(model_cfg.np_dtype(), copy=False), y[:n], wave)
 
 
 def _batches(ids: list[str], data, batch_size: int):
@@ -495,13 +486,12 @@ class EvalReport:
 def evaluate_cross_corpus(folds: list[FoldPlan], methods: list[str], data,
                           models: dict[str, DccrnModel] | None = None,
                           tracker_cfg: TrackerConfig | None = None,
-                          max_shift: int = 5,
-                          keep_decisions: bool = False):
+                          max_shift: int = 5):
     """Per fold and method: decode each held-out recording whole through
     `detect_wave` and cut the decisions to its labels ("reference" scores
     the labels themselves), align each utterance for the lowest VDE, pool
     frame counts. Returns (EvalReport, decisions) where decisions maps
-    (fold, method, utt_id) -> (ref, est, shift) when keep_decisions is set."""
+    (fold, method, utt_id) -> (ref, est, shift)."""
     models = models or {}
     rows = []
     decisions = {}
@@ -528,8 +518,7 @@ def evaluate_cross_corpus(folds: list[FoldPlan], methods: list[str], data,
                 shift, aligned_cmp = align_for_lowest_vde(est, ref, max_shift)
                 plain.append(LabelComparison(*vde_counts(est, ref)))
                 aligned.append(aligned_cmp)
-                if keep_decisions:
-                    decisions[(fold.held_out_corpus, method, utt_id)] = (ref, est, shift)
+                decisions[(fold.held_out_corpus, method, utt_id)] = (ref, est, shift)
             if not plain:
                 log.warning("fold %s/%s: no test data", fold.held_out_corpus, method)
                 continue

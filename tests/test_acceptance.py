@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-import voicedet.training as training
 from voicedet.corpus import (
     FoldPlan,
     folds_from_json,
@@ -38,6 +37,7 @@ from voicedet.training import (
     TrainConfig,
     clip_gradients,
     detect_wave,
+    make_example,
     pretrain_then_finetune,
     train,
     vde,
@@ -299,11 +299,8 @@ def _synthetic_examples(seed, count, labeler="truth"):
     for i in range(count):
         mic, _, truth = synth_utterance(seed, i)
         labels = truth if labeler == "truth" else detect_wave(mic, "rapt")[0]
-        x = training.features_for_wave(mic).astype(np.float32)
-        n = min(x.shape[0], len(labels))
-        data[f"synthetic/utt{i:04d}"] = Example(
-            f"synthetic/utt{i:04d}", x[:n], labels.labels[:n].astype(np.float64), wave=mic
-        )
+        utt_id = f"synthetic/utt{i:04d}"
+        data[utt_id] = make_example(utt_id, mic, labels, REDUCED_MODEL)
     return data
 
 

@@ -82,6 +82,27 @@ class TestLabelsExtract:
         assert str(gone) in capsys.readouterr().err
         assert not out.exists()  # checked before any work starts
 
+    def test_correction_rows_replace_the_tracker_labels(self, tmp_path):
+        import voicedet.corpus as corpus_io
+
+        root = tmp_path / "corpus"
+        assert main(["synth-corpus", "--out", str(root), "--n", "3", "--seed", "5",
+                     "--duration", "1.0"]) == 0
+        fixed = tmp_path / "fixed.lab"
+        write_labels(fixed, VoicingLabels(np.ones(100, dtype=np.int8)))
+        (root / "laryn" / "utt0000.wav").unlink()  # a corrected record is not tracked
+        corpus_io.write_exclusions(tmp_path / "x.tsv", corpus_io.ExclusionList(
+            entries=(("synthetic", "utt0001", "other"),),
+            corrections=(("synthetic", "utt0000", str(fixed)), ("synthetic", "utt0001", str(fixed))),
+        ))
+        out = tmp_path / "out"
+        assert main(["labels-extract", "--manifest", str(root / "manifest.tsv"),
+                     "--exclusions", str(tmp_path / "x.tsv"), "--out", str(out)]) == 0
+        assert (out / "utt0000.lab").read_bytes() == fixed.read_bytes()
+        assert not (out / "utt0001.lab").exists()  # excluded stays excluded
+        assert (out / "utt0002.lab").exists()
+        assert "#records=2 written=2 skipped=0" in (out / "summary.tsv").read_text()
+
 
 class TestLabelsCompare:
     def test_identical_dirs_all_zero(self, small_corpus, tmp_path, capsys):

@@ -103,12 +103,6 @@ class TestExclusions:
         assert len(out) == 8
         assert all(r.utt_id not in ("u1", "u5") for r in out.records)
 
-    def test_correction_repoints_label(self):
-        m = Manifest((record("FDA", "u0"),))
-        x = ExclusionList(corrections=(("FDA", "u0", "/fixed/u0.lab"),))
-        out = apply_exclusions(m, x)
-        assert out.records[0].provided_label_path == "/fixed/u0.lab"
-
     def test_empty_identity(self):
         m = Manifest(tuple(record("FDA", f"u{i}") for i in range(4)))
         assert apply_exclusions(m, ExclusionList()) == m

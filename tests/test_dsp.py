@@ -1,5 +1,6 @@
 """Tests for the signal-processing primitives."""
 
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -9,20 +10,18 @@ from scipy.signal import fftconvolve, resample_poly
 
 from voicedet import dsp
 from voicedet.dsp import (
-    ComplexSpectrogram,
     FrameConfig,
     InvalidArgument,
     Waveform,
     apply_fir,
     design_kaiser_highpass,
-    feature_from_spectrogram,
     peak_normalize,
     read_wav,
     resample,
-    spectrogram_from_feature,
     stft,
     write_wav,
 )
+from voicedet.training import features_for_wave
 
 
 def tone(freq, sr, seconds=1.0, amp=1.0):
@@ -82,7 +81,7 @@ class TestResample:
         # oracle: locate the dominant STFT bin of the resampled tone
         out = resample(tone(440.0, 16000), 8000)
         spec = stft(out, FrameConfig.for_rate(8000))
-        mags = np.abs(spec.values[5:-5])
+        mags = np.abs(spec[5:-5])
         peak_bins = mags.argmax(axis=1)
         expect = 440.0 * 1024 / 8000
         assert np.all(np.abs(peak_bins - expect) <= 1.0)
@@ -102,7 +101,7 @@ class TestResample:
         out = resample(tone(440.0, 44100), 8000)
         assert abs(len(out) - 8000) <= 1
         spec = stft(out, FrameConfig.for_rate(8000))
-        peaks = np.abs(spec.values[5:-5]).argmax(axis=1)
+        peaks = np.abs(spec[5:-5]).argmax(axis=1)
         assert np.all(np.abs(peaks - 440.0 * 1024 / 8000) <= 1.0)
 
     def test_rejects_bad_rate(self):
@@ -116,22 +115,33 @@ class TestStft:
         assert cfg.window_len == 1024
         assert cfg.hop == 80
         assert cfg.fft_size == 1024
-        assert cfg.n_bins == 513
+        assert stft(tone(100.0, 8000), cfg).shape[1] == 513
 
     def test_sine_peak_bin(self):
         spec = stft(tone(1000.0, 8000), FrameConfig.for_rate(8000))
-        mags = np.abs(spec.values[5:-5])
+        mags = np.abs(spec[5:-5])
         assert np.all(mags.argmax(axis=1) == round(1000 * 1024 / 8000))
 
     def test_zero_signal(self):
         spec = stft(Waveform(np.zeros(8000), 8000), FrameConfig.for_rate(8000))
-        assert np.all(spec.values == 0)
+        assert np.all(spec == 0)
 
-    def test_frame_count(self):
+    @pytest.mark.parametrize("n", [1, 79, 80, 81, 1024, 1025, 24000, 48037])
+    def test_frame_count(self, n):
+        """ceil(n / hop) rows, each the FFT of the windowed frame at t * hop
+        of the zero-padded signal (bit-equal to an index gather), in one
+        C-ordered complex array."""
         cfg = FrameConfig.for_rate(8000)
-        for n in (1, 79, 80, 81, 24000):
-            spec = stft(Waveform(np.ones(n), 8000), cfg)
-            assert spec.n_frames == -(-n // 80)
+        x = np.random.default_rng(n).standard_normal(n)
+        spec = stft(Waveform(x, 8000), cfg)
+        t = -(-n // 80)
+        assert spec.shape == (t, 513)
+        padded = np.zeros((t - 1) * cfg.hop + cfg.window_len)
+        padded[:n] = x
+        idx = np.arange(cfg.window_len)[None, :] + cfg.hop * np.arange(t)[:, None]
+        expect = np.fft.rfft(padded[idx] * cfg.window()[None, :], n=cfg.fft_size, axis=1)
+        assert spec.flags.c_contiguous and spec.dtype == np.complex128
+        assert spec.tobytes() == expect.tobytes()
 
     def test_empty_signal_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -141,8 +151,8 @@ class TestStft:
         rng = np.random.default_rng(1)
         x = rng.standard_normal(4000)
         cfg = FrameConfig.for_rate(8000)
-        a = stft(Waveform(3.7 * x, 8000), cfg).values
-        b = 3.7 * stft(Waveform(x, 8000), cfg).values
+        a = stft(Waveform(3.7 * x, 8000), cfg)
+        b = 3.7 * stft(Waveform(x, 8000), cfg)
         assert np.allclose(a, b, rtol=1e-9, atol=1e-12)
 
     def test_parseval_per_frame(self):
@@ -154,7 +164,7 @@ class TestStft:
         t = 10
         seg = x[t * cfg.hop : t * cfg.hop + cfg.window_len] * win
         # extend the one-sided spectrum back to two-sided for the energy sum
-        full = np.concatenate([spec.values[t], np.conj(spec.values[t][-2:0:-1])])
+        full = np.concatenate([spec[t], np.conj(spec[t][-2:0:-1])])
         lhs = np.sum(seg**2)
         rhs = np.sum(np.abs(full) ** 2) / cfg.fft_size
         assert abs(lhs - rhs) / lhs < 1e-6
@@ -291,26 +301,29 @@ class TestFirKernel:
         assert peak_beyond_output(600) <= peak_beyond_output(60) + 64 * 1024
 
 
-class TestFeatureTensor:
-    def test_width_is_2f(self):
-        spec = stft(tone(200.0, 8000), FrameConfig.for_rate(8000))
-        feat = feature_from_spectrogram(spec)
-        assert feat.values.shape == (spec.n_frames, 2 * 513)
+class TestModelInput:
+    """The model input is the STFT's real and imaginary parts, read through a
+    float64 view of the complex array rather than copied out of it."""
 
-    def test_real_spectrogram_has_zero_imag_half(self):
-        cfg = FrameConfig.for_rate(8000)
-        values = np.ones((4, cfg.n_bins), dtype=complex)
-        feat = feature_from_spectrogram(ComplexSpectrogram(values, cfg, 8000))
-        assert np.all(feat.values[:, 513:] == 0)
-        assert np.all(feat.values[:, :513] == 1)
+    @pytest.mark.parametrize("rate", [8000, 16000, 48000])
+    def test_features_are_the_stft_parts(self, rate):
+        wave = Waveform(np.random.default_rng(rate).standard_normal(rate // 2), rate)
+        x = features_for_wave(wave)
+        at_8k = resample(wave, 8000) if rate != 8000 else wave
+        spec = stft(peak_normalize(at_8k), FrameConfig.for_rate(8000))
+        assert x.shape == (spec.shape[0], 513, 2) and x.dtype == np.float64
+        assert x[..., 0].tobytes() == spec.real.copy().tobytes()
+        assert x[..., 1].tobytes() == spec.imag.copy().tobytes()
+        # a view of the STFT, not a copy
+        assert x.base.dtype == np.complex128 and x.base.shape == spec.shape
+        assert x.base.tobytes() == spec.tobytes()
 
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(4)
-        cfg = FrameConfig.for_rate(8000)
-        values = rng.standard_normal((7, 513)) + 1j * rng.standard_normal((7, 513))
-        spec = ComplexSpectrogram(values, cfg, 8000)
-        back = spectrogram_from_feature(feature_from_spectrogram(spec), cfg, 8000)
-        assert np.array_equal(back.values, spec.values)
+
+@pytest.mark.parametrize("package", ["voicedet", "voicedet.nn"])
+def test_public_names_import(package):
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        assert getattr(module, name) is not None, name
 
 
 class TestWavIo:

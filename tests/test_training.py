@@ -297,16 +297,22 @@ class TestPretrainFinetune:
 
 
 class TestHistory:
-    def test_csv_round_trip(self):
+    def test_csv_holds_the_deterministic_fields(self):
+        """Four columns, floats at full precision, wall times left out: the
+        file reads back to the deterministic fields."""
         hist = TrainHistory(
             (
                 training.EpochRecord(1, 0.7, 0.65, 5e-4, 1.25),
-                training.EpochRecord(2, 0.6, 0.66, 5e-4, 1.3),
+                training.EpochRecord(2, 0.1 + 0.2, 0.66, 5e-4, 1.3),
                 training.EpochRecord(3, 0.5, 0.64, 2.5e-4, 1.1),
             )
         )
-        back = TrainHistory.from_csv(hist.to_csv())
-        assert back.deterministic_fields() == hist.deterministic_fields()
+        lines = hist.to_csv().splitlines()
+        assert lines[0] == "epoch,train_loss,val_loss,lr"
+        assert lines[2] == "2,0.30000000000000004,0.66,0.0005"
+        back = [(int(e), float(a), float(b), float(c))
+                for e, a, b, c in (ln.split(",") for ln in lines[1:])]
+        assert back == hist.deterministic_fields()
 
     def test_lr_increase_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -373,9 +379,7 @@ class TestEvaluateCrossCorpus:
             return np.concatenate([[0, 0], y[:-2]]).astype(np.int8)
 
         monkeypatch.setattr(training, "detect_wave", self.detect_from_labels(data, delay))
-        report, decisions = evaluate_cross_corpus(
-            [self.fold_for(data)], ["rapt"], data, keep_decisions=True
-        )
+        report, decisions = evaluate_cross_corpus([self.fold_for(data)], ["rapt"], data)
         row = report.rows[0]
         assert row.vde_percent == 0.0  # alignment absorbs the 2-frame delay
         assert row.vde_unaligned_percent > 0.0
@@ -391,13 +395,12 @@ class TestEvaluateCrossCorpus:
         assert "no checkpoint" in caplog.text
 
     def test_dccrn_method_produces_row(self):
+        cfg = ModelConfig(block_out_channels=(2, 4), blstm_hidden=8, groups=2, dtype="float32")
         data = {}
         for i in range(3):
             mic, _, truth = synth_utterance(16, i, duration_sec=0.5)
-            data[f"FDA/u{i}"] = make_example(f"FDA/u{i}", mic, truth)
-        model = DccrnModel(
-            ModelConfig(block_out_channels=(2, 4), blstm_hidden=8, groups=2, dtype="float32"), seed=0
-        )
+            data[f"FDA/u{i}"] = make_example(f"FDA/u{i}", mic, truth, cfg)
+        model = DccrnModel(cfg, seed=0)
         report, _ = evaluate_cross_corpus(
             [self.fold_for(data)], ["dccrn"], data, models={"FDA": model}
         )
@@ -429,10 +432,10 @@ class TestFeaturePrep:
         rng = np.random.default_rng(19)
         w = Waveform(rng.standard_normal(8000), 8000)
         labels = VoicingLabels(np.zeros(99, dtype=np.int8))
-        ex = make_example("u", w, labels)
+        ex = make_example("u", w, labels, ModelConfig())
         assert ex.x.shape[0] == 99 and ex.y.size == 99
         with pytest.raises(InvalidArgument):
-            make_example("u", w, VoicingLabels(np.zeros(90, dtype=np.int8)))
+            make_example("u", w, VoicingLabels(np.zeros(90, dtype=np.int8)), ModelConfig())
 
     def test_make_example_keeps_the_8khz_wave(self):
         """A 16 kHz recording is resampled once: the example holds the
@@ -441,6 +444,17 @@ class TestFeaturePrep:
 
         rng = np.random.default_rng(20)
         w16 = Waveform(rng.standard_normal(16000), 16000)
-        ex = make_example("u", w16, VoicingLabels(np.zeros(100, dtype=np.int8)))
+        ex = make_example("u", w16, VoicingLabels(np.zeros(100, dtype=np.int8)),
+                          ModelConfig(dtype="float64"))
         assert ex.wave.sample_rate == 8000 and len(ex.wave) == 8000
         assert np.array_equal(ex.x, features_for_wave(w16))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_make_example_stores_the_model_dtype(self, dtype):
+        from voicedet.training import features_for_wave
+
+        w = Waveform(np.random.default_rng(21).standard_normal(8000), 8000)
+        ex = make_example("u", w, VoicingLabels(np.zeros(100, dtype=np.int8)),
+                          ModelConfig(dtype=dtype))
+        assert ex.x.dtype == np.dtype(dtype)
+        assert np.array_equal(ex.x, features_for_wave(w).astype(dtype))
