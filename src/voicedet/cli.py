@@ -69,16 +69,13 @@ def _merge_dataclass(defaults, overrides: dict, section: str):
     unknown = set(overrides) - known
     if unknown:
         raise InvalidArgument(f"unknown {section} config keys: {sorted(unknown)}")
-    if "block_out_channels" in overrides:
-        overrides = dict(overrides)
-        overrides["block_out_channels"] = tuple(overrides["block_out_channels"])
     return dataclasses.replace(defaults, **overrides)
 
 
 def load_run_config(path: str | None, seed: int | None = None):
     """JSON file with optional sections tracker/model/train; unknown keys
-    anywhere are rejected, and every error in the file names it. The --seed
-    flag overrides the train seed."""
+    anywhere are rejected, and every error in the file names it. `train`'s
+    --seed flag overrides the train seed."""
     text = read_text(path) if path else "{}"
     try:
         payload = json.loads(text)
@@ -102,7 +99,7 @@ def load_run_config(path: str | None, seed: int | None = None):
 def echo_config(out_dir: Path, tracker: TrackerConfig, model: ModelConfig, train_cfg: TrainConfig):
     resolved = {
         "tracker": dataclasses.asdict(tracker),
-        "model": model.to_dict(),
+        "model": dataclasses.asdict(model),
         "train": dataclasses.asdict(train_cfg),
     }
     _atomic_write(out_dir / "config.json", json.dumps(resolved, indent=2, sort_keys=True) + "\n")
@@ -180,7 +177,7 @@ def _extract_one(task):
 
 
 def cmd_labels_extract(args) -> int:
-    tracker_cfg, model_cfg, train_cfg = load_run_config(args.config, args.seed)
+    tracker_cfg, model_cfg, train_cfg = load_run_config(args.config)
     manifest = corpus_io.read_manifest(args.manifest)
     corrections = {}  # full id -> the labels of its correction file
     if args.exclusions:
@@ -283,12 +280,15 @@ def _load_model(path) -> DccrnModel:
     """The DC-CRN stored in a checkpoint file."""
     cfg, params, buffers = load_checkpoint(path)
     model = DccrnModel(cfg, seed=0)
-    model.load_state(params, buffers)
+    try:
+        model.load_state(params, buffers)
+    except InvalidArgument as err:
+        raise InvalidArgument(f"{path}: {err}") from None
     return model
 
 
 def cmd_detect(args) -> int:
-    tracker_cfg, _, _ = load_run_config(args.config, args.seed)
+    tracker_cfg, _, _ = load_run_config(args.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = None
@@ -392,7 +392,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    tracker_cfg, model_cfg, train_cfg = load_run_config(args.config, args.seed)
+    tracker_cfg, model_cfg, train_cfg = load_run_config(args.config)
     methods = args.methods.split(",")
     folds = corpus_io.read_folds(args.folds)
     manifests = parse_corpus_args(args.corpus)
@@ -432,9 +432,11 @@ def build_parser() -> CliParser:
     parser = CliParser(prog="voicedet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def config(p):
         p.add_argument("--config", help="JSON run config (sections: tracker/model/train)")
-        p.add_argument("--seed", type=int, default=None, help="override the training seed")
+
+    def common(p):
+        config(p)
         p.add_argument("--strict", action="store_true", help="exit 2 if any record is skipped")
 
     p = sub.add_parser("synth-corpus", help="generate the deterministic synthetic corpus")
@@ -462,7 +464,7 @@ def build_parser() -> CliParser:
     p.set_defaults(func=cmd_labels_compare)
 
     p = sub.add_parser("detect", help="voicing decisions for wav files")
-    common(p)
+    config(p)
     p.add_argument("--method", choices=("rapt", "dccrn"), required=True)
     p.add_argument("--checkpoint")
     p.add_argument("--out", required=True)
@@ -472,6 +474,7 @@ def build_parser() -> CliParser:
 
     p = sub.add_parser("train", help="train the detector on fold plans")
     common(p)
+    p.add_argument("--seed", type=int, default=None, help="override the training seed")
     p.add_argument("--corpus", action="append", metavar="ROOT:TAG",
                    help="corpus root and tag; repeatable")
     p.add_argument("--folds", help="fold plan JSON")

@@ -1,120 +1,91 @@
-"""Versioned binary checkpoint container.
+"""Checkpoints: an uncompressed zip holding `config.json` (the model config)
+and one NEP 1 `.npy` member per array, named `param/<name>.npy` or
+`buffer/<name>.npy`; `np.load(path, allow_pickle=False)` opens one.
 
-Layout: an 8-byte magic, a little-endian uint64 header length, a JSON header
-(format version, embedded model config, a manifest of named arrays with
-shape/dtype/offset), then the raw little-endian array payload. Round trips
-are bit-exact. A missing file, one too short for its header or manifest,
-or a header that is not JSON, holds a bad model config or a manifest entry
-whose shape and dtype do not fill its nbytes, is rejected with
-InvalidArgument.
+Members are written in a fixed order with a fixed timestamp, so equal
+checkpoints are equal bytes, and round trips are bit-exact. The reader
+checks every member's CRC-32 and rejects, as InvalidArgument naming the
+path, a file that is not such a zip, a compressed or encrypted member, a
+member of another name or dtype, and a config that is not a ModelConfig.
 """
 from __future__ import annotations
 
+import io
 import json
-import math
-import struct
+import tokenize
+import zipfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from ..dsp import InvalidArgument, read_bytes
+from ..dsp import InvalidArgument
 from .model import ModelConfig
 
-MAGIC = b"VDCKPT01"
-
-_DTYPES = {"float32": "<f4", "float64": "<f8"}
+_DTYPES = ("float32", "float64")
+_KINDS = ("param", "buffer")
 
 
 def save_checkpoint(path: str | Path, cfg: ModelConfig,
-                    params: dict[str, np.ndarray],
-                    buffers: dict[str, np.ndarray] | None = None) -> None:
-    buffers = buffers or {}
-    manifest = []
-    blobs = []
-    offset = 0
-    for kind, arrays in (("param", params), ("buffer", buffers)):
-        for name in sorted(arrays):
-            arr = arrays[name]
-            dtype = str(arr.dtype)
-            if dtype not in _DTYPES:
-                raise InvalidArgument(f"{name}: unsupported checkpoint dtype {dtype}")
-            raw = np.ascontiguousarray(arr).astype(_DTYPES[dtype], copy=False).tobytes()
-            manifest.append(
-                {
-                    "name": name,
-                    "kind": kind,
-                    "shape": list(arr.shape),
-                    "dtype": dtype,
-                    "offset": offset,
-                    "nbytes": len(raw),
-                }
-            )
-            blobs.append(raw)
-            offset += len(raw)
-    header = json.dumps(
-        {"format_version": 1, "config": cfg.to_dict(), "arrays": manifest},
-        sort_keys=True,
-    ).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for raw in blobs:
-            fh.write(raw)
+                    params: dict[str, np.ndarray], buffers: dict[str, np.ndarray]) -> None:
+    arrays = {f"{kind}/{name}.npy": arr
+              for kind, group in zip(_KINDS, (params, buffers)) for name, arr in group.items()}
+    for member, arr in arrays.items():
+        if arr.dtype.name not in _DTYPES:
+            raise InvalidArgument(f"{member}: unsupported checkpoint dtype {arr.dtype}")
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr(_member("config.json"), json.dumps(asdict(cfg)))
+        for member in sorted(arrays):
+            arr = arrays[member]
+            with zf.open(_member(member), "w") as fh:
+                little = arr.astype(arr.dtype.newbyteorder("<"), order="C", copy=False)
+                np.lib.format.write_array(fh, little, allow_pickle=False)
+
+
+def _member(name: str) -> zipfile.ZipInfo:
+    """A stored member with a fixed timestamp."""
+    return zipfile.ZipInfo(name, (1980, 1, 1, 0, 0, 0))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray], dict[str, np.ndarray]]:
-    data = read_bytes(path)
-    if data[:8] != MAGIC:
-        raise InvalidArgument(f"{path}: not a {MAGIC.decode()} checkpoint")
-    if len(data) < 16:
-        raise InvalidArgument(f"{path}: truncated checkpoint: no header length")
-    (header_len,) = struct.unpack("<Q", data[8:16])
-    if 16 + header_len > len(data):
-        raise InvalidArgument(
-            f"{path}: truncated checkpoint: header needs {16 + header_len} bytes, file has {len(data)}"
-        )
+    arrays: dict[str, dict[str, np.ndarray]] = {kind: {} for kind in _KINDS}
     try:
-        header = json.loads(data[16 : 16 + header_len].decode())
-        if not isinstance(header, dict) or header.get("format_version") != 1:
-            raise InvalidArgument("unsupported checkpoint version")
-        cfg = ModelConfig.from_dict(header["config"])
-        entries = header["arrays"]
-        for entry in entries:
-            _check_entry(entry)
+        with zipfile.ZipFile(path) as zf:
+            for info in zf.infolist():
+                if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
+                    raise InvalidArgument(f"{info.filename}: compressed or encrypted member")
+                if info.filename != "config.json":
+                    kind, name = _array_name(info.filename)
+                    arrays[kind][name] = _read_array(zf, info)
+            cfg = ModelConfig(**json.loads(zf.read("config.json")))
     except InvalidArgument as err:
         raise InvalidArgument(f"{path}: {err}") from None
-    except (ValueError, TypeError, KeyError) as err:
-        # ValueError also covers bytes that are not UTF-8 or not JSON; KeyError a missing key
-        raise InvalidArgument(f"{path}: bad checkpoint header: {type(err).__name__}: {err}") from None
-    payload = data[16 + header_len :]
-    params: dict[str, np.ndarray] = {}
-    buffers: dict[str, np.ndarray] = {}
-    for entry in entries:
-        end = entry["offset"] + entry["nbytes"]
-        if end > len(payload):
-            raise InvalidArgument(
-                f"{path}: truncated checkpoint: {entry['name']} needs {end} payload bytes, "
-                f"file has {len(payload)}"
-            )
-        raw = payload[entry["offset"] : end]
-        arr = np.frombuffer(raw, dtype=_DTYPES[entry["dtype"]]).reshape(entry["shape"])
-        arr = arr.astype(entry["dtype"])  # native byte order, writable
-        (params if entry["kind"] == "param" else buffers)[entry["name"]] = arr
-    return cfg, params, buffers
+    except OSError as err:
+        raise InvalidArgument(f"{path}: cannot read file: {err.strerror or err}") from None
+    except (zipfile.BadZipFile, ValueError, TypeError, KeyError, EOFError, NotImplementedError,
+            SyntaxError, tokenize.TokenError, MemoryError) as err:
+        # ValueError covers JSON, UTF-8 and most .npy header errors, SyntaxError and
+        # TokenError the rest of them, MemoryError a header shape far beyond the
+        # member's bytes, TypeError a config that is not an object of ModelConfig
+        # keys, EOFError a member cut short and NotImplementedError a zip version
+        # or feature zipfile does not read
+        raise InvalidArgument(f"{path}: bad checkpoint: {type(err).__name__}: {err}") from None
+    return cfg, arrays["param"], arrays["buffer"]
 
 
-def _check_entry(entry: dict) -> None:
-    """A manifest entry's kind and dtype are known and its shape fills exactly
-    nbytes; a missing key raises KeyError."""
-    name = entry["name"]
-    if entry["kind"] not in ("param", "buffer"):
-        raise InvalidArgument(f"{name}: unknown kind {entry['kind']!r}")
-    if entry["dtype"] not in _DTYPES:
-        raise InvalidArgument(f"{name}: unsupported dtype {entry['dtype']!r}")
-    ints = [entry["offset"], entry["nbytes"], *entry["shape"]]
-    if not all(isinstance(v, int) and v >= 0 for v in ints):
-        raise InvalidArgument(f"{name}: offset, nbytes and shape must be non-negative integers")
-    expect = math.prod(entry["shape"]) * np.dtype(_DTYPES[entry["dtype"]]).itemsize
-    if entry["nbytes"] != expect:
-        raise InvalidArgument(f"{name}: nbytes {entry['nbytes']} != {expect} for shape {entry['shape']}")
+def _array_name(member: str) -> tuple[str, str]:
+    kind, _, name = member.partition("/")
+    if kind not in _KINDS or not name.endswith(".npy"):
+        raise InvalidArgument(f"{member}: unknown checkpoint member")
+    return kind, name.removesuffix(".npy")
+
+
+def _read_array(zf: zipfile.ZipFile, info: zipfile.ZipInfo) -> np.ndarray:
+    """The member's array in native byte order, parsed only once its CRC-32 matched."""
+    raw = io.BytesIO(zf.read(info))
+    arr = np.lib.format.read_array(raw, allow_pickle=False)
+    if raw.read(1):
+        raise InvalidArgument(f"{info.filename}: bytes after the array")
+    if arr.dtype.name not in _DTYPES:
+        raise InvalidArgument(f"{info.filename}: unsupported dtype {arr.dtype}")
+    return arr.astype(arr.dtype.name, copy=False)

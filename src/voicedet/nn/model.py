@@ -15,7 +15,7 @@ input frame.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +54,8 @@ class ModelConfig:
     bn_eps: float = 1e-5
 
     def __post_init__(self):
+        # a JSON list (a config file's, a checkpoint's) becomes the tuple
+        object.__setattr__(self, "block_out_channels", tuple(self.block_out_channels))
         check_field_types(self)
         if not (0.0 < self.threshold < 1.0):
             raise InvalidArgument("threshold must be in (0, 1)")
@@ -97,14 +99,6 @@ class ModelConfig:
 
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
-
-    def to_dict(self) -> dict:
-        """The fields in declaration order, which fixes the checkpoint header's bytes."""
-        return {**asdict(self), "block_out_channels": list(self.block_out_channels)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{**d, "block_out_channels": tuple(d["block_out_channels"])})
 
 
 @dataclass(frozen=True)
@@ -329,21 +323,19 @@ class DccrnModel:
             out.update(block.buffers())
         return out
 
-    def load_state(self, params: dict[str, np.ndarray], buffers: dict[str, np.ndarray] | None = None):
-        """Copy arrays into the model; shapes must match exactly."""
-        own = self.params()
-        if buffers:
-            own = {**own, **self.buffers()}
-            params = {**params, **buffers}
-        if set(params) != set(own):
-            missing = set(own) ^ set(params)
-            raise InvalidArgument(f"architecture mismatch: differing arrays {sorted(missing)[:5]}")
-        for name, arr in params.items():
-            if own[name].shape != arr.shape:
-                raise InvalidArgument(
-                    f"architecture mismatch: {name} has shape {arr.shape}, expected {own[name].shape}"
-                )
-            own[name][...] = arr
+    def load_state(self, params: dict[str, np.ndarray], buffers: dict[str, np.ndarray]):
+        """Copy arrays into the model; names, shapes and dtypes must match exactly."""
+        for given, own in ((params, self.params()), (buffers, self.buffers())):
+            if set(given) != set(own):
+                differing = set(own) ^ set(given)
+                raise InvalidArgument(f"architecture mismatch: differing arrays {sorted(differing)[:5]}")
+            for name, arr in given.items():
+                if (own[name].shape, own[name].dtype) != (arr.shape, arr.dtype):
+                    raise InvalidArgument(
+                        f"architecture mismatch: {name} is {arr.dtype} {arr.shape}, "
+                        f"expected {own[name].dtype} {own[name].shape}"
+                    )
+                own[name][...] = arr
 
     # -- forward / backward -------------------------------------------------
 

@@ -1,4 +1,6 @@
+import io
 import tempfile
+import zipfile
 
 import numpy as np
 from hypothesis import settings
@@ -33,3 +35,19 @@ def assert_bits_equal(actual, expected, name=""):
             f"{name}: {differ.size} of {actual.size} elements differ in their bits; "
             f"first at flat index {i}: {actual.flat[i]!r} != {expected.flat[i]!r}"
         )
+
+
+def member_span(data: bytes, name: str) -> tuple[int, int]:
+    """Start and end offsets of a stored zip member's data in `data`."""
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        info = zf.getinfo(name)
+    start = info.header_offset + 30 + len(info.filename.encode()) + len(info.extra)
+    return start, start + info.compress_size
+
+
+def cut_points(data: bytes) -> dict[str, int]:
+    """Truncation points of a checkpoint: inside the first local header,
+    inside config.json, inside an array member, and one byte short."""
+    (c0, c1), (a0, a1) = member_span(data, "config.json"), member_span(data, "param/head.w.npy")
+    return {"local_header": 10, "config": (c0 + c1) // 2, "array": (a0 + a1) // 2,
+            "one_short": len(data) - 1}

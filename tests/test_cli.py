@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import cut_points, member_span
 from hypothesis import given, settings, strategies as st
 
 from voicedet.cli import main
@@ -251,9 +252,11 @@ class TestDetect:
         write_wav(wav, Waveform(np.zeros(800), 8000))
         assert main(["detect", "--method", "dccrn", "--out", str(tmp_path), str(wav)]) == 1
 
-    def test_truncated_checkpoint_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("where", ["local_header", "config", "array", "one_short"])
+    def test_truncated_checkpoint_is_usage_error(self, tmp_path, capsys, where):
         ckpt = tiny_checkpoint(tmp_path / "m.ckpt")
-        ckpt.write_bytes(ckpt.read_bytes()[:-100])
+        data = ckpt.read_bytes()
+        ckpt.write_bytes(data[: cut_points(data)[where]])
         wav = tmp_path / "x.wav"
         write_wav(wav, Waveform(np.zeros(800), 8000))
         code = main(["detect", "--method", "dccrn", "--checkpoint", str(ckpt),
@@ -261,17 +264,36 @@ class TestDetect:
         assert code == 1
         assert str(ckpt) in capsys.readouterr().err
 
-    def test_one_digit_shape_edit_is_usage_error(self, tmp_path, capsys):
-        ckpt = tiny_checkpoint(tmp_path / "m.ckpt")
-        data = ckpt.read_bytes()
-        at = data.index(b'"shape": [') + len(b'"shape": [')
-        ckpt.write_bytes(data[:at] + bytes([data[at] ^ 1]) + data[at + 1:])
+    @pytest.mark.parametrize("kind", ["params_only", "config_disagrees", "dtype_disagrees",
+                                      "array_byte_flipped"])
+    def test_checkpoint_not_matching_its_model_is_usage_error(self, tmp_path, capsys, kind):
+        from voicedet.nn.checkpoint import save_checkpoint
+        from voicedet.nn.model import DccrnModel, ModelConfig
+
+        ckpt = tmp_path / "m.ckpt"
+        cfg = ModelConfig(block_out_channels=(2, 4), blstm_hidden=8, groups=2, dtype="float32")
+        model = DccrnModel(cfg, seed=0)
+        params, buffers = model.params(), model.buffers()
+        if kind == "params_only":
+            save_checkpoint(ckpt, cfg, params, {})
+        elif kind == "config_disagrees":
+            save_checkpoint(ckpt, ModelConfig(block_out_channels=(2, 4), blstm_hidden=16, groups=2,
+                                              dtype="float32"), params, buffers)
+        elif kind == "dtype_disagrees":  # float64 arrays would be rounded into the float32 model
+            as64 = {n: a.astype(np.float64) for n, a in params.items()}
+            save_checkpoint(ckpt, cfg, as64, buffers)
+        else:
+            save_checkpoint(ckpt, cfg, params, buffers)
+            data = ckpt.read_bytes()
+            at = sum(member_span(data, "param/head.w.npy")) // 2
+            ckpt.write_bytes(data[:at] + bytes([data[at] ^ 1]) + data[at + 1:])
         wav = tmp_path / "x.wav"
         write_wav(wav, Waveform(np.zeros(800), 8000))
         code = main(["detect", "--method", "dccrn", "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "out"), str(wav)])
+        err = capsys.readouterr().err
         assert code == 1
-        assert str(ckpt) in capsys.readouterr().err
+        assert str(ckpt) in err and "Traceback" not in err
 
 
 def malformed_wav(kind, path):
@@ -475,6 +497,17 @@ class TestExitCodes:
         assert main(["train", "--synthetic-demo", "--jobs", "2", "--out", out]) == 1
         assert main(["eval", "--corpus", f"{tmp_path}:x", "--folds", "f.json",
                      "--jobs", "2", "--out", out]) == 1
+        assert not (tmp_path / "out").exists()  # rejected before any work
+
+    def test_seed_only_on_train_and_strict_not_on_detect(self, tmp_path):
+        wav = tmp_path / "x.wav"
+        write_wav(wav, Waveform(np.zeros(800), 8000))
+        out = str(tmp_path / "out")
+        for flags in (["--seed", "5"], ["--strict"]):
+            assert main(["detect", "--method", "rapt", *flags, "--out", out, str(wav)]) == 1
+        assert main(["eval", "--corpus", f"{tmp_path}:x", "--folds", "f.json",
+                     "--seed", "5", "--out", out]) == 1
+        assert main(["labels-extract", "--manifest", "m.tsv", "--seed", "5", "--out", out]) == 1
         assert not (tmp_path / "out").exists()  # rejected before any work
 
     def test_short_meta_line_is_usage_error(self, tmp_path, capsys):
