@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -27,7 +28,7 @@ from .dsp import InvalidArgument, read_text, read_wav, resample
 from .labels import SpeakerMeta, align_for_lowest_vde, extract_reference_labels, mismatch_rate
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.model import DccrnModel, ModelConfig
-from .synth import generate_synthetic_corpus
+from .synth import SAMPLE_RATE, generate_synthetic_corpus
 from .tracker import TrackerConfig
 from .training import (
     TARGET_RATE,
@@ -154,6 +155,13 @@ def load_examples(manifests: dict[str, corpus_io.Manifest],
 # ---------------------------------------------------------------------------
 
 def cmd_synth_corpus(args) -> int:
+    if args.n < 1:
+        raise InvalidArgument(f"--n must be at least 1, got {args.n}")
+    if args.seed < 0:
+        raise InvalidArgument(f"--seed must be at least 0, got {args.seed}")
+    if not (math.isfinite(args.duration) and args.duration * SAMPLE_RATE > 0.5):  # rounds to >= 1 sample
+        raise InvalidArgument(f"--duration must be finite and at least one sample at {SAMPLE_RATE} Hz, "
+                              f"got {args.duration}")
     manifest = generate_synthetic_corpus(
         args.out, n_utterances=args.n, seed=args.seed, duration_sec=args.duration
     )
@@ -279,12 +287,10 @@ def cmd_labels_compare(args) -> int:
 def _load_model(path) -> DccrnModel:
     """The DC-CRN stored in a checkpoint file."""
     cfg, params, buffers = load_checkpoint(path)
-    model = DccrnModel(cfg, seed=0)
     try:
-        model.load_state(params, buffers)
+        return DccrnModel.from_state(cfg, params, buffers)
     except InvalidArgument as err:
         raise InvalidArgument(f"{path}: {err}") from None
-    return model
 
 
 def cmd_detect(args) -> int:
@@ -379,8 +385,7 @@ def cmd_train(args) -> int:
         if result.history.aborted:  # the epoch after the last recorded one
             failures.append(f"fold {tag}: training diverged in epoch {len(result.history) + 1}")
         if args.synthetic_demo and fold.test_ids:
-            model = DccrnModel(model_cfg, seed=0)
-            model.load_state(result.params, result.buffers)
+            model = DccrnModel.from_state(model_cfg, result.params, result.buffers)
             report, _ = evaluate_cross_corpus(
                 folds, ["dccrn"], data, models={tag: model}, tracker_cfg=tracker_cfg
             )

@@ -8,7 +8,8 @@ call from multiple threads.
 FIR filtering and integer-ratio decimation share one overlap-save kernel
 (`_fir_samples`): FFT blocks sized from the filter length, so temporaries
 stay bounded however long the recording is. Only ratios with up > 1 go
-through scipy's `resample_poly`.
+through scipy's `resample_poly`, and only they import `scipy.signal`, whose
+import costs more than numpy, `scipy.fft` and `scipy.io.wavfile` together.
 
 Conventions (fixed, not tunable):
   * framing is left-aligned with right zero-padding, T = ceil(len / hop)
@@ -30,7 +31,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
 from scipy.io import wavfile
-from scipy.signal import resample_poly
 
 
 class InvalidArgument(ValueError):
@@ -248,6 +248,8 @@ def resample(wave: Waveform, target_rate: int) -> Waveform:
     if up == 1:
         out = _fir_samples(wave.samples, taps, (taps.size - 1) // 2, down, -(-len(wave) // down))
     else:
+        from scipy.signal import resample_poly
+
         out = resample_poly(wave.samples, up, down, window=taps)
     return Waveform(out, target_rate)
 

@@ -22,7 +22,7 @@ import numpy as np
 from ..dsp import InvalidArgument, check_field_types, is_integer
 from ..tracker import VoicingLabels
 from . import ops
-from .recurrent import RecurrentStack
+from .recurrent import RecurrentStack, uniform
 
 POSTERIOR_EPS = 1e-7
 
@@ -133,7 +133,7 @@ class CompositeLayer:
         bound = np.sqrt(6.0 / (c_in * k))
         self.prefix = prefix
         self.cfg = cfg
-        self.w = rng.uniform(-bound, bound, size=(k, c_in, c_out)).astype(dtype)
+        self.w = uniform(rng, bound, (k, c_in, c_out), dtype)
         self.b = np.zeros(c_out, dtype=dtype)
         self.gamma = np.ones(c_out, dtype=dtype)
         self.beta = np.zeros(c_out, dtype=dtype)
@@ -182,9 +182,9 @@ class GatedConv:
         bound = np.sqrt(6.0 / (c_in * k))
         self.prefix = prefix
         self.cfg = cfg
-        self.w1 = rng.uniform(-bound, bound, size=(k, c_in, c_out)).astype(dtype)
+        self.w1 = uniform(rng, bound, (k, c_in, c_out), dtype)
         self.b1 = np.zeros(c_out, dtype=dtype)
-        self.w2 = rng.uniform(-bound, bound, size=(k, c_in, c_out)).astype(dtype)
+        self.w2 = uniform(rng, bound, (k, c_in, c_out), dtype)
         self.b2 = np.zeros(c_out, dtype=dtype)
 
     def params(self):
@@ -287,11 +287,12 @@ class ConvDcBlock:
 
 class DccrnModel:
     """Forward/backward of the full detector; parameters live in plain numpy
-    arrays updated in place by the optimizer."""
+    arrays updated in place by the optimizer. The weights are drawn from
+    `seed`; with seed None they are zeros, for `from_state` to fill."""
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0):
+    def __init__(self, cfg: ModelConfig, seed: int | None = 0):
         self.cfg = cfg
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         dtype = cfg.np_dtype()
         self.blocks = []
         c_in = cfg.input_channels
@@ -303,8 +304,17 @@ class DccrnModel:
             "blstm", width, cfg.groups, cfg.blstm_hidden, cfg.blstm_layers, rng, dtype
         )
         bound = np.sqrt(6.0 / width)
-        self.head_w = rng.uniform(-bound, bound, size=(width, 1)).astype(dtype)
+        self.head_w = uniform(rng, bound, (width, 1), dtype)
         self.head_b = np.zeros(1, dtype=dtype)
+
+    @classmethod
+    def from_state(cls, cfg: ModelConfig, params: dict[str, np.ndarray],
+                   buffers: dict[str, np.ndarray]) -> "DccrnModel":
+        """The model holding these arrays (a checkpoint's), built without
+        drawing the random init that load_state would overwrite."""
+        model = cls(cfg, seed=None)
+        model.load_state(params, buffers)
+        return model
 
     # -- parameter plumbing ------------------------------------------------
 

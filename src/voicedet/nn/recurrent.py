@@ -43,6 +43,14 @@ def shuffle_permutation(width: int, groups: int) -> np.ndarray:
     return np.arange(width).reshape(groups, width // groups).T.ravel()
 
 
+def uniform(rng: np.random.Generator | None, bound: float, size: tuple, dtype) -> np.ndarray:
+    """U(-bound, bound) draws rounded to dtype, or zeros without a generator
+    (when a checkpoint's arrays are copied in next)."""
+    if rng is None:
+        return np.zeros(size, dtype=dtype)
+    return rng.uniform(-bound, bound, size=size).astype(dtype)
+
+
 def orthogonal(rng: np.random.Generator, n: int, dtype) -> np.ndarray:
     a = rng.standard_normal((n, n))
     q, r = np.linalg.qr(a)
@@ -54,7 +62,7 @@ class GroupedBlstmLayer:
     projection -> layer norm."""
 
     def __init__(self, prefix: str, in_width: int, groups: int, hidden: int,
-                 rng: np.random.Generator, dtype):
+                 rng: np.random.Generator | None, dtype):
         if in_width % groups != 0:
             raise ValueError(f"feature width {in_width} not divisible by {groups} groups")
         self.prefix = prefix
@@ -65,15 +73,16 @@ class GroupedBlstmLayer:
         q = 2 * groups
         h = hidden
         bound_x = np.sqrt(6.0 / self.dg)
-        self.wx = rng.uniform(-bound_x, bound_x, size=(q, self.dg, 4 * h)).astype(dtype)
+        self.wx = uniform(rng, bound_x, (q, self.dg, 4 * h), dtype)
         self.wh = np.zeros((q, h, 4 * h), dtype=dtype)
-        for qi in range(q):
-            for gate in range(4):
-                self.wh[qi, :, gate * h : (gate + 1) * h] = orthogonal(rng, h, dtype)
+        if rng is not None:
+            for qi in range(q):
+                for gate in range(4):
+                    self.wh[qi, :, gate * h : (gate + 1) * h] = orthogonal(rng, h, dtype)
         self.bias = np.zeros((q, 4 * h), dtype=dtype)
         self.bias[:, h : 2 * h] = 1.0  # forget gate
         bound_p = np.sqrt(6.0 / (2 * h))
-        self.proj_w = rng.uniform(-bound_p, bound_p, size=(groups, 2 * h, self.dg)).astype(dtype)
+        self.proj_w = uniform(rng, bound_p, (groups, 2 * h, self.dg), dtype)
         self.proj_b = np.zeros((groups, self.dg), dtype=dtype)
         self.ln_gain = np.ones(in_width, dtype=dtype)
         self.ln_offset = np.zeros(in_width, dtype=dtype)
@@ -207,7 +216,7 @@ class RecurrentStack:
     """Stacked grouped BLSTM layers with interleaving between layers."""
 
     def __init__(self, prefix: str, width: int, groups: int, hidden: int,
-                 n_layers: int, rng: np.random.Generator, dtype):
+                 n_layers: int, rng: np.random.Generator | None, dtype):
         self.layers = [
             GroupedBlstmLayer(f"{prefix}.layer{i}", width, groups, hidden, rng, dtype)
             for i in range(n_layers)

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import sawtooth
 
 from .corpus import Manifest, scan_corpus
-from .dsp import FrameConfig, Waveform, write_wav
+from .dsp import FrameConfig, InvalidArgument, Waveform, write_wav
 from .labels import write_labels
 from .tracker import VoicingLabels
 
@@ -62,7 +61,8 @@ def render_segments(
     for s in segs:
         t = np.arange(s.length) / sample_rate
         if s.kind == "sawtooth":
-            x[s.start : s.start + s.length] = 0.4 * sawtooth(2.0 * np.pi * s.f0 * t)
+            # scipy.signal.sawtooth at width 1, bit for bit
+            x[s.start : s.start + s.length] = 0.4 * (np.mod(2.0 * np.pi * s.f0 * t, 2 * np.pi) / np.pi - 1)
         elif s.kind == "noise":
             x[s.start : s.start + s.length] = 0.08 * rng.standard_normal(s.length)
     return x
@@ -71,24 +71,30 @@ def render_segments(
 def truth_labels(
     segs: list[Segment], n_samples: int, frame_cfg: FrameConfig, sample_rate: int
 ) -> VoicingLabels:
-    """Per-frame truth: voiced iff more than half of the 10 ms slot is sawtooth."""
+    """Per-frame truth: voiced iff more than half of the 10 ms slot is sawtooth,
+    with the mean f0 of the frame's sawtooth samples.
+
+    A frame's sawtooth samples must all come from one segment (plan_segments
+    puts a filler longer than a hop between two sawtooths), so its f0 is the
+    mean of m copies of that segment's f0, taken once per (f0, m) pair; the
+    mean of m copies of f0 is not always f0 itself."""
     hop = frame_cfg.hop
     n_frames = frame_cfg.n_frames(n_samples)
-    voiced_samples = np.zeros(n_samples + hop, dtype=np.float64)
-    f0_by_sample = np.zeros(n_samples + hop)
+    f0_by_sample = np.zeros(n_frames * hop)
     for s in segs:
         if s.kind == "sawtooth":
-            voiced_samples[s.start : s.start + s.length] = 1.0
             f0_by_sample[s.start : s.start + s.length] = s.f0
-    labels = np.zeros(n_frames, dtype=np.int8)
+    frames = f0_by_sample.reshape(n_frames, hop)
+    counts = np.count_nonzero(frames, axis=1)
+    voiced = counts / hop > 0.5
+    seg_f0 = frames.max(axis=1)[voiced]
+    if np.any(seg_f0 != np.where(frames > 0, frames, np.inf).min(axis=1)[voiced]):
+        raise InvalidArgument("a voiced frame holds samples of two sawtooth segments")
+    pairs, which = np.unique(np.stack([seg_f0, counts[voiced]], axis=1), axis=0, return_inverse=True)
+    means = np.array([np.full(int(m), f).mean() for f, m in pairs])
     f0 = np.zeros(n_frames)
-    for t in range(n_frames):
-        sl = slice(t * hop, (t + 1) * hop)
-        if voiced_samples[sl].mean() > 0.5:
-            labels[t] = 1
-            vals = f0_by_sample[sl]
-            f0[t] = vals[vals > 0].mean()
-    return VoicingLabels(labels, hop_ms=1000.0 * hop / sample_rate, f0=f0)
+    f0[voiced] = means[which]
+    return VoicingLabels(voiced.astype(np.int8), hop_ms=1000.0 * hop / sample_rate, f0=f0)
 
 
 def synth_utterance(

@@ -339,10 +339,10 @@ def train(model_cfg: ModelConfig, params_init, fold: FoldPlan, data, cfg: TrainC
     if not val_ids:
         raise InvalidArgument("empty validation set")
 
-    model = DccrnModel(model_cfg, seed=cfg.seed)
-    if params_init is not None:
-        params, buffers = params_init
-        model.load_state(params, buffers)
+    if params_init is None:
+        model = DccrnModel(model_cfg, seed=cfg.seed)
+    else:
+        model = DccrnModel.from_state(model_cfg, *params_init)
     live_params = model.params()
     opt = AdamState.for_params(live_params)
     rng = np.random.default_rng(cfg.seed)

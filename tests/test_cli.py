@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import cut_points, member_span
+from conftest import assert_bits_equal, cut_points, member_span
 from hypothesis import given, settings, strategies as st
 
 from voicedet.cli import main
@@ -34,6 +34,17 @@ class TestSynthCorpus:
             b = (again / rel).read_bytes()
             # manifests embed absolute paths; compare content-bearing files only
             assert a == b
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--duration", "-1"), ("--duration", "nan"), ("--duration", "0"), ("--duration", "1e-5"),
+        ("--seed", "-1"), ("--n", "0"), ("--n", "-3"),
+    ])
+    def test_bad_argument_is_usage_error_naming_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "c"
+        assert main(["synth-corpus", "--out", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {flag} must be" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestLabelsExtract:
@@ -223,6 +234,24 @@ class TestDetect:
         assert post[0] == "frame,probability"
         probs = np.array([float(ln.split(",")[1]) for ln in post[1:]])
         assert np.all((probs > 0) & (probs < 1))
+
+    def test_checkpoint_loads_without_drawing_weights(self, tmp_path, monkeypatch):
+        from voicedet.cli import _load_model
+        from voicedet.nn.model import DccrnModel
+
+        ckpt = tiny_checkpoint(tmp_path / "m.ckpt")
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a random generator was created")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", no_draws)
+            model = _load_model(ckpt)
+        seeded = DccrnModel(model.cfg, seed=0)  # the weights tiny_checkpoint saved
+        for name, want in {**seeded.params(), **seeded.buffers()}.items():
+            assert_bits_equal({**model.params(), **model.buffers()}[name], want, name)
+        x = np.random.default_rng(1).standard_normal((1, 6, 513, 2)).astype(np.float32)
+        assert_bits_equal(model.forward_batch(x)[0], seeded.forward_batch(x)[0], "posteriors")
 
     @pytest.mark.parametrize("tracker", [
         {"max_candidates_per_frame": 2.5},

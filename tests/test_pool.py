@@ -142,15 +142,20 @@ def test_slices_keep_alignment_and_floor(monkeypatch):
 
 
 def test_import_starts_no_thread():
-    code = ("import threading, voicedet.cli, voicedet.nn.model; from voicedet.nn import _pool; "
-            "print(threading.active_count(), _pool._executor)")
+    # nor imports scipy.signal, which only a rational-ratio resample loads
+    code = ("import sys, threading, voicedet.cli, voicedet.synth, voicedet.nn.model; "
+            "from voicedet.nn import _pool; "
+            "print(threading.active_count(), _pool._executor, 'scipy.signal' in sys.modules); "
+            "import numpy as np; from voicedet.dsp import Waveform, resample; "
+            "out = resample(Waveform(np.sin(0.02 * np.arange(4410)), 44100), 8000); "
+            "print(len(out), 'scipy.signal' in sys.modules)")
     # the child imports voicedet from where this process found it, also when
     # only pytest's `pythonpath` setting put src/ on the path
     src = str(Path(voicedet.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
                          env=env)
-    assert out.stdout.split() == ["1", "None"]
+    assert out.stdout.split() == ["1", "None", "False", "800", "True"]
 
 
 def test_labels_extract_forks_safely_after_the_pool_ran(monkeypatch, tmp_path):
