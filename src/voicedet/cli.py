@@ -37,6 +37,7 @@ from .training import (
     detect_wave,
     evaluate_cross_corpus,
     make_example,
+    recording,
     train,
 )
 
@@ -131,9 +132,9 @@ def parse_corpus_args(specs: list[str]) -> dict[str, corpus_io.Manifest]:
     return manifests
 
 
-def load_examples(manifests: dict[str, corpus_io.Manifest],
-                  model_cfg: ModelConfig) -> tuple[dict[str, Example], list[str]]:
-    """Examples keyed by full id from mic audio + provided labels."""
+def load_recordings(manifests: dict[str, corpus_io.Manifest]) -> tuple[dict, list[str]]:
+    """Each record's `recording` (8 kHz mic audio, provided labels cut to
+    its frame count) keyed by full id, and the records skipped (logged)."""
     data = {}
     skipped = []
     for manifest in manifests.values():
@@ -144,10 +145,19 @@ def load_examples(manifests: dict[str, corpus_io.Manifest],
             wave = read_wav(rec.mic_path)
             labels = label_io.read_labels_as(rec.provided_label_path, rec.label_format)
             try:
-                data[rec.full_id] = make_example(rec.full_id, wave, labels, model_cfg)
+                data[rec.full_id] = recording(rec.full_id, wave, labels)
             except InvalidArgument as err:
                 skipped.append(f"{rec.full_id}: {err}")
+    for line in skipped:
+        log.warning("skipped %s", line)
     return data, skipped
+
+
+def load_examples(manifests: dict[str, corpus_io.Manifest],
+                  model_cfg: ModelConfig) -> tuple[dict[str, Example], list[str]]:
+    """Training examples keyed by full id, and the records skipped."""
+    recordings, skipped = load_recordings(manifests)
+    return {u: make_example(u, *rec, model_cfg) for u, rec in recordings.items()}, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +165,6 @@ def load_examples(manifests: dict[str, corpus_io.Manifest],
 # ---------------------------------------------------------------------------
 
 def cmd_synth_corpus(args) -> int:
-    if args.n < 1:
-        raise InvalidArgument(f"--n must be at least 1, got {args.n}")
     if args.seed < 0:
         raise InvalidArgument(f"--seed must be at least 0, got {args.seed}")
     if not (math.isfinite(args.duration) and args.duration * SAMPLE_RATE > 0.5):  # rounds to >= 1 sample
@@ -174,9 +182,7 @@ def _extract_one(task):
     """Worker for labels-extract: returns (utt_id, voiced_fraction) or an
     error string."""
     utt_id, laryn_path, sex, cutoff, tracker_cfg, out_path = task
-    wave = read_wav(laryn_path)
-    if wave.sample_rate != TARGET_RATE:
-        wave = resample(wave, TARGET_RATE)
+    wave = resample(read_wav(laryn_path), TARGET_RATE)
     labels = extract_reference_labels(
         wave, SpeakerMeta(utt_id, sex), tracker_cfg, cutoff_hz=cutoff
     )
@@ -294,6 +300,14 @@ def _load_model(path) -> DccrnModel:
 
 
 def cmd_detect(args) -> int:
+    stems = {}  # label file stem -> input path
+    for path in args.wavs:
+        stem = Path(path).stem
+        if not Path(path).exists():
+            raise InvalidArgument(f"input file not found: {path}")
+        if stem in stems:
+            raise InvalidArgument(f"inputs {stems[stem]} and {path} would both write {stem}.lab")
+        stems[stem] = path
     tracker_cfg, _, _ = load_run_config(args.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -302,9 +316,6 @@ def cmd_detect(args) -> int:
         if not args.checkpoint:
             raise InvalidArgument("--method dccrn requires --checkpoint")
         model = _load_model(args.checkpoint)
-    missing = [p for p in args.wavs if not Path(p).exists()]
-    if missing:
-        raise InvalidArgument(f"input file not found: {missing[0]}")
     for path in args.wavs:
         utt = Path(path).stem
         labels, post = detect_wave(read_wav(path), args.method, model, tracker_cfg)
@@ -348,24 +359,24 @@ def cmd_train(args) -> int:
         if not args.config:
             model_cfg = _merge_dataclass(model_cfg, DEMO_MODEL, "model")
             train_cfg = _merge_dataclass(train_cfg, DEMO_TRAIN, "train")
-        if args.demo_epochs:
+        if args.demo_epochs is not None:
             train_cfg = dataclasses.replace(train_cfg, max_epochs=args.demo_epochs)
         corpus_dir = out_dir / "synth-corpus"
         manifest = generate_synthetic_corpus(
             corpus_dir, n_utterances=args.demo_utterances, seed=train_cfg.seed
         )
-        manifests = {"synthetic": manifest}
-        data, skipped = load_examples(manifests, model_cfg)
+        recordings, skipped = load_recordings({"synthetic": manifest})
         n_side = max(1, args.demo_utterances // 10)
-        folds = [_demo_fold(data, n_side, n_side)]
+        folds = [_demo_fold(recordings, n_side, n_side)]
+        # examples for training and validation; the test recordings stay for evaluation
+        data = {u: make_example(u, *recordings.pop(u), model_cfg)
+                for u in folds[0].train_ids + folds[0].val_ids}
     else:
         if not args.corpus or not args.folds:
             raise InvalidArgument("train needs --corpus and --folds (or --synthetic-demo)")
         manifests = parse_corpus_args(args.corpus)
         folds = corpus_io.read_folds(args.folds)
         data, skipped = load_examples(manifests, model_cfg)
-    for line in skipped:
-        log.warning("skipped %s", line)
 
     echo_config(out_dir, tracker_cfg, model_cfg, train_cfg)
     failures = [f"{len(skipped)} records skipped"] if skipped and args.strict else []
@@ -387,7 +398,7 @@ def cmd_train(args) -> int:
         if args.synthetic_demo and fold.test_ids:
             model = DccrnModel.from_state(model_cfg, result.params, result.buffers)
             report, _ = evaluate_cross_corpus(
-                folds, ["dccrn"], data, models={tag: model}, tracker_cfg=tracker_cfg
+                folds, ["dccrn"], recordings, models={tag: model}, tracker_cfg=tracker_cfg
             )
             _atomic_write(out_dir / "demo-eval.csv", report.to_csv())
             sys.stdout.write(report.to_text())
@@ -397,13 +408,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    tracker_cfg, model_cfg, train_cfg = load_run_config(args.config)
     methods = args.methods.split(",")
+    if not set(methods) <= {"rapt", "dccrn", "reference"} or len(set(methods)) < len(methods):
+        raise InvalidArgument(f"--methods must list distinct methods of rapt,dccrn,reference, "
+                              f"got {args.methods!r}")
+    tracker_cfg, _, _ = load_run_config(args.config)
     folds = corpus_io.read_folds(args.folds)
     manifests = parse_corpus_args(args.corpus)
-    data, skipped = load_examples(manifests, model_cfg)
-    for line in skipped:
-        log.warning("skipped %s", line)
     models = {}
     if "dccrn" in methods:
         ckpt_dir = Path(args.checkpoints) if args.checkpoints else None
@@ -411,6 +422,7 @@ def cmd_eval(args) -> int:
             path = ckpt_dir / f"{fold.held_out_corpus}.ckpt" if ckpt_dir else None
             if path and path.exists():
                 models[fold.held_out_corpus] = _load_model(path)
+    data, skipped = load_recordings(manifests)
     report, decisions = evaluate_cross_corpus(
         folds, methods, data, models=models, tracker_cfg=tracker_cfg, max_shift=args.max_shift
     )
@@ -424,8 +436,11 @@ def cmd_eval(args) -> int:
             for i, (r, e) in enumerate(zip(ref.labels, est.labels)):
                 lines.append(f"{fold_tag},{method},{utt_id},{i},{int(r)},{int(e)}")
         _atomic_write(Path(args.strips), "\n".join(lines) + "\n")
-    if skipped and args.strict:
-        raise PartialFailure(f"{len(skipped)} records skipped")
+    failures = [f"{len(skipped)} records skipped"] if skipped else []
+    failures += [f"fold {f.held_out_corpus}: no checkpoint for dccrn" for f in folds
+                 if "dccrn" in methods and f.held_out_corpus not in models]
+    if failures and args.strict:
+        raise PartialFailure("; ".join(failures))
     return EXIT_OK
 
 
@@ -517,6 +532,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for name in ("n", "jobs", "demo_utterances", "demo_epochs"):  # the count flags
+            value = getattr(args, name, None)
+            if value is not None and value < 1:
+                raise InvalidArgument(f"--{name.replace('_', '-')} must be at least 1, got {value}")
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

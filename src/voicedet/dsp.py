@@ -231,7 +231,8 @@ def _fir_samples(x: np.ndarray, taps: np.ndarray, start: int, step: int, n_out: 
 
 
 def resample(wave: Waveform, target_rate: int) -> Waveform:
-    """Rational-ratio resampling with a Kaiser windowed-sinc anti-alias filter.
+    """Rational-ratio resampling with a Kaiser windowed-sinc anti-alias filter;
+    a wave already at target_rate is returned as it is.
 
     Integer decimation (up == 1) runs the overlap-save kernel over the
     filter and keeps every down-th sample, with `resample_poly`'s alignment
@@ -241,7 +242,7 @@ def resample(wave: Waveform, target_rate: int) -> Waveform:
     if target_rate <= 0:
         raise InvalidArgument(f"target_rate must be positive, got {target_rate}")
     if target_rate == wave.sample_rate:
-        return Waveform(wave.samples.copy(), wave.sample_rate)
+        return wave
     ratio = Fraction(target_rate, wave.sample_rate)
     up, down = ratio.numerator, ratio.denominator
     taps = _resample_filter(up, down)

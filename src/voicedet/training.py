@@ -51,7 +51,6 @@ class TrainConfig:
     plateau_patience: int = 5
     lr_factor: float = 0.5
     clip_max_norm: float = 5.0
-    clip_mode: str = "global"  # "global" (norm) or "elementwise" (value)
     max_epochs: int = 80
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
@@ -64,8 +63,6 @@ class TrainConfig:
         check_field_types(self)
         if not (0.0 < self.lr_factor < 1.0):
             raise InvalidArgument("lr_factor must be in (0, 1)")
-        if self.clip_mode not in ("global", "elementwise"):
-            raise InvalidArgument(f"unknown clip_mode {self.clip_mode!r}")
         for name in ("lr_init", "clip_max_norm", "adam_eps", "max_epochs", "batch_size", "plateau_patience"):
             if getattr(self, name) <= 0:
                 raise InvalidArgument(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -138,23 +135,18 @@ def vde(est: VoicingLabels, ref: VoicingLabels) -> float:
 # Optimizer
 # ---------------------------------------------------------------------------
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = 5.0,
-                   mode: str = "global") -> tuple[dict[str, np.ndarray], float]:
-    """Scale gradients in place; returns (grads, pre-clip global norm)."""
+def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = 5.0
+                   ) -> tuple[dict[str, np.ndarray], float]:
+    """Scale gradients in place to a global norm of at most max_norm;
+    returns (grads, pre-clip global norm)."""
     sq = 0.0
     for g in grads.values():
         sq += float(np.vdot(g, g).real)
     norm = float(np.sqrt(sq))
-    if mode == "global":
-        if norm > max_norm:
-            scale = max_norm / norm
-            for g in grads.values():
-                g *= scale
-    elif mode == "elementwise":
+    if norm > max_norm:
+        scale = max_norm / norm
         for g in grads.values():
-            np.clip(g, -max_norm, max_norm, out=g)
-    else:
-        raise InvalidArgument(f"unknown clip mode {mode!r}")
+            g *= scale
     return grads, norm
 
 
@@ -227,14 +219,10 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 TARGET_RATE = 8000
 
 
-def features_for_wave(wave: Waveform, input_freq_bins: int = 513) -> np.ndarray:
+def features_for_wave(wave: Waveform) -> np.ndarray:
     """Resample to 8 kHz, peak-normalize, STFT: the [T, F, 2] real and
     imaginary parts, a float64 view of the complex STFT (no copy)."""
-    if wave.sample_rate != TARGET_RATE:
-        wave = resample(wave, TARGET_RATE)
-    spec = stft(peak_normalize(wave), FrameConfig.for_rate(TARGET_RATE))
-    if spec.shape[1] != input_freq_bins:
-        raise InvalidArgument(f"feature has {spec.shape[1]} bins, expected {input_freq_bins}")
+    spec = stft(peak_normalize(resample(wave, TARGET_RATE)), FrameConfig.for_rate(TARGET_RATE))
     return spec.view(np.float64).reshape(*spec.shape, 2)
 
 
@@ -249,39 +237,42 @@ def detect_wave(wave: Waveform, method: str, model: DccrnModel | None = None,
         raise InvalidArgument(f"unknown method {method!r}")
     if method == "dccrn" and model is None:
         raise InvalidArgument("dccrn decoding needs a model/checkpoint")
-    if wave.sample_rate != TARGET_RATE:
-        wave = resample(wave, TARGET_RATE)
     if method == "rapt":
-        return track_voicing(wave, tracker_cfg or TrackerConfig()), None
-    x = features_for_wave(wave, model.cfg.input_freq_bins)
-    probs, _ = model.forward_batch(x[None], training=False)
+        return track_voicing(resample(wave, TARGET_RATE), tracker_cfg or TrackerConfig()), None
+    probs, _ = model.forward_batch(features_for_wave(wave)[None], training=False)
     post = VoicingPosterior(probs[0])
     return decide_voicing(post, model.cfg.threshold), post
 
 
+def recording(utt_id: str, wave: Waveform, labels: VoicingLabels) -> tuple[Waveform, VoicingLabels]:
+    """A recording as evaluation decodes it and training builds on it: the
+    8 kHz wave, and its labels cut to the wave's frame count, which they may
+    exceed or fall short of by at most MAX_LENGTH_SLACK frames."""
+    wave = resample(wave, TARGET_RATE)
+    t = FrameConfig.for_rate(TARGET_RATE).n_frames(len(wave))
+    if abs(t - len(labels)) > MAX_LENGTH_SLACK:
+        raise InvalidArgument(f"{utt_id}: {t} frames vs {len(labels)} labels")
+    return wave, VoicingLabels(labels.labels[:t], labels.hop_ms,
+                               None if labels.f0 is None else labels.f0[:t],
+                               None if labels.valid is None else labels.valid[:t])
+
+
 @dataclass(frozen=True)
 class Example:
-    """One utterance ready for training/evaluation."""
+    """One training utterance: model input and targets."""
 
     utt_id: str
     x: np.ndarray  # [T, F, 2] in the model's dtype
     y: np.ndarray  # [T] float {0, 1}
-    wave: Waveform  # the 8 kHz recording evaluation decodes; training reads x
 
 
 def make_example(utt_id: str, wave: Waveform, labels: VoicingLabels,
                  model_cfg: ModelConfig) -> Example:
-    """The one Example builder: features at the model's bins and dtype, cut
-    with the labels to their common length (at most MAX_LENGTH_SLACK apart)."""
-    if wave.sample_rate != TARGET_RATE:
-        wave = resample(wave, TARGET_RATE)
-    x = features_for_wave(wave, model_cfg.input_freq_bins)
-    t = x.shape[0]
+    """The one Example builder: the features of a `recording`, at the
+    model's dtype, cut to its labels."""
     y = labels.labels.astype(np.float64)
-    if abs(t - y.size) > MAX_LENGTH_SLACK:
-        raise InvalidArgument(f"{utt_id}: {t} frames vs {y.size} labels")
-    n = min(t, y.size)
-    return Example(utt_id, x[:n].astype(model_cfg.np_dtype(), copy=False), y[:n], wave)
+    x = features_for_wave(wave)[: y.size]
+    return Example(utt_id, x.astype(model_cfg.np_dtype(), copy=False), y)
 
 
 def _batches(ids: list[str], data, batch_size: int):
@@ -374,7 +365,7 @@ def train(model_cfg: ModelConfig, params_init, fold: FoldPlan, data, cfg: TrainC
                     if not np.isfinite(loss):
                         raise TrainingDiverged(f"non-finite loss in epoch {epoch}")
                     grads = model.backward_batch(dprobs, cache)
-                clip_gradients(grads, cfg.clip_max_norm, cfg.clip_mode)
+                clip_gradients(grads, cfg.clip_max_norm)
                 adam_step(live_params, grads, opt, cfg, lr)
                 total += loss * y.size
                 frames += y.size
@@ -483,15 +474,15 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def evaluate_cross_corpus(folds: list[FoldPlan], methods: list[str], data,
+def evaluate_cross_corpus(folds: list[FoldPlan], methods: list[str], recordings,
                           models: dict[str, DccrnModel] | None = None,
                           tracker_cfg: TrackerConfig | None = None,
                           max_shift: int = 5):
-    """Per fold and method: decode each held-out recording whole through
+    """Per fold and method: decode each held-out `recording` whole through
     `detect_wave` and cut the decisions to its labels ("reference" scores
     the labels themselves), align each utterance for the lowest VDE, pool
-    frame counts. Returns (EvalReport, decisions) where decisions maps
-    (fold, method, utt_id) -> (ref, est, shift)."""
+    the counts of frames its labels mask valid. Returns (EvalReport, decisions)
+    where decisions maps (fold, method, utt_id) -> (ref, est, shift)."""
     models = models or {}
     rows = []
     decisions = {}
@@ -506,14 +497,13 @@ def evaluate_cross_corpus(folds: list[FoldPlan], methods: list[str], data,
                 continue
             plain, aligned = [], []
             for utt_id in fold.test_ids:
-                if utt_id not in data:
+                if utt_id not in recordings:
                     continue
-                ex = data[utt_id]
-                ref = VoicingLabels(ex.y.astype(np.int8))
+                wave, ref = recordings[utt_id]
                 if method == "reference":
                     est = ref
                 else:
-                    labels, _ = detect_wave(ex.wave, method, model, tracker_cfg)
+                    labels, _ = detect_wave(wave, method, model, tracker_cfg)
                     est = VoicingLabels(labels.labels[: len(ref)])
                 shift, aligned_cmp = align_for_lowest_vde(est, ref, max_shift)
                 plain.append(LabelComparison(*vde_counts(est, ref)))

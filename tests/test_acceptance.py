@@ -18,7 +18,7 @@ from voicedet.corpus import (
     manifest_from_text,
     manifest_to_text,
 )
-from voicedet.dsp import Waveform, design_kaiser_highpass
+from voicedet.dsp import design_kaiser_highpass
 from voicedet.labels import (
     SpeakerMeta,
     extract_reference_labels,
@@ -39,6 +39,7 @@ from voicedet.training import (
     detect_wave,
     make_example,
     pretrain_then_finetune,
+    recording,
     train,
     vde,
     vde_counts,
@@ -294,21 +295,26 @@ REDUCED_MODEL = ModelConfig(
 )
 
 
-def _synthetic_examples(seed, count, labeler="truth"):
-    data = {}
+def _synthetic_recordings(seed, count, labeler="truth"):
+    recordings = {}
     for i in range(count):
         mic, _, truth = synth_utterance(seed, i)
         labels = truth if labeler == "truth" else detect_wave(mic, "rapt")[0]
         utt_id = f"synthetic/utt{i:04d}"
-        data[utt_id] = make_example(utt_id, mic, labels, REDUCED_MODEL)
-    return data
+        recordings[utt_id] = recording(utt_id, mic, labels)
+    return recordings
+
+
+def _examples(recordings, ids):
+    return {u: make_example(u, *recordings[u], REDUCED_MODEL) for u in ids}
 
 
 def test_criterion_7_model_end_to_end():
     t0 = time.time()
-    data = _synthetic_examples(SEED, 200)
-    ids = sorted(data)
+    recordings = _synthetic_recordings(SEED, 200)
+    ids = sorted(recordings)
     fold = FoldPlan("synthetic", tuple(ids[:160]), tuple(ids[160:180]), tuple(ids[180:]))
+    data = _examples(recordings, ids[:180])
     cfg = TrainConfig(lr_init=1e-3, batch_size=4, max_epochs=1, seed=11)
     result = train(REDUCED_MODEL, None, fold, data, cfg)
 
@@ -317,9 +323,8 @@ def test_criterion_7_model_end_to_end():
     wrong = 0
     total = 0
     for utt in fold.test_ids:
-        ex = data[utt]
-        est, _ = detect_wave(ex.wave, "dccrn", model)
-        ref = VoicingLabels(ex.y.astype(np.int8))
+        wave, ref = recordings[utt]
+        est, _ = detect_wave(wave, "dccrn", model)
         n_wrong, n_counted = vde_counts(est, ref)
         wrong += n_wrong
         total += n_counted
@@ -327,7 +332,8 @@ def test_criterion_7_model_end_to_end():
 
     # pretraining on a second corpus with tracker pseudo-labels must start
     # finetuning at a lower validation loss than random initialization
-    pre_data = _synthetic_examples(5678, 40, labeler="pseudo")
+    pre_recordings = _synthetic_recordings(5678, 40, labeler="pseudo")
+    pre_data = _examples(pre_recordings, pre_recordings)
     pre_cfg = TrainConfig(lr_init=1e-3, batch_size=4, max_epochs=1, seed=11)
     combo, pre_hist = pretrain_then_finetune(
         REDUCED_MODEL, pre_data, fold, data, cfg, pretrain_cfg=pre_cfg
@@ -383,9 +389,7 @@ def test_criterion_8_training_contract():
     data = {}
     for i in range(6):
         x = rng.standard_normal((20, 8, 2))
-        data[f"synthetic/u{i}"] = Example(
-            f"synthetic/u{i}", x, (x[:, 0, 0] > 0).astype(np.float64), Waveform(np.zeros(1600), 8000)
-        )
+        data[f"synthetic/u{i}"] = Example(f"synthetic/u{i}", x, (x[:, 0, 0] > 0).astype(np.float64))
     ids = sorted(data)
     fold = FoldPlan("FDA", tuple(ids[2:]), tuple(ids[:2]), ())
     tc = TrainConfig(lr_init=1e-3, max_epochs=3, batch_size=2, seed=9)

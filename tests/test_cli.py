@@ -276,6 +276,20 @@ class TestDetect:
         assert code == 1
         assert "missing.wav" in capsys.readouterr().err
 
+    def test_inputs_sharing_a_stem_are_usage_error(self, tmp_path, capsys):
+        """Two inputs named x.wav would write one x.lab: refused, naming
+        both, before anything is written."""
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            write_wav(tmp_path / d / "x.wav", Waveform(np.zeros(800), 8000))
+        first, second = str(tmp_path / "a" / "x.wav"), str(tmp_path / "b" / "x.wav")
+        out = tmp_path / "out"
+        for wavs in ([first, second], [first, first]):
+            assert main(["detect", "--method", "rapt", "--out", str(out), *wavs]) == 1
+            err = capsys.readouterr().err
+            assert f"{wavs[0]} and {wavs[1]}" in err and "x.lab" in err
+            assert not out.exists()
+
     def test_dccrn_without_checkpoint_is_usage_error(self, tmp_path):
         wav = tmp_path / "x.wav"
         write_wav(wav, Waveform(np.zeros(800), 8000))
@@ -442,6 +456,68 @@ class TestTrainAndEval:
                 assert list(frames) == list(range(len(frames)))
                 assert len(frames) == len(detected) - (2 if short_labels else 0)
                 assert np.array_equal(np.array(est), detected[: len(frames)]), (method, rec.utt_id)
+
+    @staticmethod
+    def eval_inputs(tmp_path, n=2):
+        """A small synthetic corpus and one fold holding it all out."""
+        import voicedet.corpus as corpus_io
+        from voicedet.synth import generate_synthetic_corpus
+
+        root = tmp_path / "corpus"
+        records = generate_synthetic_corpus(root, n_utterances=n, seed=4343, duration_sec=1.0).records
+        folds = tmp_path / "folds.json"
+        ids = tuple(r.full_id for r in records)
+        folds.write_text(corpus_io.folds_to_json([corpus_io.FoldPlan("synthetic", ("other/x",), (), ids)]))
+        return ["eval", "--corpus", f"{root}:synthetic", "--folds", str(folds),
+                "--out", str(tmp_path / "report.csv")]
+
+    def test_eval_computes_no_features_for_rapt_and_reference(self, tmp_path, monkeypatch):
+        """`eval` loads recordings, not training examples: neither the load
+        nor the tracker and reference rows compute model features."""
+        import voicedet.training as training
+
+        def no_features(*args, **kwargs):
+            raise AssertionError("features_for_wave called")
+
+        monkeypatch.setattr(training, "features_for_wave", no_features)
+        argv = self.eval_inputs(tmp_path) + ["--methods", "rapt,reference"]
+        assert main(argv) == 0
+        rows = (tmp_path / "report.csv").read_text().splitlines()
+        assert [r.split(",")[2] for r in rows[1:]] == ["rapt", "reference"]
+
+    @pytest.mark.parametrize("checkpoints", [None, "missing-dir", "empty-dir"])
+    def test_eval_strict_counts_a_dccrn_fold_without_checkpoint(self, tmp_path, capsys, checkpoints):
+        argv = self.eval_inputs(tmp_path) + ["--methods", "rapt,dccrn"]
+        if checkpoints is not None:
+            (tmp_path / "empty-dir").mkdir()
+            argv += ["--checkpoints", str(tmp_path / checkpoints)]
+        assert main(argv) == 0
+        assert main(argv + ["--strict"]) == 2
+        assert "fold synthetic: no checkpoint for dccrn" in capsys.readouterr().err
+        rows = (tmp_path / "report.csv").read_text().splitlines()
+        assert [r.split(",")[2] for r in rows[1:]] == ["rapt"]
+
+    @pytest.mark.parametrize("methods", ["rapt,rapt", "rapt,bogus", "", "rapt,"])
+    def test_eval_bad_methods_is_usage_error_before_loading(self, tmp_path, capsys, methods):
+        argv = ["eval", "--corpus", f"{tmp_path / 'no-corpus'}:x", "--folds", str(tmp_path / "no-folds.json"),
+                "--methods", methods, "--out", str(tmp_path / "report.csv")]
+        assert main(argv) == 1
+        assert "error: --methods must" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--synthetic-demo", "--demo-epochs", "0"],
+        ["train", "--synthetic-demo", "--demo-epochs", "-2"],
+        ["train", "--synthetic-demo", "--demo-utterances", "0"],
+        ["labels-extract", "--manifest", "m.tsv", "--jobs", "0"],
+        ["labels-extract", "--manifest", "m.tsv", "--jobs", "-3"],
+    ])
+    def test_count_flag_below_one_is_usage_error_naming_it(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        flag, value = argv[-2:]
+        assert f"error: {flag} must be at least 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -88,8 +88,7 @@ class TestResample:
 
     def test_identity_rate(self):
         w = tone(100.0, 8000)
-        out = resample(w, 8000)
-        assert np.allclose(out.samples, w.samples, atol=1e-9)
+        assert resample(w, 8000) is w
 
     def test_upsampling_preserves_tone(self):
         out = resample(tone(440.0, 8000), 16000)

@@ -308,15 +308,15 @@ class TestPosteriorAndDecisions:
         cfg = tiny_config(input_freq_bins=513)
         model = DccrnModel(cfg, seed=0)
         wave = Waveform(np.random.default_rng(4).standard_normal(1600) * 0.1, 8000)
-        x = features_for_wave(wave, cfg.input_freq_bins)
+        x = features_for_wave(wave)
         assert x.shape == (20, 513, 2)  # 0.2 s at a 10 ms hop, real/imag channels
         probs, _ = model.forward_batch(x[None], training=False)
         post = VoicingPosterior(probs[0])
         assert len(post) == 20
         again, _ = model.forward_batch(x[None], training=False)
         assert np.array_equal(post.probs, again[0])
-        with pytest.raises(InvalidArgument):
-            features_for_wave(wave, 8)
+        with pytest.raises(InvalidArgument, match="freq=8"):
+            DccrnModel(tiny_config(input_freq_bins=8), seed=0).forward_batch(x[None], training=False)
 
     def test_posterior_open_interval(self):
         with pytest.raises(InvalidArgument):

@@ -37,3 +37,32 @@ def test_tracer_counts_a_training_step_and_an_inference_forward():
     for name in ("nn.ops.conv.flop", "nn.model.block_cache_bytes", "nn.recurrent.cache_bytes"):
         assert metrics[name] > 0, name
     assert metrics["nn.model.forward_batch.calls"] == 2
+
+
+def test_every_span_the_tracer_reads_exists():
+    """Each per-layer time and call metric reads the spans of one function
+    or method by name (`training.features_for_wave`, `cli.load_examples`,
+    `nn.model.DccrnModel.forward_batch`, ...). Renaming one would zero its
+    metric silently: give every name the tracer wraps one span, under every
+    instance prefix a metric reads, and no such metric may stay 0."""
+    tracer_module = perfbench_module("tracer")
+    tracer = tracer_module.Tracer()
+    names = []
+    wrap = tracer._wrap
+
+    def recording_wrap(name, fn, is_method):
+        names.append(name)
+        return wrap(name, fn, is_method)
+
+    tracer._wrap = recording_wrap
+    tracer.install()
+    tracer.restore()
+    prefixes = [None]
+    for i in range(tracer_module.N_BLOCKS):
+        prefixes += [f"block{i}", f"block{i}.comp0", f"block{i}.gated"]
+    prefixes += [f"blstm.layer{j}" for j in range(tracer_module.N_BLSTM_LAYERS)]
+    spans = [[name, prefix, 0.0, 1.0, -1, 0] for name in names for prefix in prefixes]
+    metrics = tracer_module.layer_metrics(spans, {}, pass_wall=1.0, untraced_wall=1.0)
+    read_by_name = [name for name, unit in tracer_module.PER_LAYER if unit == "s" or name.endswith(".calls")]
+    assert len(read_by_name) > 60
+    assert [name for name in read_by_name if metrics[name] == 0] == []

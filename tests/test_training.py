@@ -20,8 +20,10 @@ from voicedet.training import (
     adam_step,
     clip_gradients,
     evaluate_cross_corpus,
+    features_for_wave,
     make_example,
     pretrain_then_finetune,
+    recording,
     train,
     vde,
 )
@@ -92,11 +94,6 @@ class TestClipGradients:
                 np.linalg.norm(grads[k]) * np.linalg.norm(ref[k]) + 1e-30
             )
             assert cos == pytest.approx(1.0)
-
-    def test_elementwise_mode(self):
-        grads = {"a": np.array([-10.0, 0.5, 7.0])}
-        clip_gradients(grads, 5.0, mode="elementwise")
-        assert list(grads["a"]) == [-5.0, 0.5, 5.0]
 
     def test_post_clip_norm_bounded_randomized(self):
         rng = np.random.default_rng(2)
@@ -187,8 +184,7 @@ def toy_dataset(n_utts, t_len, rng, corpus="synthetic"):
     for i in range(n_utts):
         x = rng.standard_normal((t_len, 8, 2))
         y = (x[:, 0, 0] > 0).astype(np.float64)
-        wave = Waveform(np.zeros(80 * t_len), 8000)
-        data[f"{corpus}/u{i:03d}"] = Example(f"{corpus}/u{i:03d}", x, y, wave)
+        data[f"{corpus}/u{i:03d}"] = Example(f"{corpus}/u{i:03d}", x, y)
     return data
 
 
@@ -230,10 +226,9 @@ class TestTrainLoop:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((40, 8, 2))
         y = rng.integers(0, 2, 40).astype(np.float64)
-        wave = Waveform(np.zeros(80 * 40), 8000)
         data = {
-            "synthetic/solo": Example("synthetic/solo", x, y, wave),
-            "synthetic/solo2": Example("synthetic/solo2", x, y, wave),
+            "synthetic/solo": Example("synthetic/solo", x, y),
+            "synthetic/solo2": Example("synthetic/solo2", x, y),
         }
         fold = FoldPlan("FDA", ("synthetic/solo",), ("synthetic/solo2",), ())
         cfg = TrainConfig(lr_init=3e-3, max_epochs=500, batch_size=1, seed=0)
@@ -326,23 +321,20 @@ class TestHistory:
 
 class TestEvaluateCrossCorpus:
     def eval_data(self, rng, n=4, t_len=30, corpus="FDA"):
-        data = {}
-        for i in range(n):
-            x = rng.standard_normal((t_len, 8, 2))
-            y = (x[:, 0, 0] > 0).astype(np.float64)
-            wave = Waveform(rng.standard_normal(80 * t_len), 8000)
-            data[f"{corpus}/u{i}"] = Example(f"{corpus}/u{i}", x, y, wave)
-        return data
+        """Recordings: a random 8 kHz wave and random labels of its length."""
+        return {f"{corpus}/u{i}": (Waveform(rng.standard_normal(80 * t_len), 8000),
+                                   VoicingLabels(rng.integers(0, 2, t_len).astype(np.int8)))
+                for i in range(n)}
 
     def fold_for(self, data, corpus="FDA"):
         return FoldPlan(corpus, ("KEELE/x",), ("KEELE/y",), tuple(sorted(data)))
 
     @staticmethod
     def detect_from_labels(data, decide):
-        """A `detect_wave` stand-in: `decide` of the labels of the example
+        """A `detect_wave` stand-in: `decide` of the labels of the recording
         whose wave it is handed."""
         def detect(wave, method, model=None, tracker_cfg=None):
-            (y,) = [ex.y for ex in data.values() if ex.wave is wave]
+            (y,) = [ref.labels for w, ref in data.values() if w is wave]
             return VoicingLabels(decide(y)), None
         return detect
 
@@ -399,7 +391,7 @@ class TestEvaluateCrossCorpus:
         data = {}
         for i in range(3):
             mic, _, truth = synth_utterance(16, i, duration_sec=0.5)
-            data[f"FDA/u{i}"] = make_example(f"FDA/u{i}", mic, truth, cfg)
+            data[f"FDA/u{i}"] = recording(f"FDA/u{i}", mic, truth)
         model = DccrnModel(cfg, seed=0)
         report, _ = evaluate_cross_corpus(
             [self.fold_for(data)], ["dccrn"], data, models={"FDA": model}
@@ -407,6 +399,27 @@ class TestEvaluateCrossCorpus:
         assert len(report.rows) == 1
         assert report.rows[0].n_frames == 150
         assert 0.0 <= report.rows[0].vde_percent <= 100.0
+
+    def test_frames_masked_invalid_are_not_counted(self, monkeypatch):
+        """Frames a reference masks invalid (an uncertain class) count
+        neither as errors nor as frames, for decoded methods and for
+        "reference" alike."""
+        valid = np.ones(20, dtype=bool)
+        valid[5:9] = False
+        data = {u: (wave, VoicingLabels(ref.labels, valid=valid))
+                for u, (wave, ref) in self.eval_data(np.random.default_rng(16), n=2, t_len=20).items()}
+
+        def wrong_where_invalid(y):
+            est = y.astype(np.int8)
+            est[5:9] ^= 1
+            return est
+
+        monkeypatch.setattr(training, "detect_wave", self.detect_from_labels(data, wrong_where_invalid))
+        report, _ = evaluate_cross_corpus([self.fold_for(data)], ["rapt", "reference"], data)
+        assert [r.method for r in report.rows] == ["rapt", "reference"]
+        for row in report.rows:
+            assert row.n_frames == 32
+            assert row.vde_percent == row.vde_unaligned_percent == 0.0
 
     def test_csv_header_format(self):
         rng = np.random.default_rng(17)
@@ -421,38 +434,41 @@ class TestEvaluateCrossCorpus:
 
 class TestFeaturePrep:
     def test_features_shape_and_rate_handling(self):
-        from voicedet.training import features_for_wave
-
         rng = np.random.default_rng(18)
         w16 = Waveform(rng.standard_normal(16000), 16000)
         x = features_for_wave(w16)
         assert x.shape == (100, 513, 2)
 
-    def test_make_example_label_slack(self):
-        rng = np.random.default_rng(19)
-        w = Waveform(rng.standard_normal(8000), 8000)
-        labels = VoicingLabels(np.zeros(99, dtype=np.int8))
-        ex = make_example("u", w, labels, ModelConfig())
-        assert ex.x.shape[0] == 99 and ex.y.size == 99
-        with pytest.raises(InvalidArgument):
-            make_example("u", w, VoicingLabels(np.zeros(90, dtype=np.int8)), ModelConfig())
+    def test_recording_label_slack(self):
+        """Labels up to two frames off the recording's 100 frames are cut to
+        the shorter length, with their f0 and valid mask; more is refused."""
+        w = Waveform(np.random.default_rng(19).standard_normal(8000), 8000)
+        for n in (98, 99, 100, 101, 102):
+            voiced = np.arange(n) % 3 == 0
+            labels = VoicingLabels(voiced.astype(np.int8), f0=np.where(voiced, 120.0, 0.0),
+                                   valid=np.arange(n) % 5 != 0)
+            wave, cut = recording("u", w, labels)
+            assert wave is w and len(cut) == min(n, 100)
+            assert np.array_equal(cut.labels, labels.labels[:100])
+            assert np.array_equal(cut.f0, labels.f0[:100]) and np.array_equal(cut.valid, labels.valid[:100])
+            ex = make_example("u", wave, cut, ModelConfig())
+            assert ex.x.shape[0] == ex.y.size == min(n, 100)
+        for n in (90, 97, 103):
+            with pytest.raises(InvalidArgument, match="u: 100 frames"):
+                recording("u", w, VoicingLabels(np.zeros(n, dtype=np.int8)))
 
-    def test_make_example_keeps_the_8khz_wave(self):
-        """A 16 kHz recording is resampled once: the example holds the
-        8 kHz wave, and its features are those of the native recording."""
-        from voicedet.training import features_for_wave
-
-        rng = np.random.default_rng(20)
-        w16 = Waveform(rng.standard_normal(16000), 16000)
-        ex = make_example("u", w16, VoicingLabels(np.zeros(100, dtype=np.int8)),
-                          ModelConfig(dtype="float64"))
-        assert ex.wave.sample_rate == 8000 and len(ex.wave) == 8000
+    def test_recording_is_the_8khz_wave(self):
+        """A 16 kHz recording is resampled once: the recording holds the
+        8 kHz wave, and its example's features are those of the native
+        recording."""
+        w16 = Waveform(np.random.default_rng(20).standard_normal(16000), 16000)
+        wave, labels = recording("u", w16, VoicingLabels(np.zeros(100, dtype=np.int8)))
+        assert wave.sample_rate == 8000 and len(wave) == 8000
+        ex = make_example("u", wave, labels, ModelConfig(dtype="float64"))
         assert np.array_equal(ex.x, features_for_wave(w16))
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_make_example_stores_the_model_dtype(self, dtype):
-        from voicedet.training import features_for_wave
-
         w = Waveform(np.random.default_rng(21).standard_normal(8000), 8000)
         ex = make_example("u", w, VoicingLabels(np.zeros(100, dtype=np.int8)),
                           ModelConfig(dtype=dtype))
