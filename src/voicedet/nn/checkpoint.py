@@ -7,6 +7,8 @@ checkpoints are equal bytes, and round trips are bit-exact. The reader
 checks every member's CRC-32 and rejects, as InvalidArgument naming the
 path, a file that is not such a zip, a compressed or encrypted member, a
 member of another name or dtype, and a config that is not a ModelConfig.
+A config may name a key of the fixed Conv-DC geometry (as one written while
+it was configurable does) only at its fixed value.
 """
 from __future__ import annotations
 
@@ -20,10 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from ..dsp import InvalidArgument
+from . import model
 from .model import ModelConfig
 
 _DTYPES = ("float32", "float64")
 _KINDS = ("param", "buffer")
+_FIXED_KEYS = dict(composite_kernel=model.COMPOSITE_KERNEL, composite_pad=model.PAD, gated_pad=model.PAD,
+                   gated_kernel=model.GATED_KERNEL, gated_stride=model.GATED_STRIDE, bn_eps=model.BN_EPS,
+                   input_channels=model.INPUT_CHANNELS, bn_momentum=model.BN_MOMENTUM)
 
 
 def save_checkpoint(path: str | Path, cfg: ModelConfig,
@@ -57,7 +63,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
                 if info.filename != "config.json":
                     kind, name = _array_name(info.filename)
                     arrays[kind][name] = _read_array(zf, info)
-            cfg = ModelConfig(**json.loads(zf.read("config.json")))
+            cfg = _model_config(json.loads(zf.read("config.json")))
     except InvalidArgument as err:
         raise InvalidArgument(f"{path}: {err}") from None
     except OSError as err:
@@ -71,6 +77,16 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
         # or feature zipfile does not read
         raise InvalidArgument(f"{path}: bad checkpoint: {type(err).__name__}: {err}") from None
     return cfg, arrays["param"], arrays["buffer"]
+
+
+def _model_config(fields) -> ModelConfig:
+    """The ModelConfig of config.json, less the fixed-geometry keys at their fixed values."""
+    if isinstance(fields, dict):
+        for key, value in _FIXED_KEYS.items():
+            got = fields.pop(key, value)
+            if type(got) is not type(value) or got != value:
+                raise InvalidArgument(f"config.json: {key} is {got!r}; the model fixes it at {value!r}")
+    return ModelConfig(**fields)
 
 
 def _array_name(member: str) -> tuple[str, str]:

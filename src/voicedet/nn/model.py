@@ -26,10 +26,19 @@ from .recurrent import RecurrentStack, uniform
 
 POSTERIOR_EPS = 1e-7
 
+# The paper's fixed Conv-DC geometry: a two-channel real/imaginary STFT input,
+# 1x3 composite convolutions and the gated 1x4 stride-2 downsampler, each
+# reading PAD zero bins on either side of the frequency axis.
+INPUT_CHANNELS = 2
+COMPOSITE_KERNEL = 3
+GATED_KERNEL = 4
+GATED_STRIDE = 2
+PAD = 1
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
 
 _POSITIVE_SIZES = (
-    "composite_growth", "composite_kernel", "composite_layers", "gated_kernel", "gated_stride",
-    "blstm_layers", "blstm_hidden", "groups", "input_freq_bins", "input_channels",
+    "composite_growth", "composite_layers", "blstm_layers", "blstm_hidden", "groups", "input_freq_bins",
 )
 
 
@@ -37,21 +46,13 @@ _POSITIVE_SIZES = (
 class ModelConfig:
     block_out_channels: tuple[int, ...] = (4, 8, 16, 32, 64, 128, 256)
     composite_growth: int = 8
-    composite_kernel: int = 3
-    composite_pad: int = 1
     composite_layers: int = 4
-    gated_kernel: int = 4
-    gated_stride: int = 2
-    gated_pad: int = 1
     blstm_layers: int = 2
     blstm_hidden: int = 512
     groups: int = 4
     input_freq_bins: int = 513
-    input_channels: int = 2
     threshold: float = 0.5
     dtype: str = "float32"
-    bn_momentum: float = 0.9
-    bn_eps: float = 1e-5
 
     def __post_init__(self):
         # a JSON list (a config file's, a checkpoint's) becomes the tuple
@@ -59,25 +60,15 @@ class ModelConfig:
         check_field_types(self)
         if not (0.0 < self.threshold < 1.0):
             raise InvalidArgument("threshold must be in (0, 1)")
-        if not (0.0 <= self.bn_momentum < 1.0):
-            raise InvalidArgument(f"bn_momentum must be in [0, 1), got {self.bn_momentum!r}")
-        if self.bn_eps <= 0:
-            raise InvalidArgument(f"bn_eps must be positive, got {self.bn_eps!r}")
         if self.dtype not in ("float32", "float64"):
             raise InvalidArgument(f"unsupported dtype {self.dtype}")
         if not self.block_out_channels:
             raise InvalidArgument("need at least one block")
-        bounds = [(n, getattr(self, n), 1) for n in _POSITIVE_SIZES]
-        bounds += [(f"block_out_channels[{i}]", c, 1) for i, c in enumerate(self.block_out_channels)]
-        bounds += [(n, getattr(self, n), 0) for n in ("composite_pad", "gated_pad")]
-        for name, v, lo in bounds:
-            if not is_integer(v) or v < lo:
-                raise InvalidArgument(f"{name} must be an integer >= {lo}, got {v!r}")
-        if 2 * self.composite_pad != self.composite_kernel - 1:
-            raise InvalidArgument(
-                f"composite layers must keep the frequency size: composite_pad "
-                f"{self.composite_pad} is not (composite_kernel {self.composite_kernel} - 1) / 2"
-            )
+        bounds = [(n, getattr(self, n)) for n in _POSITIVE_SIZES]
+        bounds += [(f"block_out_channels[{i}]", c) for i, c in enumerate(self.block_out_channels)]
+        for name, v in bounds:
+            if not is_integer(v) or v < 1:
+                raise InvalidArgument(f"{name} must be an integer >= 1, got {v!r}")
         if min(self.freq_chain()) < 1:
             raise InvalidArgument(f"frequency chain {self.freq_chain()} falls below 1 bin")
         if self.flatten_width() % self.groups != 0:
@@ -89,9 +80,7 @@ class ModelConfig:
         """Frequency bins entering each block plus the final bin count."""
         chain = [self.input_freq_bins]
         for _ in self.block_out_channels:
-            chain.append(
-                ops.conv_freq_out_size(chain[-1], self.gated_kernel, self.gated_stride, self.gated_pad)
-            )
+            chain.append(ops.conv_freq_out_size(chain[-1], GATED_KERNEL, GATED_STRIDE, PAD))
         return chain
 
     def flatten_width(self) -> int:
@@ -119,21 +108,19 @@ class CompositeLayer:
     """1x3 frequency convolution -> batch norm -> ELU (channels preserved in
     time/freq, growth channels out).
 
-    The input arrives already padded with `composite_pad` zero bins on each
-    side of the frequency axis; backward adds the gradient of the unpadded
-    input into `into` (in ConvDcBlock, the input's channel prefix of the
-    block's gradient buffer). Given `out` (in ConvDcBlock, the layer's
-    channel slice of the block buffer), the ELU writes its output there, and
-    the ELU cache is that view rather than a copy. Only a training forward
-    returns a cache."""
+    The input arrives already padded with PAD zero bins on each side of the
+    frequency axis, so the output keeps the unpadded size; backward adds the
+    gradient of the unpadded input into `into` (in ConvDcBlock, the input's
+    channel prefix of the block's gradient buffer). Given `out` (in
+    ConvDcBlock, the layer's channel slice of the block buffer), the ELU
+    writes its output there, and the ELU cache is that view rather than a
+    copy. Only a training forward returns a cache."""
 
     def __init__(self, prefix, c_in, c_out, cfg: ModelConfig, rng):
         dtype = cfg.np_dtype()
-        k = cfg.composite_kernel
-        bound = np.sqrt(6.0 / (c_in * k))
+        bound = np.sqrt(6.0 / (c_in * COMPOSITE_KERNEL))
         self.prefix = prefix
-        self.cfg = cfg
-        self.w = uniform(rng, bound, (k, c_in, c_out), dtype)
+        self.w = uniform(rng, bound, (COMPOSITE_KERNEL, c_in, c_out), dtype)
         self.b = np.zeros(c_out, dtype=dtype)
         self.gamma = np.ones(c_out, dtype=dtype)
         self.beta = np.zeros(c_out, dtype=dtype)
@@ -153,8 +140,7 @@ class CompositeLayer:
     def forward(self, x, training, out=None):
         y, c_conv = ops.conv_freq_forward(x, self.w, self.b, 1)
         y, c_bn = ops.batchnorm_forward(
-            y, self.gamma, self.beta, self.running_mean, self.running_var,
-            self.cfg.bn_momentum, self.cfg.bn_eps, training,
+            y, self.gamma, self.beta, self.running_mean, self.running_var, BN_MOMENTUM, BN_EPS, training,
         )
         y, c_elu = ops.elu_forward(y, out)
         return y, ((c_conv, c_bn, c_elu) if training else None)
@@ -173,18 +159,16 @@ class CompositeLayer:
 class GatedConv:
     """Gated 1x4 convolution, frequency stride 2: the block's downsampler.
 
-    It takes an input padded with `gated_pad` zero bins per side and returns
-    the padded input gradient."""
+    It takes an input padded with PAD zero bins per side and returns the
+    padded input gradient."""
 
     def __init__(self, prefix, c_in, c_out, cfg: ModelConfig, rng):
         dtype = cfg.np_dtype()
-        k = cfg.gated_kernel
-        bound = np.sqrt(6.0 / (c_in * k))
+        bound = np.sqrt(6.0 / (c_in * GATED_KERNEL))
         self.prefix = prefix
-        self.cfg = cfg
-        self.w1 = uniform(rng, bound, (k, c_in, c_out), dtype)
+        self.w1 = uniform(rng, bound, (GATED_KERNEL, c_in, c_out), dtype)
         self.b1 = np.zeros(c_out, dtype=dtype)
-        self.w2 = uniform(rng, bound, (k, c_in, c_out), dtype)
+        self.w2 = uniform(rng, bound, (GATED_KERNEL, c_in, c_out), dtype)
         self.b2 = np.zeros(c_out, dtype=dtype)
 
     def params(self):
@@ -194,7 +178,7 @@ class GatedConv:
         yield f"{self.prefix}.b2", self.b2
 
     def forward(self, x):
-        return ops.gated_conv_forward(x, self.w1, self.b1, self.w2, self.b2, self.cfg.gated_stride)
+        return ops.gated_conv_forward(x, self.w1, self.b1, self.w2, self.b2, GATED_STRIDE)
 
     def backward(self, dv, cache, grads):
         du, dw1, db1, dw2, db2 = ops.gated_conv_backward(dv, cache)
@@ -208,15 +192,15 @@ class GatedConv:
 class ConvDcBlock:
     """Densely-connected composite layers plus the gated downsampler.
 
-    All layers share one [B, T, F + 2P, C_in + L*growth] channel buffer,
-    P = max(composite_pad, gated_pad): the input fills the first C_in
-    channels and composite l writes its output once into the next growth
-    channels, all in the F interior bins, and the 2P pad bins are zeroed
-    once. The composite's ELU writes that output directly, and the slice
-    is also the ELU's backward cache, so no composite output is copied or
-    held twice. Layer l reads the prefix [input, out_1, ..., out_{l-1}] and the
-    gated convolution the whole buffer, each as a view that includes just
-    its own padding, so no convolution copies or caches a padded input.
+    All layers share one [B, T, F + 2*PAD, C_in + L*growth] channel buffer:
+    the input fills the first C_in channels and composite l writes its
+    output once into the next growth channels, all in the F interior bins,
+    and the pad bins are zeroed once. The composite's ELU writes that output
+    directly, and the slice is also the ELU's backward cache, so no
+    composite output is copied or held twice. Layer l reads the channel
+    prefix [input, out_1, ..., out_{l-1}] and the gated convolution the whole
+    buffer, pad bins included, so no convolution copies or caches a padded
+    input.
     The backward pass mirrors this: the gated convolution's padded input
     gradient is the block's gradient buffer, and each composite's input
     gradient chunks add their interior bins into that buffer's prefix, so
@@ -230,8 +214,6 @@ class ConvDcBlock:
         self.prefix = prefix
         self.c_in = c_in
         self.growth = g = cfg.composite_growth
-        self.composite_pad = cfg.composite_pad
-        self.gated_pad = cfg.gated_pad
         self.composites = [
             CompositeLayer(f"{prefix}.comp{l}", c_in + g * l, g, cfg, rng)
             for l in range(cfg.composite_layers)
@@ -251,31 +233,29 @@ class ConvDcBlock:
 
     def forward(self, x, training):
         b, t, f, c = x.shape
-        g, cp, gp = self.growth, self.composite_pad, self.gated_pad
-        p = max(cp, gp)
+        g = self.growth
         buf = np.empty(
-            (b, t, f + 2 * p, c + g * len(self.composites)),
+            (b, t, f + 2 * PAD, c + g * len(self.composites)),
             dtype=np.result_type(x, self.gated.w1),
         )
-        buf[:, :, :p] = 0
-        buf[:, :, p + f :] = 0
-        inner = buf[:, :, p : p + f]
+        buf[:, :, :PAD] = 0
+        buf[:, :, PAD + f :] = 0
+        inner = buf[:, :, PAD : PAD + f]
         ops._elementwise(np.copyto, inner[..., :c], x)
         comp_caches = []
         for comp in self.composites:
-            _, cache = comp.forward(buf[:, :, p - cp : p + f + cp, :c], training, inner[..., c : c + g])
+            _, cache = comp.forward(buf[..., :c], training, inner[..., c : c + g])
             comp_caches.append(cache)
             c += g
-        v, gated_cache = self.gated.forward(buf[:, :, p - gp : p + f + gp])
+        v, gated_cache = self.gated.forward(buf)
         return v, ([comp_caches, gated_cache] if training else None)
 
     def backward(self, dv, cache, grads):
         dbuf = self.gated.backward(dv, cache[1], grads)
         cache[1] = None
         comp_caches = cache[0]
-        g, gp = self.growth, self.gated_pad
-        f = dbuf.shape[2] - 2 * gp
-        dinner = dbuf[:, :, gp : gp + f]
+        g = self.growth
+        dinner = dbuf[:, :, PAD : dbuf.shape[2] - PAD]
         for l in range(len(self.composites) - 1, -1, -1):
             c = self.c_in + g * l
             self.composites[l].backward(dinner[..., c : c + g], comp_caches[l], grads, dinner[..., :c])
@@ -295,7 +275,7 @@ class DccrnModel:
         rng = None if seed is None else np.random.default_rng(seed)
         dtype = cfg.np_dtype()
         self.blocks = []
-        c_in = cfg.input_channels
+        c_in = INPUT_CHANNELS
         for i, c_out in enumerate(cfg.block_out_channels):
             self.blocks.append(ConvDcBlock(f"block{i}", c_in, c_out, cfg, rng))
             c_in = c_out
@@ -357,10 +337,10 @@ class DccrnModel:
         returns None, each block's and BLSTM layer's cache dropped before the
         next one runs."""
         x = np.ascontiguousarray(x, dtype=self.cfg.np_dtype())
-        if x.shape[3] != self.cfg.input_channels or x.shape[2] != self.cfg.input_freq_bins:
+        if x.shape[3] != INPUT_CHANNELS or x.shape[2] != self.cfg.input_freq_bins:
             raise InvalidArgument(
                 f"input shape {x.shape} does not match config "
-                f"(freq={self.cfg.input_freq_bins}, channels={self.cfg.input_channels})"
+                f"(freq={self.cfg.input_freq_bins}, channels={INPUT_CHANNELS})"
             )
         caches = []
         for block in self.blocks:

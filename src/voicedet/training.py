@@ -66,8 +66,9 @@ class TrainConfig:
         for name in ("lr_init", "clip_max_norm", "adam_eps", "max_epochs", "batch_size", "plateau_patience"):
             if getattr(self, name) <= 0:
                 raise InvalidArgument(f"{name} must be positive, got {getattr(self, name)!r}")
-        if self.seed < 0:
-            raise InvalidArgument(f"seed must be >= 0, got {self.seed!r}")
+        for name in ("seed", "min_delta"):
+            if getattr(self, name) < 0:
+                raise InvalidArgument(f"{name} must be >= 0, got {getattr(self, name)!r}")
         for name in ("adam_beta1", "adam_beta2"):
             # beta = 1 zeroes Adam's bias correction 1 - beta**t
             if not (0.0 <= getattr(self, name) < 1.0):
@@ -311,7 +312,6 @@ class TrainResult:
     params: dict[str, np.ndarray]
     buffers: dict[str, np.ndarray]
     history: TrainHistory
-    model_cfg: ModelConfig
     best_epoch: int
     initial_val_loss: float = float("nan")  # before the first update
 
@@ -388,7 +388,6 @@ def train(model_cfg: ModelConfig, params_init, fold: FoldPlan, data, cfg: TrainC
         params=best_params,
         buffers=best_buffers,
         history=TrainHistory(tuple(records), aborted=aborted),
-        model_cfg=model_cfg,
         best_epoch=best_epoch,
         initial_val_loss=initial_val_loss,
     )

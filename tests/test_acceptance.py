@@ -172,7 +172,7 @@ def test_criterion_2_architecture_shapes():
     chain = cfg.freq_chain()
     ok = chain == [513, 256, 128, 64, 32, 16, 8, 4]
     model = DccrnModel(cfg, seed=0)
-    c_in = cfg.input_channels
+    c_in = 2  # the real and imaginary STFT channels
     for b, block in enumerate(model.blocks):
         widths = [comp.w.shape[1] for comp in block.composites]
         ok = ok and widths == [c_in + 8 * l for l in range(4)]

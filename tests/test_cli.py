@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 from conftest import assert_bits_equal, cut_points, member_span
 from hypothesis import given, settings, strategies as st
+from test_train_canary import perfbench_module
 
-from voicedet.cli import main
+from voicedet.cli import DEMO_MODEL, DEMO_TRAIN, load_run_config, main
 from voicedet.dsp import Waveform, write_wav
 from voicedet.labels import align_for_lowest_vde, read_labels, write_labels
+from voicedet.nn.model import ModelConfig
 from voicedet.tracker import VoicingLabels
+from voicedet.training import TrainConfig
 from scipy.signal import sawtooth
 
 
@@ -519,7 +522,7 @@ class TestTrainAndEval:
         assert f"error: {flag} must be at least 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"train": {"learning_rate": 1}}))
         assert main(["train", "--out", str(tmp_path / "o"), "--synthetic-demo",
@@ -528,25 +531,51 @@ class TestTrainAndEval:
         worse.write_text(json.dumps({"optimizer": {}}))
         assert main(["train", "--out", str(tmp_path / "o2"), "--synthetic-demo",
                      "--demo-utterances", "6", "--config", str(worse)]) == 1
-        zero_stride = tmp_path / "zero_stride.json"
-        zero_stride.write_text(json.dumps({"model": {"gated_stride": 0}}))
+        zero_growth = tmp_path / "zero_growth.json"
+        zero_growth.write_text(json.dumps({"model": {"composite_growth": 0}}))
         assert main(["train", "--out", str(tmp_path / "o3"), "--synthetic-demo",
-                     "--demo-utterances", "6", "--config", str(zero_stride)]) == 1
+                     "--demo-utterances", "6", "--config", str(zero_growth)]) == 1
+        # the fixed Conv-DC geometry is no config key, even at its own value
+        fixed = tmp_path / "fixed.json"
+        fixed.write_text(json.dumps({"model": {"gated_stride": 2}}))
+        capsys.readouterr()
+        assert main(["train", "--out", str(tmp_path / "o4"), "--synthetic-demo",
+                     "--demo-utterances", "6", "--config", str(fixed)]) == 1
+        assert "unknown model config keys: ['gated_stride']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["perfbench", "demo"])
+    def test_benchmark_and_demo_configs_load(self, tmp_path, source):
+        """The reduced model the train benchmark and the synthetic demo run is
+        a valid run config, so a config field they set cannot be removed
+        without this test failing."""
+        if source == "perfbench":
+            workloads = perfbench_module("workloads")
+            model, train_cfg = workloads.TRAIN_MODEL, workloads.TRAIN_CFG
+        else:
+            model, train_cfg = DEMO_MODEL, DEMO_TRAIN
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": model, "train": train_cfg}))
+        _, got_model, got_train = load_run_config(str(path))
+        assert got_model == ModelConfig(**model)
+        assert got_train == TrainConfig(**train_cfg)
 
     @pytest.mark.parametrize("field, value", [
         ("max_epochs", 0), ("adam_beta1", 1.0), ("adam_beta2", 1.0), ("seed", -1),
         ("lr_init", float("nan")), ("adam_eps", float("nan")), ("min_delta", float("nan")),
         ("clip_max_norm", float("inf")), ("batch_size", 2.5), ("batch_size", True), ("plateau_patience", 1.5),
+        ("min_delta", -1.0),
     ])
     def test_bad_train_field_is_usage_error(self, tmp_path, capsys, field, value):
         """Each would otherwise train: epochs 0 and beta1 1 end in a NaN
-        validation loss, beta2 1 divides by zero, seed -1 fails in numpy, and
-        the NaN, infinite, fractional and boolean values ran as given."""
+        validation loss, beta2 1 divides by zero, seed -1 fails in numpy, a
+        negative min_delta counts a rising validation loss as an improvement,
+        so the LR never halves, and the NaN, infinite, fractional and boolean
+        values ran as given."""
         self.assert_config_rejected(tmp_path, capsys, "train", field, value)
 
     @pytest.mark.parametrize("field, value", [
-        ("bn_eps", float("nan")), ("bn_eps", 0.0), ("bn_eps", -1e-5), ("bn_momentum", float("nan")),
-        ("bn_momentum", 1.0), ("bn_momentum", -0.1), ("blstm_layers", True),
+        ("threshold", float("nan")), ("threshold", 1.0), ("threshold", 0.0), ("composite_growth", 0),
+        ("composite_layers", -1), ("groups", 2.5), ("blstm_layers", True),
     ])
     def test_bad_model_field_is_usage_error(self, tmp_path, capsys, field, value):
         self.assert_config_rejected(tmp_path, capsys, "model", field, value)

@@ -16,6 +16,8 @@ from test_nn_ops import pad_freq
 from voicedet.dsp import InvalidArgument, Waveform
 from voicedet.nn.checkpoint import load_checkpoint, save_checkpoint
 from voicedet.nn.model import (
+    INPUT_CHANNELS,
+    PAD,
     DccrnModel,
     ModelConfig,
     VoicingPosterior,
@@ -59,23 +61,23 @@ class TestConfig:
     @pytest.mark.parametrize(
         "bad",
         [
-            {"gated_stride": 0},
+            {"composite_layers": -1},
             {"groups": 0},
-            {"gated_kernel": 600},  # frequency chain 513, -42, ...
-            {"gated_kernel": 0},
-            {"composite_kernel": -1},
+            {"input_freq_bins": 1},  # frequency chain 1, 0, ...
+            {"groups": -4},
+            {"composite_growth": -1},
             {"composite_layers": 0},
             {"composite_growth": 0},
             {"blstm_layers": 0},
             {"blstm_hidden": 0},
             {"input_freq_bins": 0},
-            {"input_channels": 0},
+            {"block_out_channels": ()},
             {"block_out_channels": (2, 0)},
-            {"gated_pad": -1},
-            {"gated_stride": 1.5},
+            {"blstm_hidden": -1},
+            {"composite_growth": 1.5},
             {"block_out_channels": (2,) * 5, "input_freq_bins": 8},  # 8, 4, 2, 1, 0
-            {"composite_pad": 0},  # a 1x3 kernel would drop two bins per layer
-            {"composite_kernel": 4},  # no symmetric pad keeps an even kernel's size
+            {"dtype": "float16"},
+            {"block_out_channels": (2, 2.5)},
         ],
     )
     def test_bad_sizes_rejected(self, bad):
@@ -129,17 +131,17 @@ def concat_reference(block, x, dv, training):
     """The block's forward and backward written with explicit per-layer
     concatenations, each zero-padded for the layer that reads it, and a
     per-piece gradient split: (v, dx, grads), with no backward in inference."""
-    cp, gp, f = block.composite_pad, block.gated_pad, x.shape[2]
+    f = x.shape[2]
     pieces, caches = [x], []
     for comp in block.composites:
-        y, cache = comp.forward(pad_freq(np.concatenate(pieces, axis=3), cp), training)
+        y, cache = comp.forward(pad_freq(np.concatenate(pieces, axis=3), PAD), training)
         caches.append(cache)
         pieces.append(y)
-    v, gated_cache = block.gated.forward(pad_freq(np.concatenate(pieces, axis=3), gp))
+    v, gated_cache = block.gated.forward(pad_freq(np.concatenate(pieces, axis=3), PAD))
     if not training:
         return v, None, None
     grads = {}
-    dcat = block.gated.backward(dv, gated_cache, grads)[:, :, gp : gp + f]
+    dcat = block.gated.backward(dv, gated_cache, grads)[:, :, PAD : PAD + f]
     bounds = np.cumsum([0] + [p.shape[3] for p in pieces])
     dpieces = [dcat[..., lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     for l in range(len(block.composites) - 1, -1, -1):
@@ -213,7 +215,7 @@ class TestDenseWiring:
         x = rng.standard_normal((1, 3, 8, 2))
         model = DccrnModel(cfg, seed=7)
         inputs, outputs = self.layer_io(model, x)
-        c_in = cfg.input_channels
+        c_in = INPUT_CHANNELS
         g = cfg.composite_growth
         for later in range(1, len(inputs)):
             assert np.array_equal(inputs[later][..., :c_in], x)
@@ -234,7 +236,7 @@ class TestDenseWiring:
         comp.b[...] = 0.0
         comp.beta[...] = 0.0
         new_inputs, _ = self.layer_io(zapped, x)
-        c_in = cfg.input_channels
+        c_in = INPUT_CHANNELS
         g = cfg.composite_growth
         lo = c_in + zap * g
         for later in range(zap + 1, len(new_inputs)):
@@ -270,37 +272,28 @@ class TestDenseWiring:
 class TestPaddedBuffer:
     """The block pads once: every convolution caches a view of one buffer."""
 
-    @pytest.mark.parametrize("pads", [(1, 1), (1, 0), (1, 2)])
-    def test_caches_are_views_of_one_zero_padded_buffer(self, pads):
-        cp, gp = pads
-        cfg = tiny_config(composite_pad=cp, gated_pad=gp, dtype="float32", input_freq_bins=16)
+    def test_caches_are_views_of_one_zero_padded_buffer(self):
+        cfg = tiny_config(dtype="float32", input_freq_bins=16)
         block = DccrnModel(cfg, seed=5).blocks[0]
         x = np.random.default_rng(6).standard_normal((2, 3, 16, 2)).astype(np.float32)
         _, (comp_caches, gated_cache) = block.forward(x, True)
-        inputs = [c_conv[0] for c_conv, _, _ in comp_caches]
-        inputs += [gated_cache[2][0], gated_cache[3][0]]
-        buf = inputs[-1].base
-        p = max(cp, gp)
-        assert buf.shape == (2, 3, 16 + 2 * p, block.gated.w1.shape[1])
-        for inp in inputs:
-            assert np.shares_memory(inp, buf)
-        assert np.all(buf[:, :, :p] == 0) and np.all(buf[:, :, p + 16 :] == 0)
-        assert np.array_equal(buf[:, :, p : p + 16, :2], x)
+        # the gated convolution reads the whole buffer, each composite a
+        # channel prefix of it
+        buf = gated_cache[2][0]
+        assert gated_cache[3][0] is buf and buf.base is None
+        assert buf.shape == (2, 3, 16 + 2 * PAD, block.gated.w1.shape[1])
+        for c_conv, _, _ in comp_caches:
+            c = c_conv[0].shape[3]
+            assert c_conv[0].__array_interface__ == buf[..., :c].__array_interface__
+        assert np.all(buf[:, :, :PAD] == 0) and np.all(buf[:, :, PAD + 16 :] == 0)
+        assert np.array_equal(buf[:, :, PAD : PAD + 16, :2], x)
         # each composite's ELU output is its channel slice of the buffer,
         # cached as that view, not as a copy
         g = cfg.composite_growth
         for l, (_, _, c_elu) in enumerate(comp_caches):
             lo = 2 + l * g
             assert np.shares_memory(c_elu, buf)
-            assert c_elu.__array_interface__ == buf[:, :, p : p + 16, lo : lo + g].__array_interface__
-
-    @pytest.mark.parametrize("training", [True, False])
-    @pytest.mark.parametrize("pads", [(1, 0), (1, 2), (2, 1)])
-    def test_unequal_pads_match_concatenation_reference(self, pads, training):
-        cp, gp = pads
-        cfg = tiny_config(composite_pad=cp, composite_kernel=2 * cp + 1, gated_pad=gp,
-                          dtype="float32", input_freq_bins=32, block_out_channels=(2, 4, 4))
-        check_blocks_against_reference(cfg, training)
+            assert c_elu.__array_interface__ == buf[:, :, PAD : PAD + 16, lo : lo + g].__array_interface__
 
 
 class TestPosteriorAndDecisions:
@@ -553,6 +546,41 @@ class TestCheckpoint:
         p.write_bytes(b"VDCKPT01" + len(header).to_bytes(8, "little") + header)
         with pytest.raises(InvalidArgument, match=re.escape(f"{p}: bad checkpoint: BadZipFile")):
             load_checkpoint(p)
+
+    # tiny_config()'s config.json as written while the Conv-DC geometry
+    # (kernels, stride, pads, input channels, batch-norm constants) was
+    # part of ModelConfig
+    GEOMETRY_KEYS_CONFIG = (
+        '{"block_out_channels": [2, 4], "composite_growth": 8, "composite_kernel": 3, '
+        '"composite_pad": 1, "composite_layers": 4, "gated_kernel": 4, "gated_stride": 2, '
+        '"gated_pad": 1, "blstm_layers": 2, "blstm_hidden": 8, "groups": 2, "input_freq_bins": 8, '
+        '"input_channels": 2, "threshold": 0.5, "dtype": "float64", "bn_momentum": 0.9, "bn_eps": 1e-05}'
+    )
+
+    @pytest.mark.parametrize("key, value", [
+        (None, None), ("gated_stride", 1), ("composite_pad", True), ("bn_eps", 1e-3), ("input_channels", 2.0),
+    ])
+    def test_config_naming_the_fixed_geometry(self, tiny_ckpt, tmp_path, key, value):
+        fields = json.loads(self.GEOMETRY_KEYS_CONFIG)
+        if key is not None:
+            fields[key] = value
+        p = tmp_path / "geometry.ckpt"
+        with zipfile.ZipFile(tiny_ckpt) as zin, zipfile.ZipFile(p, "w") as zout:
+            for info in zin.infolist():
+                raw = json.dumps(fields) if info.filename == "config.json" else zin.read(info)
+                zout.writestr(info, raw)
+        if key is not None:
+            with pytest.raises(InvalidArgument, match=re.escape(f"{p}: config.json: {key} is {value!r}")):
+                load_checkpoint(p)
+            return
+        assert zipfile.ZipFile(p).read("config.json") == self.GEOMETRY_KEYS_CONFIG.encode()
+        cfg, params, buffers = load_checkpoint(p)
+        want_cfg, want_params, want_buffers = load_checkpoint(tiny_ckpt)
+        assert cfg == want_cfg == tiny_config()
+        for got, want in ((params, want_params), (buffers, want_buffers)):
+            assert got.keys() == want.keys()
+            for name in want:
+                assert np.array_equal(got[name], want[name]) and got[name].dtype == want[name].dtype
 
 
 class TestBatchNormModes:
