@@ -266,11 +266,14 @@ def cmd_labels_compare(args) -> int:
     plain, aligned = [], []
     hops = set()
     for utt in common:
-        a = label_io.read_labels(dir_a / f"{utt}.lab")
-        b = label_io.read_labels(dir_b / f"{utt}.lab")
+        path_a, path_b = dir_a / f"{utt}.lab", dir_b / f"{utt}.lab"
+        a, b = label_io.read_labels(path_a), label_io.read_labels(path_b)
         hops.update({a.hop_ms, b.hop_ms})
-        plain.append(mismatch_rate(a, b))
-        aligned.append(align_for_lowest_vde(a, b, args.max_shift)[1])
+        try:
+            plain.append(mismatch_rate(a, b))
+            aligned.append(align_for_lowest_vde(a, b, args.max_shift)[1])
+        except InvalidArgument as err:
+            raise InvalidArgument(f"{path_a} vs {path_b}: {err}") from None
     if len(hops) != 1:
         raise InvalidArgument(f"inconsistent hop_ms across label files: {sorted(hops)}")
     lines = [
@@ -532,10 +535,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for name in ("n", "jobs", "demo_utterances", "demo_epochs"):  # the count flags
+        for name, least in (("n", 1), ("jobs", 1), ("demo_utterances", 1), ("demo_epochs", 1),
+                            ("max_shift", 0)):
             value = getattr(args, name, None)
-            if value is not None and value < 1:
-                raise InvalidArgument(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+            if value is not None and value < least:
+                raise InvalidArgument(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

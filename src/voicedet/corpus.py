@@ -317,10 +317,20 @@ def segment_recording(wave: Waveform, target_sec: float = 3.0) -> list[Waveform]
     return [Waveform(wave.samples[a:b], sr) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+VAL_FRACTION = 0.1  # validation share of the seeded 90/10 splits
+
+
+def split_train_val(ids: list[str], rng: np.random.Generator) -> tuple[list[str], list[str]]:
+    """(train, val) of ids permuted by rng: the first max(1, round(VAL_FRACTION
+    * n)) go to val, and a single id is all train."""
+    order = rng.permutation(len(ids))
+    n_val = max(1, round(VAL_FRACTION * len(ids))) if len(ids) > 1 else 0
+    return [ids[i] for i in order[n_val:]], [ids[i] for i in order[:n_val]]
+
+
 def make_locro_folds(
     manifests: dict[str, Manifest],
     seed: int,
-    val_fraction: float = 0.1,
     speaker_disjoint: bool = False,
 ) -> list[FoldPlan]:
     """One leave-one-corpus-out fold per corpus, with a seeded 90/10
@@ -339,7 +349,7 @@ def make_locro_folds(
             speakers = sorted({f"{r.corpus}/{r.speaker.speaker_id}" for r in pool})
             order = list(rng.permutation(len(speakers)))
             val_speakers: set[str] = set()
-            n_val_target = round(val_fraction * len(pool))
+            n_val_target = round(VAL_FRACTION * len(pool))
             count = 0
             for i in order:
                 if count >= n_val_target:
@@ -351,10 +361,7 @@ def make_locro_folds(
             val = [r.full_id for r in pool if f"{r.corpus}/{r.speaker.speaker_id}" in val_speakers]
             train = [r.full_id for r in pool if f"{r.corpus}/{r.speaker.speaker_id}" not in val_speakers]
         else:
-            order = rng.permutation(len(pool))
-            n_val = max(1, round(val_fraction * len(pool))) if len(pool) > 1 else 0
-            val = [pool[i].full_id for i in order[:n_val]]
-            train = [pool[i].full_id for i in order[n_val:]]
+            train, val = split_train_val([r.full_id for r in pool], rng)
         folds.append(
             FoldPlan(
                 held_out_corpus=held_out,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import FoldPlan
+from .corpus import FoldPlan, split_train_val
 from .dsp import (
     FrameConfig,
     InvalidArgument,
@@ -45,34 +45,32 @@ class TrainingDiverged(RuntimeError):
     """Raised when a NaN gradient or loss aborts the epoch."""
 
 
+# The paper's fixed training recipe: Adam with lr halved after PLATEAU_PATIENCE
+# epochs whose validation loss improves by no more than MIN_DELTA, and
+# gradients clipped to a global norm of CLIP_MAX_NORM.
+PLATEAU_PATIENCE = 5
+LR_FACTOR = 0.5
+MIN_DELTA = 1e-4
+CLIP_MAX_NORM = 5.0
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lr_init: float = 5e-4
-    plateau_patience: int = 5
-    lr_factor: float = 0.5
-    clip_max_norm: float = 5.0
     max_epochs: int = 80
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 1
     seed: int = 0
-    min_delta: float = 1e-4
 
     def __post_init__(self):
         check_field_types(self)
-        if not (0.0 < self.lr_factor < 1.0):
-            raise InvalidArgument("lr_factor must be in (0, 1)")
-        for name in ("lr_init", "clip_max_norm", "adam_eps", "max_epochs", "batch_size", "plateau_patience"):
+        for name in ("lr_init", "max_epochs", "batch_size"):
             if getattr(self, name) <= 0:
                 raise InvalidArgument(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in ("seed", "min_delta"):
-            if getattr(self, name) < 0:
-                raise InvalidArgument(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        for name in ("adam_beta1", "adam_beta2"):
-            # beta = 1 zeroes Adam's bias correction 1 - beta**t
-            if not (0.0 <= getattr(self, name) < 1.0):
-                raise InvalidArgument(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise InvalidArgument(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -136,47 +134,42 @@ def vde(est: VoicingLabels, ref: VoicingLabels) -> float:
 # Optimizer
 # ---------------------------------------------------------------------------
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = 5.0
-                   ) -> tuple[dict[str, np.ndarray], float]:
-    """Scale gradients in place to a global norm of at most max_norm;
-    returns (grads, pre-clip global norm)."""
+def clip_gradients(grads: dict[str, np.ndarray]) -> float:
+    """Scale gradients in place to a global norm of at most CLIP_MAX_NORM;
+    returns the pre-clip global norm."""
     sq = 0.0
     for g in grads.values():
         sq += float(np.vdot(g, g).real)
     norm = float(np.sqrt(sq))
-    if norm > max_norm:
-        scale = max_norm / norm
+    if norm > CLIP_MAX_NORM:
+        scale = CLIP_MAX_NORM / norm
         for g in grads.values():
             g *= scale
-    return grads, norm
+    return norm
 
 
 class PlateauSchedule:
-    """Halve the LR after `patience` consecutive non-improving epochs.
+    """Halve the LR after PLATEAU_PATIENCE consecutive non-improving epochs.
 
     An epoch improves when its validation loss is below the best seen so far
-    by more than min_delta. The counter resets after each halving.
+    by more than MIN_DELTA. The counter resets after each halving.
     """
 
-    def __init__(self, cfg: TrainConfig):
-        self.lr = cfg.lr_init
-        self.factor = cfg.lr_factor
-        self.patience = cfg.plateau_patience
-        self.min_delta = cfg.min_delta
+    def __init__(self, lr_init: float):
+        self.lr = lr_init
         self.best = np.inf
         self.bad_epochs = 0
 
-    def update(self, val_loss: float) -> bool:
-        """Feed one epoch's validation loss; returns True if it improved."""
-        if val_loss < self.best - self.min_delta:
+    def update(self, val_loss: float) -> None:
+        """Feed one epoch's validation loss."""
+        if val_loss < self.best - MIN_DELTA:
             self.best = val_loss
             self.bad_epochs = 0
-            return True
-        self.bad_epochs += 1
-        if self.bad_epochs >= self.patience:
-            self.lr *= self.factor
-            self.bad_epochs = 0
-        return False
+        else:
+            self.bad_epochs += 1
+            if self.bad_epochs >= PLATEAU_PATIENCE:
+                self.lr *= LR_FACTOR
+                self.bad_epochs = 0
 
 
 @dataclass
@@ -194,23 +187,22 @@ class AdamState:
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, cfg: TrainConfig, lr: float) -> None:
+              state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, applied to params in place."""
     state.t += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    c1 = 1.0 - b1**state.t
-    c2 = 1.0 - b2**state.t
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
     for name, p in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise TrainingDiverged(f"non-finite gradient in {name}")
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +329,10 @@ def train(model_cfg: ModelConfig, params_init, fold: FoldPlan, data, cfg: TrainC
     live_params = model.params()
     opt = AdamState.for_params(live_params)
     rng = np.random.default_rng(cfg.seed)
-    schedule = PlateauSchedule(cfg)
+    schedule = PlateauSchedule(cfg.lr_init)
     initial_val_loss = _epoch_loss(model, val_ids, data, cfg.batch_size)
 
-    best_val = np.inf  # strict lowest-val checkpoint, independent of min_delta
+    best_val = np.inf  # strict lowest-val checkpoint, independent of MIN_DELTA
     best_epoch = 0
     best_params = {k: v.copy() for k, v in live_params.items()}
     best_buffers = {k: v.copy() for k, v in model.buffers().items()}
@@ -365,8 +357,8 @@ def train(model_cfg: ModelConfig, params_init, fold: FoldPlan, data, cfg: TrainC
                     if not np.isfinite(loss):
                         raise TrainingDiverged(f"non-finite loss in epoch {epoch}")
                     grads = model.backward_batch(dprobs, cache)
-                clip_gradients(grads, cfg.clip_max_norm)
-                adam_step(live_params, grads, opt, cfg, lr)
+                clip_gradients(grads)
+                adam_step(live_params, grads, opt, lr)
                 total += loss * y.size
                 frames += y.size
         except TrainingDiverged as err:
@@ -393,26 +385,22 @@ def train(model_cfg: ModelConfig, params_init, fold: FoldPlan, data, cfg: TrainC
     )
 
 
-def split_for_pretrain(ids: list[str], seed: int, val_fraction: float = 0.1) -> FoldPlan:
+def split_for_pretrain(ids: list[str], seed: int) -> FoldPlan:
     """Seeded 90/10 split of a pretraining pool into a pseudo-fold."""
-    rng = np.random.default_rng([seed, 0xBEEF])
-    order = rng.permutation(len(ids))
-    n_val = max(1, round(val_fraction * len(ids))) if len(ids) > 1 else 0
-    val = tuple(ids[i] for i in order[:n_val])
-    tr = tuple(ids[i] for i in order[n_val:])
-    return FoldPlan(held_out_corpus="synthetic", train_ids=tr, val_ids=val, test_ids=())
+    tr, val = split_train_val(ids, np.random.default_rng([seed, 0xBEEF]))
+    return FoldPlan(held_out_corpus="synthetic", train_ids=tuple(tr), val_ids=tuple(val), test_ids=())
 
 
 def pretrain_then_finetune(model_cfg: ModelConfig, pretrain_data, fold: FoldPlan, data,
                            cfg: TrainConfig, pretrain_cfg: TrainConfig | None = None
                            ) -> tuple[TrainResult, TrainHistory | None]:
     """Train on the pretraining corpus (pseudo-labels), then fine-tune on the
-    fold with a fresh optimizer and LR schedule. Zero pretraining epochs is
-    identical to plain train()."""
+    fold with a fresh optimizer and LR schedule. Empty pretraining data skips
+    pretraining: the result is plain train()'s and the history is None."""
     pretrain_cfg = pretrain_cfg or cfg
     init = None
     pre_history = None
-    if pretrain_cfg.max_epochs > 0 and pretrain_data:
+    if pretrain_data:
         pre_fold = split_for_pretrain(sorted(pretrain_data), pretrain_cfg.seed)
         pre = train(model_cfg, None, pre_fold, pretrain_data, pretrain_cfg)
         init = (pre.params, pre.buffers)

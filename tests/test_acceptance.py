@@ -363,7 +363,7 @@ def test_criterion_7_model_end_to_end():
 
 def test_criterion_8_training_contract():
     # plateau: five flat epochs then a halving
-    sched = PlateauSchedule(TrainConfig(lr_init=1e-3, plateau_patience=5))
+    sched = PlateauSchedule(1e-3)
     lrs = []
     for _ in range(6):
         sched.update(1.0)
@@ -378,7 +378,7 @@ def test_criterion_8_training_contract():
             "a": rng.standard_normal((5, 3)) * rng.uniform(0.1, 20),
             "b": rng.standard_normal(11) * rng.uniform(0.1, 20),
         }
-        clip_gradients(grads, 5.0)
+        clip_gradients(grads)
         norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         clip_ok = clip_ok and norm <= 5.0 + 1e-9
 

@@ -200,6 +200,18 @@ class TestLabelsCompare:
         assert main(["labels-compare", "--a", str(dir_a), "--b", str(dir_b)]) == 1
         assert f"{dir_b / 'u.lab'}:{lineno}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_a, n_b, message", [
+        (2, 6, "length difference 4 > 2 frames; align first"),
+        (0, 0, "no valid frames to compare"),
+    ])
+    def test_comparison_error_names_both_files(self, tmp_path, capsys, n_a, n_b, message):
+        dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+        for d, n in ((dir_a, n_a), (dir_b, n_b)):
+            d.mkdir()
+            (d / "u.lab").write_text("#hop_ms=10\n" + "".join(f"{i}\t0\t0.000\n" for i in range(n)))
+        assert main(["labels-compare", "--a", str(dir_a), "--b", str(dir_b)]) == 1
+        assert f"error: {dir_a / 'u.lab'} vs {dir_b / 'u.lab'}: {message}" in capsys.readouterr().err
+
 
 def tiny_checkpoint(path):
     from voicedet.nn.checkpoint import save_checkpoint
@@ -522,6 +534,18 @@ class TestTrainAndEval:
         assert f"error: {flag} must be at least 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["labels-compare", "--a", "a", "--b", "b", "--max-shift", "-1"],
+        ["eval", "--corpus", "c:X", "--folds", "f.json", "--max-shift", "-1"],
+    ])
+    def test_negative_max_shift_is_usage_error_naming_it(self, tmp_path, capsys, argv):
+        """Raised before any file is read: eval would otherwise load every
+        corpus and checkpoint and decode a record first."""
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "error: --max-shift must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"train": {"learning_rate": 1}}))
@@ -542,6 +566,15 @@ class TestTrainAndEval:
         assert main(["train", "--out", str(tmp_path / "o4"), "--synthetic-demo",
                      "--demo-utterances", "6", "--config", str(fixed)]) == 1
         assert "unknown model config keys: ['gated_stride']" in capsys.readouterr().err
+        # nor is the fixed training recipe
+        for key, value in (("plateau_patience", 5), ("lr_factor", 0.5), ("min_delta", 1e-4),
+                           ("clip_max_norm", 5.0), ("adam_beta1", 0.9), ("adam_beta2", 0.999),
+                           ("adam_eps", 1e-8)):
+            fixed.write_text(json.dumps({"train": {key: value}}))
+            assert main(["train", "--out", str(tmp_path / "o5"), "--synthetic-demo",
+                         "--demo-utterances", "6", "--config", str(fixed)]) == 1
+            assert f"unknown train config keys: ['{key}']" in capsys.readouterr().err
+            assert not (tmp_path / "o5").exists()
 
     @pytest.mark.parametrize("source", ["perfbench", "demo"])
     def test_benchmark_and_demo_configs_load(self, tmp_path, source):
@@ -560,17 +593,13 @@ class TestTrainAndEval:
         assert got_train == TrainConfig(**train_cfg)
 
     @pytest.mark.parametrize("field, value", [
-        ("max_epochs", 0), ("adam_beta1", 1.0), ("adam_beta2", 1.0), ("seed", -1),
-        ("lr_init", float("nan")), ("adam_eps", float("nan")), ("min_delta", float("nan")),
-        ("clip_max_norm", float("inf")), ("batch_size", 2.5), ("batch_size", True), ("plateau_patience", 1.5),
-        ("min_delta", -1.0),
+        ("max_epochs", 0), ("seed", -1), ("lr_init", float("nan")), ("lr_init", float("inf")),
+        ("lr_init", 0.0), ("batch_size", 2.5), ("batch_size", True), ("batch_size", 0),
     ])
     def test_bad_train_field_is_usage_error(self, tmp_path, capsys, field, value):
-        """Each would otherwise train: epochs 0 and beta1 1 end in a NaN
-        validation loss, beta2 1 divides by zero, seed -1 fails in numpy, a
-        negative min_delta counts a rising validation loss as an improvement,
-        so the LR never halves, and the NaN, infinite, fractional and boolean
-        values ran as given."""
+        """Each would otherwise train: epochs 0 ends in a NaN validation
+        loss, seed -1 fails in numpy, and the NaN, infinite, zero,
+        fractional and boolean values ran as given."""
         self.assert_config_rejected(tmp_path, capsys, "train", field, value)
 
     @pytest.mark.parametrize("field, value", [

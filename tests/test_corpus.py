@@ -23,6 +23,7 @@ from voicedet.corpus import (
     read_manifest,
     scan_corpus,
     segment_recording,
+    split_train_val,
     write_exclusions,
     write_manifest,
 )
@@ -332,6 +333,13 @@ class TestFolds:
                 return full_id.split("/")[0] + "/spk" + str(idx % 6)
 
             assert not {spk(i) for i in f.train_ids} & {spk(i) for i in f.val_ids}
+
+    @pytest.mark.parametrize("n, n_val", [(1, 0), (2, 1), (4, 1), (10, 1), (15, 2), (25, 2), (26, 3)])
+    def test_split_train_val_holds_out_a_tenth(self, n, n_val):
+        ids = [f"u{i:02d}" for i in range(n)]
+        train, val = split_train_val(ids, np.random.default_rng(0))
+        assert len(val) == n_val
+        assert sorted(train + val) == ids
 
     def test_needs_two_corpora(self):
         with pytest.raises(InvalidArgument):

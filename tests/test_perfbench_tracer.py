@@ -10,7 +10,7 @@ import numpy as np
 
 from test_train_canary import perfbench_module
 from voicedet.nn.model import ConvDcBlock, DccrnModel, ModelConfig, bce_loss
-from voicedet.training import AdamState, TrainConfig, adam_step
+from voicedet.training import AdamState, adam_step
 
 
 def test_tracer_counts_a_training_step_and_an_inference_forward():
@@ -28,7 +28,7 @@ def test_tracer_counts_a_training_step_and_an_inference_forward():
         probs, cache = model.forward_batch(x, training=True)
         grads = model.backward_batch(bce_loss(labels, probs)[1], cache)
         params = model.params()
-        adam_step(params, grads, AdamState.for_params(params), TrainConfig(), lr=1e-3)
+        adam_step(params, grads, AdamState.for_params(params), lr=1e-3)
         model.forward_batch(x)
     finally:
         tracer.restore()

@@ -17,7 +17,7 @@ import voicedet
 from voicedet.cli import main
 from voicedet.nn import _pool, ops
 from voicedet.nn.model import DccrnModel, ModelConfig, bce_loss
-from voicedet.training import AdamState, TrainConfig, adam_step
+from voicedet.training import AdamState, adam_step
 
 # Large enough for the pool to split products and elementwise passes alike:
 # the blocks' wider convolutions, the BLSTM's batched products and (with
@@ -37,7 +37,7 @@ def train_step(dtype):
     _, dprobs = bce_loss(labels, probs)
     grads = model.backward_batch(dprobs, cache)
     params = model.params()
-    adam_step(params, grads, AdamState.for_params(params), TrainConfig(), lr=1e-3)
+    adam_step(params, grads, AdamState.for_params(params), lr=1e-3)
     out = {"probs": probs}
     out.update({f"grad {k}": v for k, v in grads.items()})
     out.update({f"param {k}": v.copy() for k, v in params.items()})

@@ -73,7 +73,8 @@ class TestClipGradients:
         return {k: v * scale for k, v in g.items()}
 
     def test_clips_to_exact_norm(self):
-        grads, pre = clip_gradients(self.grads_of_norm(10.0), 5.0)
+        grads = self.grads_of_norm(10.0)
+        pre = clip_gradients(grads)
         assert pre == pytest.approx(10.0)
         total = np.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
         assert total == pytest.approx(5.0, abs=1e-9)
@@ -81,14 +82,14 @@ class TestClipGradients:
     def test_small_norm_unchanged(self):
         grads = self.grads_of_norm(3.0)
         ref = {k: v.copy() for k, v in grads.items()}
-        clip_gradients(grads, 5.0)
+        clip_gradients(grads)
         for k in grads:
             assert np.array_equal(grads[k], ref[k])
 
     def test_direction_preserved(self):
         grads = self.grads_of_norm(20.0)
         ref = {k: v.copy() for k, v in grads.items()}
-        clip_gradients(grads, 5.0)
+        clip_gradients(grads)
         for k in grads:
             cos = np.sum(grads[k] * ref[k]) / (
                 np.linalg.norm(grads[k]) * np.linalg.norm(ref[k]) + 1e-30
@@ -102,7 +103,7 @@ class TestClipGradients:
                 "a": rng.standard_normal((3, 4)) * rng.uniform(0.1, 10),
                 "b": rng.standard_normal(7) * rng.uniform(0.1, 10),
             }
-            clip_gradients(grads, 5.0)
+            clip_gradients(grads)
             total = np.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
             assert total <= 5.0 + 1e-9
 
@@ -111,24 +112,23 @@ class TestAdam:
     def test_zero_gradient_no_update(self):
         params = {"w": np.array([1.0, -2.0])}
         state = AdamState.for_params(params)
-        adam_step(params, {"w": np.zeros(2)}, state, TrainConfig(), lr=0.1)
+        adam_step(params, {"w": np.zeros(2)}, state, lr=0.1)
         assert np.array_equal(params["w"], [1.0, -2.0])
 
     def test_first_step_magnitude(self):
         params = {"w": np.array([0.0])}
         state = AdamState.for_params(params)
         g = {"w": np.array([0.37])}
-        adam_step(params, g, state, TrainConfig(), lr=5e-4)
+        adam_step(params, g, state, lr=5e-4)
         # bias-corrected first step moves by ~lr against the gradient sign
         assert params["w"][0] == pytest.approx(-5e-4, rel=1e-6)
 
     def test_quadratic_bowl_decreases(self):
-        cfg = TrainConfig(lr_init=0.05)
         params = {"x": np.array([3.0])}
         state = AdamState.for_params(params)
         values = [0.5 * params["x"][0] ** 2]
         for _ in range(10):
-            adam_step(params, {"x": params["x"].copy()}, state, cfg, lr=0.05)
+            adam_step(params, {"x": params["x"].copy()}, state, lr=0.05)
             values.append(0.5 * params["x"][0] ** 2)
         assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -136,33 +136,31 @@ class TestAdam:
         params = {"w": np.array([1.0])}
         state = AdamState.for_params(params)
         with pytest.raises(TrainingDiverged, match="w"):
-            adam_step(params, {"w": np.array([np.nan])}, state, TrainConfig(), lr=0.1)
+            adam_step(params, {"w": np.array([np.nan])}, state, lr=0.1)
 
 
 class TestPlateauSchedule:
-    def test_halves_after_five_flat_epochs(self):
-        cfg = TrainConfig(lr_init=1e-3, plateau_patience=5)
-        sched = PlateauSchedule(cfg)
+    def lrs_after(self, losses):
+        sched = PlateauSchedule(1e-3)
         lrs = []
-        for _ in range(6):
-            sched.update(1.0)
+        for loss in losses:
+            sched.update(loss)
             lrs.append(sched.lr)
-        assert lrs == [1e-3] * 5 + [5e-4]
+        return lrs
+
+    def test_halves_after_five_flat_epochs(self):
+        assert self.lrs_after([1.0] * 6) == [1e-3] * 5 + [5e-4]
 
     def test_improvement_resets_counter(self):
-        cfg = TrainConfig(lr_init=1e-3, plateau_patience=3)
-        sched = PlateauSchedule(cfg)
-        for loss in (1.0, 0.9, 0.95, 0.95, 0.8, 0.85, 0.85, 0.85):
-            sched.update(loss)
-        assert sched.lr == 5e-4  # only the final 3-epoch run triggers
+        # four flat epochs, an improvement, then five flat: without the reset
+        # the first 0.85 would be the fifth non-improving epoch and halve
+        losses = (1.0, 0.9, 0.95, 0.95, 0.95, 0.95, 0.8, 0.85, 0.85, 0.85, 0.85, 0.85)
+        assert self.lrs_after(losses) == [1e-3] * 11 + [5e-4]
 
     def test_tiny_improvement_below_min_delta_counts_as_flat(self):
-        cfg = TrainConfig(lr_init=1e-3, plateau_patience=2, min_delta=1e-4)
-        sched = PlateauSchedule(cfg)
-        sched.update(1.0)
-        sched.update(1.0 - 5e-5)
-        sched.update(1.0 - 6e-5)
-        assert sched.lr == 5e-4
+        # each epoch is a new best, but by less than MIN_DELTA = 1e-4
+        losses = [1.0] + [1.0 - k * 1e-5 for k in range(5, 10)]
+        assert self.lrs_after(losses) == [1e-3] * 5 + [5e-4]
 
 
 def toy_config(**kw):
@@ -245,27 +243,22 @@ class TestTrainLoop:
         rng = np.random.default_rng(7)
         data = toy_dataset(6, 16, rng)
         fold = toy_fold(data)
-        cfg = TrainConfig(lr_init=1e-3, max_epochs=14, batch_size=3, seed=2, plateau_patience=2)
+        cfg = TrainConfig(lr_init=1e-3, max_epochs=14, batch_size=3, seed=2)
         result = train(toy_config(), None, fold, data, cfg)
         lrs = [r.lr for r in result.history.records]
         for a, b in zip(lrs, lrs[1:]):
             assert b <= a
             assert b == a or b == pytest.approx(a * 0.5)
+        assert lrs[-1] < lrs[0]  # at least one halving within 14 epochs at patience 5
 
 
 class TestPretrainFinetune:
-    def test_zero_pretrain_epochs_identical_to_train(self):
+    def test_empty_pretraining_data_identical_to_train(self):
         rng = np.random.default_rng(8)
         data = toy_dataset(6, 16, rng)
-        pre_data = toy_dataset(4, 16, np.random.default_rng(9), corpus="LibriSpeech")
         fold = toy_fold(data)
         cfg = TrainConfig(lr_init=1e-3, max_epochs=3, batch_size=2, seed=3)
         plain = train(toy_config(), None, fold, data, cfg)
-        combo, pre_hist = pretrain_then_finetune(
-            toy_config(), pre_data, fold, data, cfg,
-            pretrain_cfg=TrainConfig(max_epochs=80, seed=3) if False else None,
-        )
-        # pretrain_cfg=None inherits cfg; force zero-epoch pretraining instead
         combo_zero, pre_hist_zero = pretrain_then_finetune(
             toy_config(), {}, fold, data, cfg
         )
