@@ -349,9 +349,10 @@ def make_locro_folds(
             speakers = sorted({f"{r.corpus}/{r.speaker.speaker_id}" for r in pool})
             order = list(rng.permutation(len(speakers)))
             val_speakers: set[str] = set()
-            n_val_target = round(VAL_FRACTION * len(pool))
+            # at least one speaker, and never the last one, as split_train_val keeps
+            n_val_target = max(1, round(VAL_FRACTION * len(pool)))
             count = 0
-            for i in order:
+            for i in order[:-1]:
                 if count >= n_val_target:
                     break
                 val_speakers.add(speakers[i])

@@ -307,7 +307,7 @@ def apply_fir(wave: Waveform, filt: FirFilter) -> Waveform:
 def read_wav(path: str | Path) -> Waveform:
     """Read a mono WAV file (16-bit PCM or 32-bit float), normalized to [-1, 1].
 
-    A malformed or truncated file is an InvalidArgument naming the path;
+    A malformed, truncated or empty file is an InvalidArgument naming the path;
     scipy only warns about a file that ends before its header says, so that
     warning is raised as an error here.
     """
@@ -319,6 +319,8 @@ def read_wav(path: str | Path) -> Waveform:
         raise InvalidArgument(f"{path}: malformed WAV file: {err}") from err
     if data.ndim != 1:
         raise InvalidArgument(f"{path}: only mono WAV is supported, got {data.ndim} channels")
+    if not data.size:
+        raise InvalidArgument(f"{path}: no samples")
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / 32768.0
     elif data.dtype in (np.float32, np.float64):

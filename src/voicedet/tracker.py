@@ -6,20 +6,26 @@ model/label frames. Candidate peaks are pruned by threshold and count and a
 minimum-cost path through the candidate lattice yields per-frame voicing.
 
 Frames are processed as arrays over blocks of `_BLOCK` frames, which bounds
-the temporaries of a long recording. The cross terms are the one per-frame
-step: one `np.correlate` per frame keeps the exact dot products, and with
-them the exact bits. Energies, denominators, peak masks and candidate
-ordering are block-wide array operations. The DP runs over plain lists with
-transition costs looked up in a per-lag table.
+the temporaries of a long recording. The cross terms of a block are one
+`np.matmul` of two strided views, a 1 x win row by a win x 1 column per
+frame and lag, for which numpy calls the same BLAS dot routine that
+`np.correlate` calls once per lag: the exact dot products, and with them the
+exact bits. (A numpy built without BLAS sums those products differently,
+and the per-frame oracle in the tests would show it.) Energies,
+denominators, peak masks and candidate ordering are block-wide array
+operations. The DP runs over plain lists with transition costs looked up in
+a per-lag table.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .dsp import FrameConfig, InvalidArgument, Waveform, check_field_types
 
@@ -133,6 +139,13 @@ class VoicingLabels:
         return self.valid
 
 
+def _hop_view(a: np.ndarray, start: int, hop: int, shape: tuple, strides: tuple) -> np.ndarray:
+    """Read-only view of `a` from a[start] whose first axis steps `hop`
+    elements; the other axes step `strides` elements."""
+    step = a.strides[0]
+    return as_strided(a[start:], shape, tuple(k * step for k in (hop, *strides)), writeable=False)
+
+
 def nccf(wave: Waveform, cfg: TrackerConfig, frame_cfg: FrameConfig) -> NccfFrames:
     """Normalized cross-correlation per frame over the configured lag band.
 
@@ -143,6 +156,9 @@ def nccf(wave: Waveform, cfg: TrackerConfig, frame_cfg: FrameConfig) -> NccfFram
     (window + max lag) is centered on the frame's 10 ms slot so label smear
     at voicing transitions is symmetric. Frames whose span would run past
     either end of the signal are returned short and all-zero.
+
+    The cross terms of each block of frames are one strided dot-product
+    call, with the dot routine of `np.correlate`, so they are its bits.
     """
     x = wave.samples
     sr = wave.sample_rate
@@ -160,27 +176,30 @@ def nccf(wave: Waveform, cfg: TrackerConfig, frame_cfg: FrameConfig) -> NccfFram
     starts = np.arange(n_frames) * hop + (hop // 2 - span // 2)
     short = (starts < 0) | (starts + span > x.size)
     values = np.zeros((n_frames, lags.size))
-    if not lags.size:  # empty band; np.correlate would swap a first operand shorter than win
-        return NccfFrames(lags, values, short)
 
-    # prefix sums of energy for the sliding denominators
-    sq = np.concatenate([[0.0], np.cumsum(x * x)])
     peak = np.max(np.abs(x)) if x.size else 0.0
     floor = (cfg.energy_floor * peak) ** 2 * win
+    # energy of every correlation window, e[i] = sum of x[i : i + win]^2, from prefix sums
+    sq = np.concatenate([[0.0], np.cumsum(x * x)])
+    energy = sq[win:] - sq[:-win]
+    del sq  # one signal-length array, not two, beside the blocks' temporaries
 
     e0 = np.zeros(n_frames)
     inside = np.flatnonzero(~short)
-    e0[inside] = sq[starts[inside] + win] - sq[starts[inside]]
+    e0[inside] = energy[starts[inside]]
     live = np.flatnonzero(e0 > _ENERGY_FLOOR)  # short frames keep e0 = 0
-    for lo in range(0, live.size, _BLOCK):
-        rows = live[lo : lo + _BLOCK]
-        m = starts[rows]
-        # cross terms c[k] = sum_i x[m+i] * x[m+k+i], one correlate per frame
-        cross = np.empty((rows.size, lags.size))
-        for r, s in enumerate(m.tolist()):
-            cross[r] = np.correlate(x[s + min_lag : s + span], x[s : s + win], mode="valid")
-        at = m[:, None] + lags
-        energies = sq[at + win] - sq[at]
+    for lo in range(0, n_frames, _BLOCK):
+        rows = live[np.searchsorted(live, lo) : np.searchsorted(live, lo + _BLOCK)]
+        if not rows.size:
+            continue
+        # frames rows[0] .. rows[-1] are all inside the signal; the live ones are gathered
+        m0, n, at = starts[rows[0]], rows[-1] - rows[0] + 1, rows - rows[0]
+        # cross terms c[k] = sum_i x[m+i] * x[m+k+i]: per frame and lag, a 1 x win
+        # window row times the win x 1 frame column (np.correlate's dot routine)
+        windows = _hop_view(x, m0 + min_lag, hop, (n, lags.size, 1, win), (1, 0, 1))
+        columns = _hop_view(x, m0, hop, (n, 1, win, 1), (0, 1, 0))
+        cross = np.matmul(windows, columns)[at, :, 0, 0]
+        energies = _hop_view(energy, m0 + min_lag, hop, (n, lags.size), (1,))[at]
         denom = np.sqrt((e0[rows, None] + floor) * (energies + floor))
         values[rows] = np.where(
             denom > _ENERGY_FLOOR, cross / np.maximum(denom, _ENERGY_FLOOR), 0.0
@@ -206,19 +225,19 @@ def pick_candidates(frames: NccfFrames, cfg: TrackerConfig) -> list[list[PitchCa
         peak[:, 1:] &= v[:, 1:] > v[:, :-1]
         peak[:, :-1] &= v[:, :-1] >= v[:, 1:]
         peak[frames.short[lo : lo + _BLOCK]] = False
-        rows, cols = np.nonzero(peak)
-        lags = frames.lags[cols]
+        rows, cols = np.nonzero(peak)  # by row, then by lag
         scores = v[rows, cols]
-        order = np.lexsort((lags, -scores, rows))  # rows stay grouped as nonzero gave them
-        lags, scores = lags[order], scores[order]
+        # a stable sort: equal scores of a row keep their ascending lags
+        order = np.lexsort((-scores, rows))
+        rows, cols, scores = rows[order], cols[order], scores[order]
         counts = np.bincount(rows, minlength=v.shape[0])
         rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
         keep = rank < cap
-        picked = list(map(PitchCandidate, lags[keep].tolist(), scores[keep].tolist()))
-        at = 0
-        for n in np.minimum(counts, cap).tolist():
-            out.append([unvoiced, *picked[at : at + n]])
-            at += n
+        # tuple.__new__ builds the namedtuples in C, without PitchCandidate's Python __new__
+        picked = list(map(tuple.__new__, repeat(PitchCandidate),
+                          zip(frames.lags[cols[keep]].tolist(), scores[keep].tolist())))
+        ends = np.cumsum(np.minimum(counts, cap)).tolist()
+        out += [[unvoiced, *picked[a:b]] for a, b in zip([0, *ends], ends)]
     return out
 
 
@@ -269,20 +288,26 @@ def viterbi_path(
     size = max(256, 1 << int(max(map(max, candidates)).lag).bit_length())
     table = _transition_table(cfg.octave_jump_weight, cfg.switch_cost, size)
 
-    costs = [1.0 - c.score for c in candidates[0]]
-    prev_lags = [c.lag for c in candidates[0]]
-    backptr: list[list[int]] = [[0] * len(candidates[0])]
+    prev_lags, scores = zip(*candidates[0])
+    costs = [1.0 - s for s in scores]
+    backptr: list[list[int]] = [[0] * len(costs)]
     for cur in candidates[1:]:
-        new_costs = []
-        pointers = []
-        for lag, score in cur:
-            row = table[lag]
-            totals = [c + row[p] for c, p in zip(costs, prev_lags)]
-            best = min(totals)  # the first minimum, as a strict < scan keeps
-            pointers.append(totals.index(best))
-            new_costs.append(best + (1.0 - score))
-        costs = new_costs
-        prev_lags = [c.lag for c in cur]
+        if len(prev_lags) == 1:  # one predecessor (unvoiced only, in a picked lattice):
+            # every pointer is 0, and each cost is the sum the loop below makes
+            c, p = costs[0], prev_lags[0]
+            costs = [c + table[lag][p] + (1.0 - s) for lag, s in cur]
+            pointers = [0] * len(cur)
+        else:
+            new_costs = []
+            pointers = []
+            for lag, score in cur:
+                row = table[lag]
+                totals = [c + row[p] for c, p in zip(costs, prev_lags)]
+                best = min(totals)  # the first minimum, as a strict < scan keeps
+                pointers.append(totals.index(best))
+                new_costs.append(best + (1.0 - score))
+            costs = new_costs
+        prev_lags, _ = zip(*cur)
         backptr.append(pointers)
 
     total_cost = min(costs)

@@ -356,15 +356,16 @@ class TestDetect:
 
 def malformed_wav(kind, path):
     """Write a WAV file cut to a 30-byte header, replaced by non-RIFF bytes,
-    or cut in half (scipy reads the first half and only warns)."""
-    write_wav(path, Waveform(np.zeros(16000), 16000))
+    cut in half (scipy reads the first half and only warns), or holding no
+    samples."""
+    write_wav(path, Waveform(np.zeros(0 if kind == "empty" else 16000), 16000))
     data = path.read_bytes()
     path.write_bytes({"header": data[:30], "not_riff": b"not a wav file" * 8,
-                      "half": data[: len(data) // 2]}[kind])
+                      "half": data[: len(data) // 2], "empty": data}[kind])
 
 
-@pytest.mark.parametrize("kind", ["header", "not_riff", "half"])
-@pytest.mark.parametrize("command", ["detect", "labels-extract"])
+@pytest.mark.parametrize("kind", ["header", "not_riff", "half", "empty"])
+@pytest.mark.parametrize("command", ["detect", "labels-extract", "labels-extract --jobs 2"])
 def test_malformed_wav_is_usage_error(tmp_path, capsys, command, kind):
     root = tmp_path / "corpus"
     (root / "mic").mkdir(parents=True)
@@ -380,9 +381,10 @@ def test_malformed_wav_is_usage_error(tmp_path, capsys, command, kind):
 
         (root / "meta.tsv").write_text("u0\tspk0\tmale\n")
         corpus_io.write_manifest(root / "manifest.tsv", corpus_io.scan_corpus(root, "synthetic"))
-        argv = ["labels-extract", "--manifest", str(root / "manifest.tsv"), "--out", out]
+        argv = ["labels-extract", "--manifest", str(root / "manifest.tsv"), "--out", out, *command.split()[1:]]
     assert main(argv) == 1
-    assert str(bad) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {bad}: " in err and "Traceback" not in err
 
 
 class TestTrainAndEval:
@@ -546,6 +548,14 @@ class TestTrainAndEval:
         assert "error: --max-shift must be at least 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_train_seed_is_usage_error_naming_it(self, tmp_path, capsys):
+        """The flag check synth-corpus --seed has; the config's seed field
+        keeps its own message naming the config file."""
+        out = tmp_path / "out"
+        assert main(["train", "--synthetic-demo", "--seed", "-1", "--out", str(out)]) == 1
+        assert "error: --seed must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"train": {"learning_rate": 1}}))
@@ -689,10 +699,45 @@ class TestExitCodes:
         def boom(args):
             raise RuntimeError("kaboom")
 
-        monkeypatch.setitem(cli.build_parser()._defaults, "func", boom)
-        # patch via parser default is awkward; simulate through a failing command
         monkeypatch.setattr(cli, "generate_synthetic_corpus", boom)
         assert main(["synth-corpus", "--out", str(tmp_path / "x")]) == 3
+
+    def test_one_parser_per_process_keeps_no_state(self, monkeypatch):
+        import voicedet.cli as cli
+
+        seen = []
+        for name in ("cmd_labels_compare", "cmd_eval", "cmd_train"):
+            monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args).copy()) or 0)
+        argvs = [
+            ["labels-compare", "--a", "a", "--b", "b", "--max-shift", "3"],
+            ["labels-compare", "--a", "a", "--b", "b"],
+            ["eval", "--corpus", "a:X", "--corpus", "b:Y", "--folds", "f", "--out", "o", "--unaligned"],
+            ["eval", "--corpus", "c:Z", "--folds", "f", "--out", "o"],
+            ["train", "--corpus", "a:X", "--out", "o"],
+            ["train", "--synthetic-demo", "--out", "o"],
+        ]
+        assert [main(argv) for argv in argvs] == [0] * len(argvs)
+        assert cli.build_parser() is cli.build_parser()
+        assert [a["max_shift"] for a in seen[:2]] == [3, 5]
+        assert [(a["corpus"], a["unaligned"]) for a in seen[2:4]] == [(["a:X", "b:Y"], True), (["c:Z"], False)]
+        assert [a["corpus"] for a in seen[4:]] == [["a:X"], None]
+
+    @pytest.mark.parametrize("workload", ["labels", "train", "detect"])
+    def test_benchmark_command_lines_parse(self, tmp_path, workload):
+        """Every command line the benchmark runs parses, so renaming a flag
+        it passes fails here rather than in a benchmark run."""
+        import voicedet.cli as cli
+
+        workloads = perfbench_module("workloads")
+        inputs = tmp_path / "inputs"
+        for rel in ("chunks/00.tsv", "chunks/01.tsv", "test/mic/t.wav", "wavs/a.wav", "wavs/b.wav"):
+            (inputs / rel).parent.mkdir(parents=True, exist_ok=True)
+            (inputs / rel).touch()
+        argvs = workloads.COMMANDS[workload](inputs, tmp_path / "out")
+        assert argvs
+        for argv in argvs:
+            args = cli.build_parser().parse_args(argv)
+            assert args.command == argv[0]
 
 
 BAD_INPUTS = {

@@ -334,6 +334,29 @@ class TestFolds:
 
             assert not {spk(i) for i in f.train_ids} & {spk(i) for i in f.val_ids}
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_speaker_disjoint_keeps_one_validation_speaker(self, seed):
+        # a tenth of 4 utterances rounds to 0; the utterance split keeps 1 too
+        manifests = {"FDA": manifest_of("FDA", 4, 4), "KEELE": manifest_of("KEELE", 4, 4)}
+        for f in make_locro_folds(manifests, seed=seed, speaker_disjoint=True):
+            assert (len(f.train_ids), len(f.val_ids)) == (3, 1)
+
+    @pytest.mark.parametrize("seed", [0, 4])  # the small speaker drawn second, then first
+    def test_speaker_disjoint_never_takes_every_speaker(self, seed):
+        # one speaker with 1 utterance, one with 29: a target of 3 validation
+        # utterances must not move the large speaker's 29 there as well
+        solo = record("FDA", "u000", speaker="solo")
+        big = tuple(record("FDA", f"u{i:03d}", speaker="big") for i in range(1, 30))
+        manifests = {"FDA": Manifest((solo, *big)), "KEELE": manifest_of("KEELE", 4)}
+        fold = make_locro_folds(manifests, seed=seed, speaker_disjoint=True)[1]
+        assert fold.train_ids and fold.val_ids
+        assert len(fold.train_ids) + len(fold.val_ids) == 30
+
+    def test_speaker_disjoint_single_speaker_is_all_train(self):
+        manifests = {"FDA": manifest_of("FDA", 5, 1), "KEELE": manifest_of("KEELE", 5, 1)}
+        for f in make_locro_folds(manifests, seed=0, speaker_disjoint=True):
+            assert (len(f.train_ids), len(f.val_ids)) == (5, 0)
+
     @pytest.mark.parametrize("n, n_val", [(1, 0), (2, 1), (4, 1), (10, 1), (15, 2), (25, 2), (26, 3)])
     def test_split_train_val_holds_out_a_tenth(self, n, n_val):
         ids = [f"u{i:02d}" for i in range(n)]

@@ -149,6 +149,13 @@ def oracle_signals():
             signals["mic"] = mic.samples
     signals["noise"] = np.random.default_rng(17).standard_normal(n)
     signals["silence"] = np.zeros(n)
+    # noise bursts between exact zeros longer than one analysis span (320
+    # samples), so a block's live frames have gaps; frames 262-519 are all silent
+    bursts = signals["noise"].copy()
+    for start in range(400, n, 1400):
+        bursts[start : start + 1000] = 0.0
+    bursts[260 * 80 : 520 * 80] = 0.0
+    signals["bursts"] = bursts
     return signals
 
 
@@ -158,7 +165,7 @@ ORACLE_LENGTHS = (80, 80 * 100, 80 * (2 * _BLOCK + 88) + 37)
 
 class TestBlockOracle:
     @pytest.mark.parametrize("n", ORACLE_LENGTHS)
-    @pytest.mark.parametrize("kind", ["egg_male", "egg_female", "mic", "noise", "silence"])
+    @pytest.mark.parametrize("kind", ["egg_male", "egg_female", "mic", "noise", "silence", "bursts"])
     def test_matches_per_frame_reference(self, kind, n):
         wave = Waveform(oracle_signals()[kind][:n], SR)
         cfg = TrackerConfig()
@@ -174,6 +181,15 @@ class TestBlockOracle:
         out = track_voicing(wave, cfg)
         assert out.labels.tobytes() == labels.tobytes()
         assert out.f0.tobytes() == f0.tobytes()
+
+    def test_bursts_leave_gaps_inside_a_block(self):
+        x = oracle_signals()["bursts"][: ORACLE_LENGTHS[-1]]
+        _, values, short = ref_nccf(Waveform(x, SR), TrackerConfig(), frame_cfg())
+        live = np.flatnonzero([v.any() for v in values])
+        gaps = np.diff(live) > 1
+        assert np.any(gaps & (live[:-1] // _BLOCK == live[1:] // _BLOCK))  # inside one block
+        assert not any(v.any() for v in values[262:520]) and live[-1] >= 520
+        assert not any(short[t] for t in live)
 
     def test_voiced_egg_exercises_the_lattice(self):
         wave = Waveform(oracle_signals()["egg_female"], SR)
@@ -283,6 +299,17 @@ class TestPickCandidates:
         cands = pick_candidates(frame, TrackerConfig())
         assert len(cands) == 1
         assert len(cands[0]) == 1
+
+    def test_candidates_are_pitch_candidates(self):
+        wave = Waveform(oracle_signals()["egg_female"], SR)
+        cfg = TrackerConfig()
+        lattice = pick_candidates(nccf(wave, cfg, frame_cfg()), cfg)
+        picked = [c for frame in lattice for c in frame]
+        assert sum(c.voiced for c in picked) > len(lattice)
+        for c in picked:
+            assert type(c) is PitchCandidate
+            assert (c.lag, c.score) == tuple(c) and type(c.lag) is int and type(c.score) is float
+            assert c.voiced == (c.lag > 0)
 
     def test_one_list_per_frame_across_blocks(self):
         n = 2 * _BLOCK + 5
