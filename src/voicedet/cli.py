@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import logging
 import math
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import corpus as corpus_io
 from . import labels as label_io
-from .dsp import InvalidArgument, read_text, read_wav, resample
+from .dsp import EmptyWav, InvalidArgument, read_text, read_wav, resample
 from .labels import SpeakerMeta, align_for_lowest_vde, extract_reference_labels, mismatch_rate
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.model import DccrnModel, ModelConfig
@@ -143,7 +142,11 @@ def load_recordings(manifests: dict[str, corpus_io.Manifest]) -> tuple[dict, lis
             if rec.provided_label_path is None:
                 skipped.append(f"{rec.full_id}: no labels")
                 continue
-            wave = read_wav(rec.mic_path)
+            try:
+                wave = read_wav(rec.mic_path)
+            except EmptyWav as err:  # an empty signal, skipped; a malformed file stops the run
+                skipped.append(f"{rec.full_id}: {err}")
+                continue
             labels = label_io.read_labels_as(rec.provided_label_path, rec.label_format)
             try:
                 data[rec.full_id] = recording(rec.full_id, wave, labels)
@@ -450,10 +453,7 @@ def cmd_eval(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
 def build_parser() -> CliParser:
-    """The command-line parser, built once per process. It holds no state
-    between parses; each command's handler is looked up by name when it runs."""
     parser = CliParser(prog="voicedet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -469,6 +469,7 @@ def build_parser() -> CliParser:
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--duration", type=float, default=3.0)
+    p.set_defaults(func=cmd_synth_corpus)
 
     p = sub.add_parser("labels-extract", help="reference labels from laryngograph recordings")
     common(p)
@@ -478,12 +479,14 @@ def build_parser() -> CliParser:
     p.add_argument("--cutoff-hz", type=float, default=None,
                    help="explicit high-pass cutoff (required for unknown speaker sex)")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.set_defaults(func=cmd_labels_extract)
 
     p = sub.add_parser("labels-compare", help="mismatch rates between two label directories")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.add_argument("--max-shift", type=int, default=5)
+    p.set_defaults(func=cmd_labels_compare)
 
     p = sub.add_parser("detect", help="voicing decisions for wav files")
     config(p)
@@ -492,6 +495,7 @@ def build_parser() -> CliParser:
     p.add_argument("--out", required=True)
     p.add_argument("--posteriors", action="store_true", help="also write per-frame posteriors")
     p.add_argument("wavs", nargs="+")
+    p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("train", help="train the detector on fold plans")
     common(p)
@@ -504,6 +508,7 @@ def build_parser() -> CliParser:
                    help="self-contained run on the bundled synthetic corpus")
     p.add_argument("--demo-utterances", type=int, default=200)
     p.add_argument("--demo-epochs", type=int, default=None)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="cross-corpus VDE report")
     common(p)
@@ -519,7 +524,7 @@ def build_parser() -> CliParser:
     group.add_argument("--unaligned", dest="unaligned", action="store_true",
                        help="report VDE without alignment")
     p.add_argument("--strips", help="long-format per-frame decisions CSV for plotting")
-    p.set_defaults(unaligned=False)
+    p.set_defaults(func=cmd_eval, unaligned=False)
 
     return parser
 
@@ -529,15 +534,15 @@ def main(argv=None) -> int:
 
     tune_allocator()
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
         for name, least in (("n", 1), ("jobs", 1), ("demo_utterances", 1), ("demo_epochs", 1),
                             ("max_shift", 0), ("seed", 0)):
             value = getattr(args, name, None)
             if value is not None and value < least:
                 raise InvalidArgument(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
-        # by name at call time, so a patched or traced handler is the one that runs
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except PartialFailure as err:

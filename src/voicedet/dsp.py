@@ -37,6 +37,10 @@ class InvalidArgument(ValueError):
     """Raised when an operation precondition is violated."""
 
 
+class EmptyWav(InvalidArgument):
+    """Raised by `read_wav` for a well-formed WAV file with no samples."""
+
+
 def is_integer(value) -> bool:
     """An integer that is not a bool (JSON's `true` reads as 1)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -307,9 +311,10 @@ def apply_fir(wave: Waveform, filt: FirFilter) -> Waveform:
 def read_wav(path: str | Path) -> Waveform:
     """Read a mono WAV file (16-bit PCM or 32-bit float), normalized to [-1, 1].
 
-    A malformed, truncated or empty file is an InvalidArgument naming the path;
-    scipy only warns about a file that ends before its header says, so that
-    warning is raised as an error here.
+    A malformed, truncated or empty file is an InvalidArgument naming the path
+    (an empty one is its subclass EmptyWav); scipy only warns about a file
+    that ends before its header says, so that warning is raised as an error
+    here.
     """
     try:
         with warnings.catch_warnings():
@@ -320,7 +325,7 @@ def read_wav(path: str | Path) -> Waveform:
     if data.ndim != 1:
         raise InvalidArgument(f"{path}: only mono WAV is supported, got {data.ndim} channels")
     if not data.size:
-        raise InvalidArgument(f"{path}: no samples")
+        raise EmptyWav(f"{path}: no samples")
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / 32768.0
     elif data.dtype in (np.float32, np.float64):

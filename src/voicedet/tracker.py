@@ -288,26 +288,20 @@ def viterbi_path(
     size = max(256, 1 << int(max(map(max, candidates)).lag).bit_length())
     table = _transition_table(cfg.octave_jump_weight, cfg.switch_cost, size)
 
-    prev_lags, scores = zip(*candidates[0])
-    costs = [1.0 - s for s in scores]
-    backptr: list[list[int]] = [[0] * len(costs)]
+    costs = [1.0 - c.score for c in candidates[0]]
+    prev_lags = [c.lag for c in candidates[0]]
+    backptr: list[list[int]] = [[0] * len(candidates[0])]
     for cur in candidates[1:]:
-        if len(prev_lags) == 1:  # one predecessor (unvoiced only, in a picked lattice):
-            # every pointer is 0, and each cost is the sum the loop below makes
-            c, p = costs[0], prev_lags[0]
-            costs = [c + table[lag][p] + (1.0 - s) for lag, s in cur]
-            pointers = [0] * len(cur)
-        else:
-            new_costs = []
-            pointers = []
-            for lag, score in cur:
-                row = table[lag]
-                totals = [c + row[p] for c, p in zip(costs, prev_lags)]
-                best = min(totals)  # the first minimum, as a strict < scan keeps
-                pointers.append(totals.index(best))
-                new_costs.append(best + (1.0 - score))
-            costs = new_costs
-        prev_lags, _ = zip(*cur)
+        new_costs = []
+        pointers = []
+        for lag, score in cur:
+            row = table[lag]
+            totals = [c + row[p] for c, p in zip(costs, prev_lags)]
+            best = min(totals)  # the first minimum, as a strict < scan keeps
+            pointers.append(totals.index(best))
+            new_costs.append(best + (1.0 - score))
+        costs = new_costs
+        prev_lags = [c.lag for c in cur]
         backptr.append(pointers)
 
     total_cost = min(costs)
