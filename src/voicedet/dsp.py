@@ -25,6 +25,7 @@ import struct
 import warnings
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -173,8 +174,10 @@ def peak_normalize(wave: Waveform) -> Waveform:
     return Waveform(wave.samples / peak, wave.sample_rate)
 
 
+@lru_cache(maxsize=16)
 def _resample_filter(up: int, down: int) -> np.ndarray:
-    """Kaiser windowed-sinc anti-alias filter for a polyphase up/down stage.
+    """Kaiser windowed-sinc anti-alias filter for a polyphase up/down stage,
+    designed once per ratio and shared read-only.
 
     Passband to 0.45 and stopband from 0.5 of the narrower Nyquist,
     ~80 dB stopband attenuation.
@@ -191,7 +194,9 @@ def _resample_filter(up: int, down: int) -> np.ndarray:
     fc = 0.475 / max_rate  # cycles/sample, center of the transition band
     m = np.arange(n_taps) - half
     taps = 2.0 * fc * np.sinc(2.0 * fc * m) * np.kaiser(n_taps, beta)
-    return taps / taps.sum()
+    taps /= taps.sum()
+    taps.flags.writeable = False
+    return taps
 
 
 # FFT size of a full overlap-save block, in filter lengths: about

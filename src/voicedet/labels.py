@@ -181,7 +181,8 @@ def read_labels(path: str | Path) -> VoicingLabels:
 
     The f0 column is kept only when it is consistent with the labels
     (f0 > 0 exactly on voiced frames); files written from decisions without
-    pitch carry zeros there and read back with f0 absent. A malformed line
+    pitch carry zeros there and read back with f0 absent. Frame indices run
+    0, 1, 2, ... in file order. A malformed line or an out-of-sequence index
     raises InvalidArgument naming the file and line number.
     """
     lines = _numbered_lines(path)
@@ -198,6 +199,8 @@ def read_labels(path: str | Path) -> VoicingLabels:
             parts = ln.split("\t")
             if len(parts) != 3:
                 raise ValueError(f"malformed line {ln!r}")
+            if parts[0] != str(len(labels)):
+                raise ValueError(f"frame index {parts[0]}, expected {len(labels)}")
             lab = int(parts[1])
             if lab != 0 and lab != 1:
                 raise ValueError(f"labels must be binary, got {lab}")

@@ -13,13 +13,16 @@ frame and lag, for which numpy calls the same BLAS dot routine that
 exact bits. (A numpy built without BLAS sums those products differently,
 and the per-frame oracle in the tests would show it.) Energies,
 denominators, peak masks and candidate ordering are block-wide array
-operations. The DP runs over plain lists with transition costs looked up in
-a per-lag table.
+operations. The candidate lattice is flat arrays (per-frame offsets, lags
+and scores), built by array scatters without a Python object per
+candidate; the DP runs over lists made once from those arrays, with
+transition costs looked up in a per-lag table.
 """
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import NamedTuple
@@ -94,6 +97,69 @@ class PitchCandidate(NamedTuple):
     @property
     def voiced(self) -> bool:
         return self.lag > 0
+
+
+@dataclass(frozen=True, eq=False)
+class CandidateLattice:
+    """Every frame's candidates as flat arrays.
+
+    Frame t holds entries offsets[t] .. offsets[t+1]-1 of `lags` and
+    `scores`, in candidate order. A frame read by index, slice or
+    iteration is a list of PitchCandidate.
+    """
+
+    offsets: np.ndarray  # [T + 1] int64, offsets[0] == 0
+    lags: np.ndarray  # [N] int64
+    scores: np.ndarray  # [N] float64
+
+    @classmethod
+    def from_frames(cls, frames: Sequence[Sequence[PitchCandidate]]) -> CandidateLattice:
+        """The lattice of per-frame candidate lists."""
+        sizes = [len(f) for f in frames]
+        if 0 in sizes:
+            raise InvalidArgument("every frame needs at least one candidate")
+        flat = [c for f in frames for c in f]
+        lags = np.array([c.lag for c in flat], dtype=np.int64)
+        if lags.size and lags.min() < 0:
+            raise InvalidArgument("candidate lags must be >= 0")
+        scores = np.array([c.score for c in flat], dtype=np.float64)
+        return cls(_offsets(sizes), lags, scores)
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return list(self)[key]
+        t = range(len(self))[key]
+        a, b = self.offsets[t], self.offsets[t + 1]
+        return _pitch_candidates(self.lags[a:b], self.scores[a:b])
+
+    def __iter__(self) -> Iterator[list[PitchCandidate]]:
+        flat = _pitch_candidates(self.lags, self.scores)
+        bounds = self.offsets.tolist()
+        return (flat[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
+def _pitch_candidates(lags: np.ndarray, scores: np.ndarray) -> list[PitchCandidate]:
+    # tuple.__new__ builds the namedtuples in C, without PitchCandidate's Python __new__
+    return list(map(tuple.__new__, repeat(PitchCandidate), zip(lags.tolist(), scores.tolist())))
+
+
+def _offsets(sizes) -> np.ndarray:
+    """Frame boundaries [0, cumsum(sizes)] of a lattice with these frame sizes."""
+    out = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, dtype=np.int64, out=out[1:])
+    return out
+
+
+Lattice = CandidateLattice | Sequence[Sequence[PitchCandidate]]
+
+
+def _as_lattice(candidates: Lattice) -> CandidateLattice:
+    if isinstance(candidates, CandidateLattice):
+        return candidates
+    return CandidateLattice.from_frames(candidates)
 
 
 @dataclass(frozen=True)
@@ -207,7 +273,7 @@ def nccf(wave: Waveform, cfg: TrackerConfig, frame_cfg: FrameConfig) -> NccfFram
     return NccfFrames(lags, values, short)
 
 
-def pick_candidates(frames: NccfFrames, cfg: TrackerConfig) -> list[list[PitchCandidate]]:
+def pick_candidates(frames: NccfFrames, cfg: TrackerConfig) -> CandidateLattice:
     """Per frame: local NCCF maxima above threshold, capped by count, plus the
     unvoiced hypothesis.
 
@@ -215,9 +281,9 @@ def pick_candidates(frames: NccfFrames, cfg: TrackerConfig) -> list[list[PitchCa
     downstream tie-breaks prefer unvoiced. Peaks follow by descending score,
     equal scores by ascending lag. Plateaus keep their earliest lag.
     """
-    unvoiced = PitchCandidate(0, cfg.voicing_bias)
     cap = cfg.max_candidates_per_frame
-    out: list[list[PitchCandidate]] = []
+    sizes = np.ones(len(frames), dtype=np.int64)  # the unvoiced candidate, then the peaks
+    peak_lags, peak_scores = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]  # non-empty to concatenate
     for lo in range(0, len(frames), _BLOCK):
         v = frames.values[lo : lo + _BLOCK]
         # > left and >= right keeps the earliest sample of a plateau
@@ -233,12 +299,17 @@ def pick_candidates(frames: NccfFrames, cfg: TrackerConfig) -> list[list[PitchCa
         counts = np.bincount(rows, minlength=v.shape[0])
         rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
         keep = rank < cap
-        # tuple.__new__ builds the namedtuples in C, without PitchCandidate's Python __new__
-        picked = list(map(tuple.__new__, repeat(PitchCandidate),
-                          zip(frames.lags[cols[keep]].tolist(), scores[keep].tolist())))
-        ends = np.cumsum(np.minimum(counts, cap)).tolist()
-        out += [[unvoiced, *picked[a:b]] for a, b in zip([0, *ends], ends)]
-    return out
+        sizes[lo : lo + _BLOCK] += np.minimum(counts, cap)
+        peak_lags.append(frames.lags[cols[keep]])
+        peak_scores.append(scores[keep])
+    offsets = _offsets(sizes)
+    voiced = np.ones(offsets[-1], dtype=bool)
+    voiced[offsets[:-1]] = False
+    lags = np.zeros(offsets[-1], dtype=np.int64)
+    lags[voiced] = np.concatenate(peak_lags)
+    scores = np.full(offsets[-1], cfg.voicing_bias)
+    scores[voiced] = np.concatenate(peak_scores)
+    return CandidateLattice(offsets, lags, scores)
 
 
 def _transition_cost(prev: PitchCandidate, cur: PitchCandidate, cfg: TrackerConfig) -> float:
@@ -268,9 +339,7 @@ def _transition_table(
     return tuple(map(tuple, table.tolist()))  # shared by every caller: immutable
 
 
-def viterbi_path(
-    candidates: list[list[PitchCandidate]], cfg: TrackerConfig
-) -> tuple[list[int], float]:
+def viterbi_path(candidates: Lattice, cfg: TrackerConfig) -> tuple[list[int], float]:
     """Minimum-cost candidate-index path and its total cost.
 
     Local cost is 1 - score (the unvoiced hypothesis carries score =
@@ -278,66 +347,63 @@ def viterbi_path(
     octave_jump_weight * |log2(lag ratio)| within voiced runs. Ties resolve
     to the lowest candidate index, i.e. unvoiced first, then shorter lags.
     """
-    if not candidates:
+    lattice = _as_lattice(candidates)
+    if not len(lattice):
         raise InvalidArgument("need at least one frame")
-    if not all(candidates):
-        raise InvalidArgument("every frame needs at least one candidate")
-    # candidates order by lag first, so the extreme candidates carry the extreme lags
-    if min(map(min, candidates)).lag < 0:
-        raise InvalidArgument("candidate lags must be >= 0")
-    size = max(256, 1 << int(max(map(max, candidates)).lag).bit_length())
+    size = max(256, 1 << int(lattice.lags.max()).bit_length())
     table = _transition_table(cfg.octave_jump_weight, cfg.switch_cost, size)
 
-    costs = [1.0 - c.score for c in candidates[0]]
-    prev_lags = [c.lag for c in candidates[0]]
-    backptr: list[list[int]] = [[0] * len(candidates[0])]
-    for cur in candidates[1:]:
+    bounds = lattice.offsets.tolist()
+    lags = lattice.lags.tolist()
+    local = (1.0 - lattice.scores).tolist()  # IEEE-equal to 1.0 - score per candidate
+    costs = local[: bounds[1]]
+    prev_lags = lags[: bounds[1]]
+    backptr = [0] * bounds[1]  # per entry: index of its best predecessor in the previous frame
+    for a, b in zip(bounds[1:-1], bounds[2:]):
         new_costs = []
-        pointers = []
-        for lag, score in cur:
+        for lag, loc in zip(lags[a:b], local[a:b]):
             row = table[lag]
             totals = [c + row[p] for c, p in zip(costs, prev_lags)]
             best = min(totals)  # the first minimum, as a strict < scan keeps
-            pointers.append(totals.index(best))
-            new_costs.append(best + (1.0 - score))
+            backptr.append(totals.index(best))
+            new_costs.append(best + loc)
         costs = new_costs
-        prev_lags = [c.lag for c in cur]
-        backptr.append(pointers)
+        prev_lags = lags[a:b]
 
     total_cost = min(costs)
     path = [costs.index(total_cost)]
-    for pointers in reversed(backptr[1:]):
-        path.append(pointers[path[-1]])
+    for a in reversed(bounds[1:-1]):
+        path.append(backptr[a + path[-1]])
     path.reverse()
     return path, total_cost
 
 
 def viterbi_track(
-    candidates: list[list[PitchCandidate]],
+    candidates: Lattice,
     cfg: TrackerConfig,
     sample_rate: int = 8000,
 ) -> VoicingLabels:
     """Voicing labels and F0 read off the minimum-cost lattice path."""
-    path, _ = viterbi_path(candidates, cfg)
-    lags = np.array([frame[j].lag for frame, j in zip(candidates, path)], dtype=np.int64)
+    lattice = _as_lattice(candidates)
+    path, _ = viterbi_path(lattice, cfg)
+    lags = lattice.lags[lattice.offsets[:-1] + path]
     voiced = lags > 0
     f0 = np.zeros(lags.size, dtype=np.float64)
     f0[voiced] = sample_rate / lags[voiced]
     return VoicingLabels(labels=voiced.astype(np.int8), f0=f0)
 
 
-def path_cost(
-    candidates: list[list[PitchCandidate]], path: list[int], cfg: TrackerConfig
-) -> float:
+def path_cost(candidates: Lattice, path: list[int], cfg: TrackerConfig) -> float:
     """Total cost of an explicit candidate-index path (used by oracles/tests).
 
     Accumulates transition then local cost per step, the same association as
     the DP recursion, so costs compare exactly.
     """
-    total = 1.0 - candidates[0][path[0]].score
-    for t in range(1, len(candidates)):
-        prev = candidates[t - 1][path[t - 1]]
-        cur = candidates[t][path[t]]
+    frames = list(_as_lattice(candidates))
+    total = 1.0 - frames[0][path[0]].score
+    for t in range(1, len(frames)):
+        prev = frames[t - 1][path[t - 1]]
+        cur = frames[t][path[t]]
         total = total + _transition_cost(prev, cur, cfg)
         total = total + (1.0 - cur.score)
     return total

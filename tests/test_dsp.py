@@ -107,6 +107,14 @@ class TestResample:
         with pytest.raises(InvalidArgument):
             resample(tone(100.0, 8000), 0)
 
+    @pytest.mark.parametrize("up, down", [(1, 2), (2, 1), (80, 441)])
+    def test_filter_is_designed_once_and_read_only(self, up, down):
+        taps = dsp._resample_filter(up, down)
+        assert dsp._resample_filter(up, down) is taps
+        assert taps.tobytes() == dsp._resample_filter.__wrapped__(up, down).tobytes()
+        with pytest.raises(ValueError):
+            taps[0] = 1.0
+
 
 class TestStft:
     def test_8k_config(self):

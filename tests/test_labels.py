@@ -232,6 +232,18 @@ class TestLabelFiles:
         with pytest.raises(InvalidArgument):
             read_labels(p)
 
+    @pytest.mark.parametrize("rows, lineno, message", [
+        ("0 1 3", 4, "frame index 3, expected 2"),    # a frame missing
+        ("0 abc", 3, "frame index abc, expected 1"),  # not an integer
+        ("-7", 2, "frame index -7, expected 0"),      # negative
+        ("0 1 1", 4, "frame index 1, expected 2"),    # repeated
+    ])
+    def test_frame_index_out_of_sequence_names_file_and_line(self, tmp_path, rows, lineno, message):
+        p = tmp_path / "x.lab"
+        p.write_text("#hop_ms=10\n" + "".join(f"{i}\t1\t100.000\n" for i in rows.split()))
+        with pytest.raises(InvalidArgument, match=re.escape(f"{p}:{lineno}: {message}")):
+            read_labels(p)
+
     def test_three_class_adapter(self, tmp_path):
         p = tmp_path / "k.lab"
         p.write_text("1\n0\n-1\n1\n")

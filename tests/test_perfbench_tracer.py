@@ -6,10 +6,15 @@ convolution cache, and `[1]` of each Conv-DC block's and each BLSTM layer's
 forward result. A change to that layout would otherwise show only in the
 traced benchmark pass.
 """
+from collections import Counter
+
 import numpy as np
 
 from test_train_canary import perfbench_module
+from voicedet.dsp import FrameConfig
 from voicedet.nn.model import ConvDcBlock, DccrnModel, ModelConfig, bce_loss
+from voicedet.synth import synth_utterance
+from voicedet.tracker import TrackerConfig, nccf, pick_candidates
 from voicedet.training import AdamState, adam_step
 
 
@@ -66,3 +71,20 @@ def test_every_span_the_tracer_reads_exists():
     read_by_name = [name for name, unit in tracer_module.PER_LAYER if unit == "s" or name.endswith(".calls")]
     assert len(read_by_name) > 60
     assert [name for name in read_by_name if metrics[name] == 0] == []
+
+
+def test_lattice_edges_count_a_candidate_lattice():
+    """`tracker.lattice_edges` reads the lattice that `viterbi_track` gets
+    through `len`, slicing and iteration: it must count the same edges as
+    the frame lists and as the lattice's own frame offsets."""
+    tracer_module = perfbench_module("tracer")
+    _, laryn, _ = synth_utterance(3, 0, duration_sec=2.0, sample_rate=8000)
+    cfg = TrackerConfig()
+    lattice = pick_candidates(nccf(laryn, cfg, FrameConfig.for_rate(8000)), cfg)
+    counts = Counter()
+    tracer_module._count_viterbi(counts, (lattice, cfg, 8000), {}, None)
+    frames = list(lattice)
+    sizes = np.diff(lattice.offsets)
+    assert max(sizes) > 2
+    assert counts["tracker.lattice_edges"] == sum(len(a) * len(b) for a, b in zip(frames, frames[1:]))
+    assert counts["tracker.lattice_edges"] == int(sizes[:-1] @ sizes[1:])

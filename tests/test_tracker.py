@@ -1,6 +1,7 @@
 """Tests for the NCCF/dynamic-programming voicing tracker."""
 
 import functools
+import gc
 import itertools
 import math
 
@@ -15,6 +16,7 @@ from voicedet.synth import synth_utterance
 from voicedet.tracker import (
     _BLOCK,
     _transition_table,
+    CandidateLattice,
     NccfFrames,
     PitchCandidate,
     TrackerConfig,
@@ -90,6 +92,12 @@ def ref_pick(lags, v, short, cfg):
     for i in order[: cfg.max_candidates_per_frame]:
         candidates.append(PitchCandidate(int(lags[i]), float(v[i])))
     return candidates
+
+
+def typed(frames):
+    """Frames as nested lists of (type, lag type, lag, score type, score bits):
+    equal only when every candidate matches in value and in type."""
+    return [[(type(c), type(c.lag), c.lag, type(c.score), c.score.hex()) for c in f] for f in frames]
 
 
 def ref_transition_cost(prev, cur, cfg):
@@ -177,7 +185,8 @@ class TestBlockOracle:
         assert frames.short.tolist() == short
 
         lattice, labels, f0 = ref_track(wave, cfg)
-        assert pick_candidates(frames, cfg) == lattice
+        got = list(pick_candidates(frames, cfg))
+        assert got == lattice and typed(got) == typed(lattice)
         out = track_voicing(wave, cfg)
         assert out.labels.tobytes() == labels.tobytes()
         assert out.f0.tobytes() == f0.tobytes()
@@ -316,12 +325,15 @@ class TestPickCandidates:
         values = np.zeros((n, 8))
         values[:, 3] = 0.9
         frames = NccfFrames(np.arange(16, 24), values, np.arange(n) % 7 == 0)
-        cands = pick_candidates(frames, TrackerConfig())
-        assert len(cands) == n
-        assert [len(c) for c in cands] == [1 if t % 7 == 0 else 2 for t in range(n)]
+        cfg = TrackerConfig()
+        got = list(pick_candidates(frames, cfg))
+        unvoiced, peak = PitchCandidate(0, cfg.voicing_bias), PitchCandidate(19, 0.9)
+        want = [[unvoiced] if t % 7 == 0 else [unvoiced, peak] for t in range(n)]
+        assert got == want and typed(got) == typed(want)
 
-    @given(data=st.data())
-    def test_block_picker_equals_sorted_reference(self, data):
+    @staticmethod
+    def draw_frames(data):
+        """(NccfFrames, TrackerConfig) with plateaus, ties and short frames."""
         n_rows = data.draw(st.integers(1, 6), label="rows")
         n_lags = data.draw(st.integers(1, 30), label="lags")
         levels = st.sampled_from([-0.5, 0.0, 0.3, 0.5, 0.5, 0.8, 1.0])
@@ -340,9 +352,88 @@ class TestPickCandidates:
             nccf_threshold=data.draw(st.sampled_from([-1.0, 0.0, 0.3]) | st.floats(-1.0, 1.0)),
             max_candidates_per_frame=data.draw(st.integers(1, 8)),
         )
-        lags = np.arange(16, 16 + n_lags)
-        got = pick_candidates(NccfFrames(lags, values, short), cfg)
-        assert got == [ref_pick(lags, v, s, cfg) for v, s in zip(values, short)]
+        return NccfFrames(np.arange(16, 16 + n_lags), values, short), cfg
+
+    @given(data=st.data())
+    def test_block_picker_equals_sorted_reference(self, data):
+        frames, cfg = self.draw_frames(data)
+        got = list(pick_candidates(frames, cfg))
+        want = [ref_pick(frames.lags, v, s, cfg) for v, s in zip(frames.values, frames.short)]
+        assert got == want and typed(got) == typed(want)
+
+    @given(data=st.data())
+    def test_lattice_round_trips_through_frame_lists(self, data):
+        frames, cfg = self.draw_frames(data)
+        lattice = pick_candidates(frames, cfg)
+        back = CandidateLattice.from_frames(list(lattice))
+        for name in ("offsets", "lags", "scores"):
+            a, b = getattr(lattice, name), getattr(back, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestCandidateLattice:
+    def lattice(self):
+        wave = Waveform(oracle_signals()["egg_female"][: 3 * SR], SR)
+        cfg = TrackerConfig()
+        return pick_candidates(nccf(wave, cfg, frame_cfg()), cfg)
+
+    def test_frames_start_unvoiced(self):
+        lattice = self.lattice()
+        assert lattice.offsets[0] == 0 and lattice.offsets[-1] == lattice.lags.size
+        assert np.all(lattice.lags[lattice.offsets[:-1]] == 0)
+        assert np.all(lattice.scores[lattice.offsets[:-1]] == TrackerConfig().voicing_bias)
+        assert lattice.lags.dtype == np.int64 and lattice.scores.dtype == np.float64
+
+    @pytest.mark.parametrize("key", [
+        slice(None), slice(1, None), slice(None, -1), slice(5, 40, 3), slice(-7, None, -2),
+        slice(50, 50), slice(400, None), 0, 17, -1,
+    ])
+    def test_indexing_matches_the_frame_list(self, key):
+        lattice = self.lattice()
+        frames = list(lattice)
+        got, want = lattice[key], frames[key]
+        if not isinstance(key, slice):
+            got, want = [got], [want]
+        assert got == want and typed(got) == typed(want)
+
+    def test_frame_index_out_of_range(self):
+        lattice = self.lattice()
+        with pytest.raises(IndexError):
+            lattice[len(lattice)]
+
+    def test_dp_over_the_lattice_equals_nested_loop_reference(self):
+        cfg = TrackerConfig()
+        lattice = self.lattice()
+        path, cost = viterbi_path(lattice, cfg)
+        ref_path, ref_cost = ref_viterbi_path(list(lattice), cfg)
+        assert path == ref_path and cost.hex() == ref_cost.hex()
+        assert path_cost(lattice, path, cfg) == path_cost(list(lattice), path, cfg) == cost
+
+    def test_lattice_code_runs_no_garbage_collection(self):
+        """`pick_candidates` and `viterbi_track` keep no Python container per
+        frame or candidate alive, so on a 60 s recording the cyclic garbage
+        collector never starts."""
+        _, laryn, _ = synth_utterance(5, 1, duration_sec=60.0, sample_rate=SR)
+        filt = design_kaiser_highpass(KAISER_BETA, KAISER_ORDER, CUTOFF_HZ["female"], SR)
+        cfg = TrackerConfig()
+        frames = nccf(apply_fir(laryn, filt), cfg, frame_cfg())
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            lattice = pick_candidates(frames, cfg)
+            labels = viterbi_track(lattice, cfg, SR)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(lattice) == 6000 and lattice.lags.size > 3 * len(lattice)
+        assert 0.2 < labels.labels.mean() < 0.9
+        assert collections == []
 
 
 def brute_force_min_cost(candidates, cfg):
