@@ -307,7 +307,7 @@ def pick_candidates(frames: NccfFrames, cfg: TrackerConfig) -> CandidateLattice:
     voiced[offsets[:-1]] = False
     lags = np.zeros(offsets[-1], dtype=np.int64)
     lags[voiced] = np.concatenate(peak_lags)
-    scores = np.full(offsets[-1], cfg.voicing_bias)
+    scores = np.full(offsets[-1], cfg.voicing_bias, dtype=np.float64)  # an int bias too
     scores[voiced] = np.concatenate(peak_scores)
     return CandidateLattice(offsets, lags, scores)
 

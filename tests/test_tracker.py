@@ -562,6 +562,19 @@ class TestTrackVoicing:
             counts.append(int((labels.labels == 0).sum()))
         assert counts == sorted(counts)
 
+    @pytest.mark.parametrize("bias", [0, 1])
+    def test_integer_voicing_bias_tracks_as_its_float(self, bias):
+        # an int bias (a JSON config can give one) must not make the scores integers
+        w = Waveform(oracle_signals()["egg_female"][: 3 * SR], SR)
+        as_int, as_float = TrackerConfig(voicing_bias=bias), TrackerConfig(voicing_bias=float(bias))
+        lattice = pick_candidates(nccf(w, as_int, frame_cfg()), as_int)
+        assert lattice.scores.dtype == np.float64
+        assert np.all(lattice.scores[lattice.lags > 0] > as_int.nccf_threshold)
+        a, b = track_voicing(w, as_int), track_voicing(w, as_float)
+        assert a.labels.tobytes() == b.labels.tobytes() and a.f0.tobytes() == b.f0.tobytes()
+        if bias == 0:
+            assert a.labels.mean() > 0.5  # a voiced recording tracks voiced
+
 
 class TestTrackerConfig:
     def test_rejects_bad_band(self):
