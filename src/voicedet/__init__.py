@@ -17,13 +17,12 @@ from .dsp import (
     resample,
     stft,
 )
-from .tracker import TrackerConfig, VoicingLabels, track_voicing
+from .tracker import VoicingLabels, track_voicing
 from .labels import extract_reference_labels, mismatch_rate, align_for_lowest_vde
 
 __all__ = [
     "FirFilter",
     "FrameConfig",
-    "TrackerConfig",
     "VoicingLabels",
     "Waveform",
     "align_for_lowest_vde",

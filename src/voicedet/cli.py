@@ -3,8 +3,8 @@ label comparison, detection, training, and cross-corpus evaluation.
 
 Exit codes: 0 success, 1 usage error, 2 partial failure (some records
 skipped under --strict), 3 internal error. Every command is deterministic
-given identical inputs and seeds; resolved configs are echoed into the
-output directory for provenance. Shift sign convention for alignment:
+given identical inputs and seeds; `train` echoes its resolved config into
+the output directory for provenance. Shift sign convention for alignment:
 positive moves the estimate later in time relative to the reference.
 """
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .labels import SpeakerMeta, align_for_lowest_vde, extract_reference_labels,
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.model import DccrnModel, ModelConfig
 from .synth import SAMPLE_RATE, generate_synthetic_corpus
-from .tracker import TrackerConfig
 from .training import (
     TARGET_RATE,
     Example,
@@ -75,18 +74,17 @@ def _merge_dataclass(defaults, overrides: dict, section: str):
 
 
 def load_run_config(path: str | None, seed: int | None = None):
-    """JSON file with optional sections tracker/model/train; unknown keys
-    anywhere are rejected, and every error in the file names it. `train`'s
-    --seed flag overrides the train seed."""
+    """JSON file with optional sections model/train; unknown keys anywhere
+    are rejected, and every error in the file names it. `train`'s --seed
+    flag overrides the train seed."""
     text = read_text(path) if path else "{}"
     try:
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise InvalidArgument("config must be a JSON object")
-        unknown = set(payload) - {"tracker", "model", "train"}
+        unknown = set(payload) - {"model", "train"}
         if unknown:
             raise InvalidArgument(f"unknown config sections: {sorted(unknown)}")
-        tracker = _merge_dataclass(TrackerConfig(), payload.get("tracker", {}), "tracker")
         model = _merge_dataclass(ModelConfig(), payload.get("model", {}), "model")
         train_cfg = _merge_dataclass(TrainConfig(), payload.get("train", {}), "train")
     except json.JSONDecodeError as err:
@@ -95,12 +93,11 @@ def load_run_config(path: str | None, seed: int | None = None):
         raise InvalidArgument(f"{path}: {err}") from None
     if seed is not None:
         train_cfg = dataclasses.replace(train_cfg, seed=seed)
-    return tracker, model, train_cfg
+    return model, train_cfg
 
 
-def echo_config(out_dir: Path, tracker: TrackerConfig, model: ModelConfig, train_cfg: TrainConfig):
+def echo_config(out_dir: Path, model: ModelConfig, train_cfg: TrainConfig):
     resolved = {
-        "tracker": dataclasses.asdict(tracker),
         "model": dataclasses.asdict(model),
         "train": dataclasses.asdict(train_cfg),
     }
@@ -183,17 +180,14 @@ def cmd_synth_corpus(args) -> int:
 def _extract_one(task):
     """Worker for labels-extract: returns (utt_id, voiced_fraction) or an
     error string."""
-    utt_id, laryn_path, sex, cutoff, tracker_cfg, out_path = task
+    utt_id, laryn_path, sex, cutoff, out_path = task
     wave = resample(read_wav(laryn_path), TARGET_RATE)
-    labels = extract_reference_labels(
-        wave, SpeakerMeta(utt_id, sex), tracker_cfg, cutoff_hz=cutoff
-    )
+    labels = extract_reference_labels(wave, SpeakerMeta(utt_id, sex), cutoff_hz=cutoff)
     label_io.write_labels(out_path, labels)
     return utt_id, float(labels.labels.mean())
 
 
 def cmd_labels_extract(args) -> int:
-    tracker_cfg, model_cfg, train_cfg = load_run_config(args.config)
     manifest = corpus_io.read_manifest(args.manifest)
     corrections = {}  # full id -> the labels of its correction file
     if args.exclusions:
@@ -208,35 +202,41 @@ def cmd_labels_extract(args) -> int:
     if missing:
         raise InvalidArgument(f"laryngograph file not found: {missing[0]}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    echo_config(out_dir, tracker_cfg, model_cfg, train_cfg)
-
+    writers = {}  # utt_id -> full id of the record that writes its label file
+    corrected = []
     tasks = []
     skipped = []
-    results = []
     for rec in manifest.records:
         if rec.full_id in corrections:  # written as corrected, not tracked
-            labels = corrections[rec.full_id]
-            label_io.write_labels(out_dir / f"{rec.utt_id}.lab", labels)
-            results.append((rec.full_id, float(labels.labels.mean())))
-            continue
-        if rec.laryn_path is None:
+            corrected.append(rec)
+        elif rec.laryn_path is None:
             skipped.append((rec.full_id, "no laryngograph recording"))
             continue
-        if rec.speaker.sex == "unknown" and args.cutoff_hz is None:
+        elif rec.speaker.sex == "unknown" and args.cutoff_hz is None:
             skipped.append((rec.full_id, "unknown speaker sex and no --cutoff-hz"))
             continue
-        tasks.append(
-            (
-                rec.full_id,
-                rec.laryn_path,
-                rec.speaker.sex if args.cutoff_hz is None else "unknown",
-                args.cutoff_hz,
-                tracker_cfg,
-                out_dir / f"{rec.utt_id}.lab",
+        else:
+            tasks.append(
+                (
+                    rec.full_id,
+                    rec.laryn_path,
+                    rec.speaker.sex if args.cutoff_hz is None else "unknown",
+                    args.cutoff_hz,
+                    out_dir / f"{rec.utt_id}.lab",
+                )
             )
-        )
+        if rec.utt_id in writers:
+            raise InvalidArgument(
+                f"records {writers[rec.utt_id]} and {rec.full_id} would both write {rec.utt_id}.lab"
+            )
+        writers[rec.utt_id] = rec.full_id
 
+    out_dir.mkdir(parents=True, exist_ok=True)
+    results = []
+    for rec in corrected:
+        labels = corrections[rec.full_id]
+        label_io.write_labels(out_dir / f"{rec.utt_id}.lab", labels)
+        results.append((rec.full_id, float(labels.labels.mean())))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results += pool.map(_extract_one, tasks)
@@ -313,7 +313,6 @@ def cmd_detect(args) -> int:
         if stem in stems:
             raise InvalidArgument(f"inputs {stems[stem]} and {path} would both write {stem}.lab")
         stems[stem] = path
-    tracker_cfg, _, _ = load_run_config(args.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = None
@@ -323,7 +322,7 @@ def cmd_detect(args) -> int:
         model = _load_model(args.checkpoint)
     for path in args.wavs:
         utt = Path(path).stem
-        labels, post = detect_wave(read_wav(path), args.method, model, tracker_cfg)
+        labels, post = detect_wave(read_wav(path), args.method, model)
         if post is not None and args.posteriors:
             post_lines = ["frame,probability"] + [f"{i},{p:.6f}" for i, p in enumerate(post.probs)]
             _atomic_write(out_dir / f"{utt}.posteriors.csv", "\n".join(post_lines) + "\n")
@@ -356,7 +355,7 @@ def _demo_fold(data: dict, n_val: int, n_test: int) -> corpus_io.FoldPlan:
 
 
 def cmd_train(args) -> int:
-    tracker_cfg, model_cfg, train_cfg = load_run_config(args.config, args.seed)
+    model_cfg, train_cfg = load_run_config(args.config, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -383,7 +382,7 @@ def cmd_train(args) -> int:
         folds = corpus_io.read_folds(args.folds)
         data, skipped = load_examples(manifests, model_cfg)
 
-    echo_config(out_dir, tracker_cfg, model_cfg, train_cfg)
+    echo_config(out_dir, model_cfg, train_cfg)
     failures = [f"{len(skipped)} records skipped"] if skipped and args.strict else []
     for fold in folds:
         result = train(model_cfg, None, fold, data, train_cfg)
@@ -402,9 +401,7 @@ def cmd_train(args) -> int:
             failures.append(f"fold {tag}: training diverged in epoch {len(result.history) + 1}")
         if args.synthetic_demo and fold.test_ids:
             model = DccrnModel.from_state(model_cfg, result.params, result.buffers)
-            report, _ = evaluate_cross_corpus(
-                folds, ["dccrn"], recordings, models={tag: model}, tracker_cfg=tracker_cfg
-            )
+            report, _ = evaluate_cross_corpus(folds, ["dccrn"], recordings, models={tag: model})
             _atomic_write(out_dir / "demo-eval.csv", report.to_csv())
             sys.stdout.write(report.to_text())
     if failures:
@@ -417,7 +414,6 @@ def cmd_eval(args) -> int:
     if not set(methods) <= {"rapt", "dccrn", "reference"} or len(set(methods)) < len(methods):
         raise InvalidArgument(f"--methods must list distinct methods of rapt,dccrn,reference, "
                               f"got {args.methods!r}")
-    tracker_cfg, _, _ = load_run_config(args.config)
     folds = corpus_io.read_folds(args.folds)
     manifests = parse_corpus_args(args.corpus)
     models = {}
@@ -429,7 +425,7 @@ def cmd_eval(args) -> int:
                 models[fold.held_out_corpus] = _load_model(path)
     data, skipped = load_recordings(manifests)
     report, decisions = evaluate_cross_corpus(
-        folds, methods, data, models=models, tracker_cfg=tracker_cfg, max_shift=args.max_shift
+        folds, methods, data, models=models, max_shift=args.max_shift
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -457,11 +453,7 @@ def build_parser() -> CliParser:
     parser = CliParser(prog="voicedet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def config(p):
-        p.add_argument("--config", help="JSON run config (sections: tracker/model/train)")
-
-    def common(p):
-        config(p)
+    def strict(p):
         p.add_argument("--strict", action="store_true", help="exit 2 if any record is skipped")
 
     p = sub.add_parser("synth-corpus", help="generate the deterministic synthetic corpus")
@@ -472,7 +464,7 @@ def build_parser() -> CliParser:
     p.set_defaults(func=cmd_synth_corpus)
 
     p = sub.add_parser("labels-extract", help="reference labels from laryngograph recordings")
-    common(p)
+    strict(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--exclusions")
     p.add_argument("--out", required=True)
@@ -489,7 +481,6 @@ def build_parser() -> CliParser:
     p.set_defaults(func=cmd_labels_compare)
 
     p = sub.add_parser("detect", help="voicing decisions for wav files")
-    config(p)
     p.add_argument("--method", choices=("rapt", "dccrn"), required=True)
     p.add_argument("--checkpoint")
     p.add_argument("--out", required=True)
@@ -498,7 +489,8 @@ def build_parser() -> CliParser:
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("train", help="train the detector on fold plans")
-    common(p)
+    p.add_argument("--config", help="JSON run config (sections: model/train)")
+    strict(p)
     p.add_argument("--seed", type=int, default=None, help="override the training seed")
     p.add_argument("--corpus", action="append", metavar="ROOT:TAG",
                    help="corpus root and tag; repeatable")
@@ -511,7 +503,7 @@ def build_parser() -> CliParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="cross-corpus VDE report")
-    common(p)
+    strict(p)
     p.add_argument("--corpus", action="append", required=True, metavar="ROOT:TAG")
     p.add_argument("--folds", required=True)
     p.add_argument("--methods", default="rapt", help="comma list: rapt,dccrn,reference")

@@ -89,6 +89,11 @@ class FoldPlan:
     test_ids: tuple[str, ...]
 
     def __post_init__(self):
+        # the tag names the fold's output files (<held_out_corpus>.ckpt, ...)
+        if self.held_out_corpus not in CORPORA:
+            raise InvalidArgument(
+                f"unknown held_out_corpus {self.held_out_corpus!r}; known: {CORPORA}"
+            )
         if set(self.train_ids) & set(self.val_ids):
             raise InvalidArgument("train and val overlap")
 

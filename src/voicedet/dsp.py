@@ -316,15 +316,18 @@ def apply_fir(wave: Waveform, filt: FirFilter) -> Waveform:
 def read_wav(path: str | Path) -> Waveform:
     """Read a mono WAV file (16-bit PCM or 32-bit float), normalized to [-1, 1].
 
-    A malformed, truncated or empty file is an InvalidArgument naming the path
-    (an empty one is its subclass EmptyWav); scipy only warns about a file
-    that ends before its header says, so that warning is raised as an error
-    here.
+    A file that cannot be read (missing, a directory), a malformed,
+    truncated or empty one and one holding a NaN or Inf are an
+    InvalidArgument naming the path (an empty one is its subclass EmptyWav);
+    scipy only warns about a file that ends before its header says, so that
+    warning is raised as an error here.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", wavfile.WavFileWarning)
             rate, data = wavfile.read(str(path))
+    except OSError as err:
+        raise InvalidArgument(f"{path}: cannot read file: {err.strerror or err}") from None
     except (ValueError, struct.error, wavfile.WavFileWarning) as err:
         raise InvalidArgument(f"{path}: malformed WAV file: {err}") from err
     if data.ndim != 1:
@@ -337,7 +340,10 @@ def read_wav(path: str | Path) -> Waveform:
         samples = data.astype(np.float64)
     else:
         raise InvalidArgument(f"{path}: unsupported sample format {data.dtype}")
-    return Waveform(samples, int(rate))
+    try:
+        return Waveform(samples, int(rate))
+    except InvalidArgument as err:
+        raise InvalidArgument(f"{path}: {err}") from None
 
 
 def write_wav(path: str | Path, wave: Waveform) -> None:

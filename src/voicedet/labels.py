@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import FirFilter, InvalidArgument, Waveform, apply_fir, design_kaiser_highpass, read_text
-from .tracker import TrackerConfig, VoicingLabels, track_voicing
+from .tracker import VoicingLabels, track_voicing
 
 KAISER_BETA = 5.0
 KAISER_ORDER = 2400
@@ -74,7 +74,6 @@ def _reference_highpass(cutoff_hz: float, sample_rate: int) -> FirFilter:
 def extract_reference_labels(
     laryn: Waveform,
     meta: SpeakerMeta,
-    tracker_cfg: TrackerConfig | None = None,
     cutoff_hz: float | None = None,
 ) -> VoicingLabels:
     """High-pass the laryngograph signal (Kaiser beta=5, n=2400, fc by speaker
@@ -85,10 +84,8 @@ def extract_reference_labels(
                 f"speaker {meta.speaker_id}: sex unknown; pass an explicit cutoff_hz"
             )
         cutoff_hz = CUTOFF_HZ[meta.sex]
-    if tracker_cfg is None:
-        tracker_cfg = TrackerConfig()
     filtered = apply_fir(laryn, _reference_highpass(cutoff_hz, laryn.sample_rate))
-    return track_voicing(filtered, tracker_cfg)
+    return track_voicing(filtered)
 
 
 def _count_mismatch(est: VoicingLabels, ref: VoicingLabels, shift: int = 0,

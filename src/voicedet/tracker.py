@@ -30,46 +30,34 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .dsp import FrameConfig, InvalidArgument, Waveform, check_field_types
+from .dsp import FrameConfig, InvalidArgument, Waveform
 
-_ENERGY_FLOOR = 1e-20
+# The tracker's fixed recipe, tuned on the synthetic corpus: the F0 search
+# band in Hz, the cap on voiced candidates per frame, the unvoiced
+# hypothesis' score, the V/U switch cost, the weight of |log2(lag ratio)|
+# within voiced runs, the NCCF peak threshold and the correlation window.
+F0_MIN = 50.0
+F0_MAX = 500.0
+MAX_CANDIDATES = 20
+VOICING_BIAS = 0.45
+SWITCH_COST = 0.3
+OCTAVE_JUMP_WEIGHT = 0.2
+NCCF_THRESHOLD = 0.3
+CORR_WINDOW_MS = 20.0
+# additive NCCF energy floor as a fraction of the utterance peak (RAPT's
+# a_fact); suppresses spurious periodicity in near-silent frames while
+# keeping phi invariant to overall amplitude scaling
+ENERGY_FLOOR = 0.01
+
+_TINY = 1e-20  # energies and denominators at or below it count as zero
 _BLOCK = 256  # frames per array block
 
 
-@dataclass(frozen=True)
-class TrackerConfig:
-    """Tracker parameters; defaults tuned on the synthetic corpus."""
-
-    f0_min: float = 50.0
-    f0_max: float = 500.0
-    max_candidates_per_frame: int = 20
-    voicing_bias: float = 0.45
-    switch_cost: float = 0.3
-    octave_jump_weight: float = 0.2
-    nccf_threshold: float = 0.3
-    corr_window_ms: float = 20.0
-    # additive NCCF energy floor as a fraction of the utterance peak (RAPT's
-    # a_fact); suppresses spurious periodicity in near-silent frames while
-    # keeping phi invariant to overall amplitude scaling
-    energy_floor: float = 0.01
-
-    def __post_init__(self):
-        check_field_types(self)
-        if not (0 < self.f0_min < self.f0_max):
-            raise InvalidArgument(f"need 0 < f0_min < f0_max, got {self.f0_min}, {self.f0_max}")
-        if self.max_candidates_per_frame < 1:
-            raise InvalidArgument(f"max_candidates_per_frame must be >= 1, got {self.max_candidates_per_frame}")
-        for name in ("switch_cost", "octave_jump_weight", "energy_floor"):
-            if getattr(self, name) < 0:
-                raise InvalidArgument(f"{name} must be >= 0")
-        if self.corr_window_ms <= 0:
-            raise InvalidArgument("corr_window_ms must be > 0")
-
-    def lag_range(self, sample_rate: int) -> tuple[int, int]:
-        """Inclusive (min_lag, max_lag) in samples for the F0 search band."""
-        if self.f0_max >= sample_rate / 2:
-            raise InvalidArgument(f"f0_max {self.f0_max} >= Nyquist of {sample_rate}")
-        return math.ceil(sample_rate / self.f0_max), math.floor(sample_rate / self.f0_min)
+def lag_range(sample_rate: int) -> tuple[int, int]:
+    """Inclusive (min_lag, max_lag) in samples for the F0 search band."""
+    if F0_MAX >= sample_rate / 2:
+        raise InvalidArgument(f"F0_MAX {F0_MAX} >= Nyquist of {sample_rate}")
+    return math.ceil(sample_rate / F0_MAX), math.floor(sample_rate / F0_MIN)
 
 
 @dataclass(frozen=True)
@@ -212,12 +200,12 @@ def _hop_view(a: np.ndarray, start: int, hop: int, shape: tuple, strides: tuple)
     return as_strided(a[start:], shape, tuple(k * step for k in (hop, *strides)), writeable=False)
 
 
-def nccf(wave: Waveform, cfg: TrackerConfig, frame_cfg: FrameConfig) -> NccfFrames:
-    """Normalized cross-correlation per frame over the configured lag band.
+def nccf(wave: Waveform, frame_cfg: FrameConfig) -> NccfFrames:
+    """Normalized cross-correlation per frame over the lag band.
 
     phi(t, k) = sum_i s(i) s(i+k) / sqrt((e(m) + A)(e(m+k) + A)) with a
-    correlation window of cfg.corr_window_ms and an additive denominator
-    floor A = (energy_floor * peak)^2 * window, RAPT's a_fact scaled to the
+    correlation window of CORR_WINDOW_MS and an additive denominator
+    floor A = (ENERGY_FLOOR * peak)^2 * window, RAPT's a_fact scaled to the
     utterance peak so phi stays amplitude-invariant. The analysis span
     (window + max lag) is centered on the frame's 10 ms slot so label smear
     at voicing transitions is symmetric. Frames whose span would run past
@@ -228,12 +216,8 @@ def nccf(wave: Waveform, cfg: TrackerConfig, frame_cfg: FrameConfig) -> NccfFram
     """
     x = wave.samples
     sr = wave.sample_rate
-    min_lag, max_lag = cfg.lag_range(sr)
-    win = int(round(cfg.corr_window_ms * sr / 1000.0))
-    if win < 1:
-        raise InvalidArgument(
-            f"corr_window_ms {cfg.corr_window_ms} is under one sample at {sr} Hz"
-        )
+    min_lag, max_lag = lag_range(sr)
+    win = int(round(CORR_WINDOW_MS * sr / 1000.0))
     hop = frame_cfg.hop
     n_frames = frame_cfg.n_frames(x.size) if x.size else 0
     lags = np.arange(min_lag, max_lag + 1)
@@ -244,7 +228,7 @@ def nccf(wave: Waveform, cfg: TrackerConfig, frame_cfg: FrameConfig) -> NccfFram
     values = np.zeros((n_frames, lags.size))
 
     peak = np.max(np.abs(x)) if x.size else 0.0
-    floor = (cfg.energy_floor * peak) ** 2 * win
+    floor = (ENERGY_FLOOR * peak) ** 2 * win
     # energy of every correlation window, e[i] = sum of x[i : i + win]^2, from prefix sums
     sq = np.concatenate([[0.0], np.cumsum(x * x)])
     energy = sq[win:] - sq[:-win]
@@ -253,7 +237,7 @@ def nccf(wave: Waveform, cfg: TrackerConfig, frame_cfg: FrameConfig) -> NccfFram
     e0 = np.zeros(n_frames)
     inside = np.flatnonzero(~short)
     e0[inside] = energy[starts[inside]]
-    live = np.flatnonzero(e0 > _ENERGY_FLOOR)  # short frames keep e0 = 0
+    live = np.flatnonzero(e0 > _TINY)  # short frames keep e0 = 0
     for lo in range(0, n_frames, _BLOCK):
         rows = live[np.searchsorted(live, lo) : np.searchsorted(live, lo + _BLOCK)]
         if not rows.size:
@@ -268,26 +252,25 @@ def nccf(wave: Waveform, cfg: TrackerConfig, frame_cfg: FrameConfig) -> NccfFram
         energies = _hop_view(energy, m0 + min_lag, hop, (n, lags.size), (1,))[at]
         denom = np.sqrt((e0[rows, None] + floor) * (energies + floor))
         values[rows] = np.where(
-            denom > _ENERGY_FLOOR, cross / np.maximum(denom, _ENERGY_FLOOR), 0.0
+            denom > _TINY, cross / np.maximum(denom, _TINY), 0.0
         )
     return NccfFrames(lags, values, short)
 
 
-def pick_candidates(frames: NccfFrames, cfg: TrackerConfig) -> CandidateLattice:
+def pick_candidates(frames: NccfFrames) -> CandidateLattice:
     """Per frame: local NCCF maxima above threshold, capped by count, plus the
     unvoiced hypothesis.
 
-    The unvoiced candidate (lag 0, score = voicing_bias) is always first, so
+    The unvoiced candidate (lag 0, score = VOICING_BIAS) is always first, so
     downstream tie-breaks prefer unvoiced. Peaks follow by descending score,
     equal scores by ascending lag. Plateaus keep their earliest lag.
     """
-    cap = cfg.max_candidates_per_frame
     sizes = np.ones(len(frames), dtype=np.int64)  # the unvoiced candidate, then the peaks
     peak_lags, peak_scores = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]  # non-empty to concatenate
     for lo in range(0, len(frames), _BLOCK):
         v = frames.values[lo : lo + _BLOCK]
         # > left and >= right keeps the earliest sample of a plateau
-        peak = v > cfg.nccf_threshold
+        peak = v > NCCF_THRESHOLD
         peak[:, 1:] &= v[:, 1:] > v[:, :-1]
         peak[:, :-1] &= v[:, :-1] >= v[:, 1:]
         peak[frames.short[lo : lo + _BLOCK]] = False
@@ -298,8 +281,8 @@ def pick_candidates(frames: NccfFrames, cfg: TrackerConfig) -> CandidateLattice:
         rows, cols, scores = rows[order], cols[order], scores[order]
         counts = np.bincount(rows, minlength=v.shape[0])
         rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        keep = rank < cap
-        sizes[lo : lo + _BLOCK] += np.minimum(counts, cap)
+        keep = rank < MAX_CANDIDATES
+        sizes[lo : lo + _BLOCK] += np.minimum(counts, MAX_CANDIDATES)
         peak_lags.append(frames.lags[cols[keep]])
         peak_scores.append(scores[keep])
     offsets = _offsets(sizes)
@@ -307,23 +290,21 @@ def pick_candidates(frames: NccfFrames, cfg: TrackerConfig) -> CandidateLattice:
     voiced[offsets[:-1]] = False
     lags = np.zeros(offsets[-1], dtype=np.int64)
     lags[voiced] = np.concatenate(peak_lags)
-    scores = np.full(offsets[-1], cfg.voicing_bias, dtype=np.float64)  # an int bias too
+    scores = np.full(offsets[-1], VOICING_BIAS, dtype=np.float64)
     scores[voiced] = np.concatenate(peak_scores)
     return CandidateLattice(offsets, lags, scores)
 
 
-def _transition_cost(prev: PitchCandidate, cur: PitchCandidate, cfg: TrackerConfig) -> float:
+def _transition_cost(prev: PitchCandidate, cur: PitchCandidate) -> float:
     if prev.voiced and cur.voiced:
-        return cfg.octave_jump_weight * abs(math.log2(cur.lag / prev.lag))
+        return OCTAVE_JUMP_WEIGHT * abs(math.log2(cur.lag / prev.lag))
     if prev.voiced != cur.voiced:
-        return cfg.switch_cost
+        return SWITCH_COST
     return 0.0
 
 
 @functools.lru_cache(maxsize=16)
-def _transition_table(
-    octave_jump_weight: float, switch_cost: float, size: int
-) -> tuple[tuple[float, ...], ...]:
+def _transition_table(size: int) -> tuple[tuple[float, ...], ...]:
     """table[cur_lag][prev_lag]: `_transition_cost` over lags 0..size-1.
 
     Lag ratios and products round in numpy exactly as in Python (IEEE
@@ -333,25 +314,25 @@ def _transition_table(
     lags = np.arange(1, size)
     ratios = (lags[:, None] / lags).ravel().tolist()
     logs = np.fromiter(map(math.log2, ratios), np.float64, len(ratios))
-    table = np.full((size, size), float(switch_cost))
+    table = np.full((size, size), SWITCH_COST)
     table[0, 0] = 0.0
-    table[1:, 1:] = octave_jump_weight * np.abs(logs.reshape(size - 1, size - 1))
+    table[1:, 1:] = OCTAVE_JUMP_WEIGHT * np.abs(logs.reshape(size - 1, size - 1))
     return tuple(map(tuple, table.tolist()))  # shared by every caller: immutable
 
 
-def viterbi_path(candidates: Lattice, cfg: TrackerConfig) -> tuple[list[int], float]:
+def viterbi_path(candidates: Lattice) -> tuple[list[int], float]:
     """Minimum-cost candidate-index path and its total cost.
 
     Local cost is 1 - score (the unvoiced hypothesis carries score =
-    voicing_bias); transitions cost switch_cost across V/U boundaries and
-    octave_jump_weight * |log2(lag ratio)| within voiced runs. Ties resolve
+    VOICING_BIAS); transitions cost SWITCH_COST across V/U boundaries and
+    OCTAVE_JUMP_WEIGHT * |log2(lag ratio)| within voiced runs. Ties resolve
     to the lowest candidate index, i.e. unvoiced first, then shorter lags.
     """
     lattice = _as_lattice(candidates)
     if not len(lattice):
         raise InvalidArgument("need at least one frame")
     size = max(256, 1 << int(lattice.lags.max()).bit_length())
-    table = _transition_table(cfg.octave_jump_weight, cfg.switch_cost, size)
+    table = _transition_table(size)
 
     bounds = lattice.offsets.tolist()
     lags = lattice.lags.tolist()
@@ -378,14 +359,10 @@ def viterbi_path(candidates: Lattice, cfg: TrackerConfig) -> tuple[list[int], fl
     return path, total_cost
 
 
-def viterbi_track(
-    candidates: Lattice,
-    cfg: TrackerConfig,
-    sample_rate: int = 8000,
-) -> VoicingLabels:
+def viterbi_track(candidates: Lattice, sample_rate: int) -> VoicingLabels:
     """Voicing labels and F0 read off the minimum-cost lattice path."""
     lattice = _as_lattice(candidates)
-    path, _ = viterbi_path(lattice, cfg)
+    path, _ = viterbi_path(lattice)
     lags = lattice.lags[lattice.offsets[:-1] + path]
     voiced = lags > 0
     f0 = np.zeros(lags.size, dtype=np.float64)
@@ -393,7 +370,7 @@ def viterbi_track(
     return VoicingLabels(labels=voiced.astype(np.int8), f0=f0)
 
 
-def path_cost(candidates: Lattice, path: list[int], cfg: TrackerConfig) -> float:
+def path_cost(candidates: Lattice, path: list[int]) -> float:
     """Total cost of an explicit candidate-index path (used by oracles/tests).
 
     Accumulates transition then local cost per step, the same association as
@@ -404,18 +381,15 @@ def path_cost(candidates: Lattice, path: list[int], cfg: TrackerConfig) -> float
     for t in range(1, len(frames)):
         prev = frames[t - 1][path[t - 1]]
         cur = frames[t][path[t]]
-        total = total + _transition_cost(prev, cur, cfg)
+        total = total + _transition_cost(prev, cur)
         total = total + (1.0 - cur.score)
     return total
 
 
-def track_voicing(
-    wave: Waveform, cfg: TrackerConfig, frame_cfg: FrameConfig | None = None
-) -> VoicingLabels:
+def track_voicing(wave: Waveform) -> VoicingLabels:
     """nccf -> pick_candidates -> viterbi_track; one label per 10 ms STFT frame."""
-    if frame_cfg is None:
-        frame_cfg = FrameConfig.for_rate(wave.sample_rate)
-    frames = nccf(wave, cfg, frame_cfg)
-    candidates = pick_candidates(frames, cfg)
-    labels = viterbi_track(candidates, cfg, wave.sample_rate)
+    frame_cfg = FrameConfig.for_rate(wave.sample_rate)
+    frames = nccf(wave, frame_cfg)
+    candidates = pick_candidates(frames)
+    labels = viterbi_track(candidates, wave.sample_rate)
     return replace(labels, hop_ms=1000.0 * frame_cfg.hop / wave.sample_rate)

@@ -36,7 +36,7 @@ from .labels import (
     pool_comparisons,
 )
 from .nn.model import DccrnModel, ModelConfig, VoicingPosterior, bce_loss, decide_voicing
-from .tracker import TrackerConfig, VoicingLabels, track_voicing
+from .tracker import VoicingLabels, track_voicing
 
 log = logging.getLogger(__name__)
 
@@ -219,8 +219,7 @@ def features_for_wave(wave: Waveform) -> np.ndarray:
     return spec.view(np.float64).reshape(*spec.shape, 2)
 
 
-def detect_wave(wave: Waveform, method: str, model: DccrnModel | None = None,
-                tracker_cfg: TrackerConfig | None = None
+def detect_wave(wave: Waveform, method: str, model: DccrnModel | None = None
                 ) -> tuple[VoicingLabels, VoicingPosterior | None]:
     """Voicing decisions for one recording, resampled once to TARGET_RATE:
     the one inference route of `detect`, `eval`, the demo and pretraining
@@ -231,7 +230,7 @@ def detect_wave(wave: Waveform, method: str, model: DccrnModel | None = None,
     if method == "dccrn" and model is None:
         raise InvalidArgument("dccrn decoding needs a model/checkpoint")
     if method == "rapt":
-        return track_voicing(resample(wave, TARGET_RATE), tracker_cfg or TrackerConfig()), None
+        return track_voicing(resample(wave, TARGET_RATE)), None
     probs, _ = model.forward_batch(features_for_wave(wave)[None], training=False)
     post = VoicingPosterior(probs[0])
     return decide_voicing(post, model.cfg.threshold), post
@@ -463,7 +462,6 @@ class EvalReport:
 
 def evaluate_cross_corpus(folds: list[FoldPlan], methods: list[str], recordings,
                           models: dict[str, DccrnModel] | None = None,
-                          tracker_cfg: TrackerConfig | None = None,
                           max_shift: int = 5):
     """Per fold and method: decode each held-out `recording` whole through
     `detect_wave` and cut the decisions to its labels ("reference" scores
@@ -490,7 +488,7 @@ def evaluate_cross_corpus(folds: list[FoldPlan], methods: list[str], recordings,
                 if method == "reference":
                     est = ref
                 else:
-                    labels, _ = detect_wave(wave, method, model, tracker_cfg)
+                    labels, _ = detect_wave(wave, method, model)
                     est = VoicingLabels(labels.labels[: len(ref)])
                 shift, aligned_cmp = align_for_lowest_vde(est, ref, max_shift)
                 plain.append(LabelComparison(*vde_counts(est, ref)))

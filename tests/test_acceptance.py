@@ -30,7 +30,7 @@ from voicedet.nn.checkpoint import load_checkpoint, save_checkpoint
 from voicedet.nn.model import DccrnModel, ModelConfig, bce_loss, count_params
 from voicedet.nn.recurrent import GroupedBlstmLayer
 from voicedet.synth import boundary_exclusion_mask, generate_synthetic_corpus, synth_utterance
-from voicedet.tracker import PitchCandidate, TrackerConfig, VoicingLabels, path_cost, viterbi_path
+from voicedet.tracker import PitchCandidate, VoicingLabels, path_cost, viterbi_path
 from voicedet.training import (
     Example,
     PlateauSchedule,
@@ -218,7 +218,6 @@ def test_criterion_3_metric_oracle():
 # ---------------------------------------------------------------------------
 
 def test_criterion_4_viterbi_oracle():
-    cfg = TrackerConfig()
     rng = np.random.default_rng(SEED)
     exact = 0
     for _ in range(500):
@@ -231,9 +230,9 @@ def test_criterion_4_viterbi_oracle():
                     PitchCandidate(int(rng.integers(16, 161)), float(rng.uniform(0, 1)))
                 )
             inst.append(cands)
-        _, dp_cost = viterbi_path(inst, cfg)
+        _, dp_cost = viterbi_path(inst)
         best = min(
-            path_cost(inst, list(p), cfg)
+            path_cost(inst, list(p))
             for p in itertools.product(*[range(len(c)) for c in inst])
         )
         if dp_cost == best:

@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,10 +15,11 @@ from test_train_canary import perfbench_module
 
 from voicedet.cli import DEMO_MODEL, DEMO_TRAIN, load_run_config, main
 from voicedet.dsp import Waveform, write_wav
-from voicedet.labels import align_for_lowest_vde, read_labels, write_labels
+from voicedet.labels import SpeakerMeta, align_for_lowest_vde, read_labels, write_labels
 from voicedet.nn.model import ModelConfig
 from voicedet.tracker import VoicingLabels
 from voicedet.training import TrainConfig
+from scipy.io import wavfile
 from scipy.signal import sawtooth
 
 
@@ -62,6 +65,28 @@ class TestLabelsExtract:
         summary = (out1 / "summary.tsv").read_text()
         assert summary.startswith("#v1 voicedet-extract-summary\n")
         assert "voiced_fraction\tsynthetic" in summary
+        assert sorted(p.name for p in out1.iterdir() if not p.name.endswith(".lab")) == ["summary.tsv"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_records_sharing_a_utt_id_are_usage_error(self, tmp_path, capsys, jobs):
+        """KEELE/u1 and FDA/u1 would both write u1.lab: refused, naming both
+        full ids, before anything is written."""
+        import voicedet.corpus as corpus_io
+
+        records = []
+        for corpus in ("KEELE", "FDA"):
+            laryn = tmp_path / corpus / "u1.wav"
+            laryn.parent.mkdir()
+            write_wav(laryn, Waveform(np.zeros(8000), 8000))
+            records.append(corpus_io.UtteranceRecord("u1", corpus, str(laryn), str(laryn),
+                                                     SpeakerMeta("spk", "male")))
+        corpus_io.write_manifest(tmp_path / "m.tsv", corpus_io.Manifest(tuple(records)))
+        out = tmp_path / "out"
+        assert main(["labels-extract", "--manifest", str(tmp_path / "m.tsv"), "--out", str(out),
+                     "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert "KEELE/u1" in err and "FDA/u1" in err and "u1.lab" in err
+        assert not out.exists()
 
     def test_strict_mode_flags_skipped_records(self, tmp_path):
         root = tmp_path / "broken"
@@ -268,24 +293,6 @@ class TestDetect:
         x = np.random.default_rng(1).standard_normal((1, 6, 513, 2)).astype(np.float32)
         assert_bits_equal(model.forward_batch(x)[0], seeded.forward_batch(x)[0], "posteriors")
 
-    @pytest.mark.parametrize("tracker", [
-        {"max_candidates_per_frame": 2.5},
-        {"voicing_bias": float("nan")},
-        {"energy_floor": -1},
-        {"corr_window_ms": 0},
-        {"corr_window_ms": 0.01},  # rounds to 0 samples at 8 kHz
-        {"bogus": 1},
-    ])
-    def test_rapt_bad_tracker_config_is_usage_error(self, tmp_path, capsys, tracker):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"tracker": tracker}))
-        wav = tmp_path / "x.wav"
-        write_wav(wav, Waveform(np.zeros(800), 8000))
-        code = main(["detect", "--method", "rapt", "--config", str(cfg),
-                     "--out", str(tmp_path / "out"), str(wav)])
-        assert code == 1
-        assert next(iter(tracker)) in capsys.readouterr().err
-
     def test_missing_input_file_names_path(self, tmp_path, capsys):
         code = main(["detect", "--method", "rapt", "--out", str(tmp_path), "/nope/missing.wav"])
         assert code == 1
@@ -356,15 +363,23 @@ class TestDetect:
 
 def malformed_wav(kind, path):
     """Write a WAV file cut to a 30-byte header, replaced by non-RIFF bytes,
-    cut in half (scipy reads the first half and only warns), or holding no
-    samples."""
+    cut in half (scipy reads the first half and only warns), holding no
+    samples or a float NaN; or make a directory of its name."""
+    if kind == "directory":
+        path.mkdir()
+        return
+    if kind == "non-finite":
+        samples = np.zeros(16000, dtype=np.float32)
+        samples[100] = np.nan
+        wavfile.write(path, 16000, samples)
+        return
     write_wav(path, Waveform(np.zeros(0 if kind == "empty" else 16000), 16000))
     data = path.read_bytes()
     path.write_bytes({"header": data[:30], "not_riff": b"not a wav file" * 8,
                       "half": data[: len(data) // 2], "empty": data}[kind])
 
 
-@pytest.mark.parametrize("kind", ["header", "not_riff", "half", "empty"])
+@pytest.mark.parametrize("kind", ["header", "not_riff", "half", "empty", "directory", "non-finite"])
 @pytest.mark.parametrize("command", ["detect", "labels-extract", "labels-extract --jobs 2"])
 def test_malformed_wav_is_usage_error(tmp_path, capsys, command, kind):
     root = tmp_path / "corpus"
@@ -400,7 +415,7 @@ class TestTrainAndEval:
         assert history.splitlines()[0] == "epoch,train_loss,val_loss,lr"
         assert len(history.splitlines()) == 2
         config = json.loads((out / "config.json").read_text())
-        assert set(config) == {"tracker", "model", "train"}
+        assert set(config) == {"model", "train"}
         assert config["train"]["seed"] == 5
         assert config["model"]["block_out_channels"] == [2, 4]
         eval_csv = (out / "demo-eval.csv").read_text()
@@ -513,6 +528,30 @@ class TestTrainAndEval:
         assert "fold synthetic: no checkpoint for dccrn" in capsys.readouterr().err
         rows = (tmp_path / "report.csv").read_text().splitlines()
         assert [r.split(",")[2] for r in rows[1:]] == ["rapt"]
+
+    @pytest.mark.parametrize("tag", ["x/y", ""])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_fold_tag_not_a_corpus_is_usage_error(self, tmp_path, capsys, monkeypatch, command, tag):
+        """A held_out_corpus names the fold's output files, so one that is not
+        a corpus tag is refused, naming the fold plan, before audio is read."""
+        import voicedet.cli as cli
+
+        def no_audio(path):
+            raise AssertionError(f"read {path}")
+
+        argv = self.eval_inputs(tmp_path)
+        folds = tmp_path / "folds.json"
+        plan = json.loads(folds.read_text())
+        plan["folds"][0]["held_out_corpus"] = tag
+        folds.write_text(json.dumps(plan))
+        if command == "train":
+            argv = ["train", *argv[1:5], "--out", str(tmp_path / "run")]
+        monkeypatch.setattr(cli, "read_wav", no_audio)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: {folds}: unknown held_out_corpus {tag!r}" in err
+        assert not (tmp_path / "report.csv").exists()
+        assert not list(tmp_path.glob("run/*"))
 
     @pytest.mark.parametrize("methods", ["rapt,rapt", "rapt,bogus", "", "rapt,"])
     def test_eval_bad_methods_is_usage_error_before_loading(self, tmp_path, capsys, methods):
@@ -628,7 +667,7 @@ class TestTrainAndEval:
             model, train_cfg = DEMO_MODEL, DEMO_TRAIN
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"model": model, "train": train_cfg}))
-        _, got_model, got_train = load_run_config(str(path))
+        got_model, got_train = load_run_config(str(path))
         assert got_model == ModelConfig(**model)
         assert got_train == TrainConfig(**train_cfg)
 
@@ -713,6 +752,18 @@ class TestExitCodes:
         assert main(["labels-extract", "--manifest", "m.tsv", "--seed", "5", "--out", out]) == 1
         assert not (tmp_path / "out").exists()  # rejected before any work
 
+    def test_config_only_on_train(self, tmp_path):
+        wav = tmp_path / "x.wav"
+        write_wav(wav, Waveform(np.zeros(800), 8000))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        out = str(tmp_path / "out")
+        assert main(["detect", "--method", "rapt", "--config", str(cfg), "--out", out, str(wav)]) == 1
+        assert main(["labels-extract", "--manifest", "m.tsv", "--config", str(cfg), "--out", out]) == 1
+        assert main(["eval", "--corpus", f"{tmp_path}:x", "--folds", "f.json",
+                     "--config", str(cfg), "--out", out]) == 1
+        assert not (tmp_path / "out").exists()  # rejected before any work
+
     def test_short_meta_line_is_usage_error(self, tmp_path, capsys):
         root = tmp_path / "corpus"
         (root / "mic").mkdir(parents=True)
@@ -750,6 +801,28 @@ class TestExitCodes:
             assert args.command == argv[0]
 
 
+def readme_usage_flags() -> dict[str, set[str]]:
+    """The flags of each command in the README's CLI usage block; the lines
+    of one command, both `train` forms included, make one flag set."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    flags = {}
+    for line in block.strip().splitlines():
+        if line.startswith("voicedet "):
+            command = line.split()[1]
+        flags.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    return flags
+
+
+def test_readme_usage_lists_the_parser_flags():
+    import voicedet.cli as cli
+
+    (commands,) = [a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {name: {o for a in p._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+              for name, p in commands.items()}
+    assert readme_usage_flags() == parsed
+
+
 BAD_INPUTS = {
     "missing": None,
     "not_utf8": b"\xff\xfe{\x00",
@@ -757,6 +830,7 @@ BAD_INPUTS = {
     "no_folds": b'{"version": 1}',
     "no_ids": b'{"version": 1, "folds": [{"held_out_corpus": "FDA"}]}',
     "malformed_line": b"#v1 voicedet-manifest\nFDA\tu0\t/a.wav\n",
+    "tracker_section": b'{"tracker": {}}',
 }
 
 
@@ -778,20 +852,17 @@ def bad_input_argv(tmp_path, command, flag, bad):
         ("labels-extract", "--manifest"): ["labels-extract", "--manifest", bad],
         ("labels-extract", "--exclusions"): ["labels-extract", "--manifest", str(manifest), "--exclusions", bad],
         ("detect", "--checkpoint"): ["detect", "--method", "dccrn", "--checkpoint", bad, str(wav)],
-        ("detect", "--config"): ["detect", "--method", "rapt", "--config", bad, str(wav)],
     }[command, flag] + ["--out", out]
 
 
 @pytest.mark.parametrize("command, flag, kind", [
-    *[("train", "--config", k) for k in ("missing", "not_utf8", "not_json")],
+    *[("train", "--config", k) for k in ("missing", "not_utf8", "not_json", "tracker_section")],
     *[(c, "--folds", k) for c in ("train", "eval")
       for k in ("missing", "not_utf8", "not_json", "no_folds", "no_ids")],
     *[("labels-extract", "--manifest", k) for k in ("missing", "not_utf8", "malformed_line")],
     ("labels-extract", "--exclusions", "missing"),
     ("labels-extract", "--exclusions", "not_utf8"),
     ("detect", "--checkpoint", "missing"),
-    ("detect", "--config", "missing"),
-    ("detect", "--config", "not_json"),
 ])
 def test_bad_input_file_is_usage_error_naming_it(tmp_path, capsys, command, flag, kind):
     bad = tmp_path / "input-file"

@@ -387,6 +387,8 @@ class TestFolds:
         '{"version": 1, "folds": [{"held_out_corpus": "FDA"}]}',  # no *_ids
         '{"version": 1, "folds": [{"held_out_corpus": "FDA", "train_ids": "u1", '
         '"val_ids": [], "test_ids": []}]}',                   # ids not a list
+        '{"version": 1, "folds": [{"held_out_corpus": "x/y", "train_ids": [], '
+        '"val_ids": [], "test_ids": []}]}',                   # tag not a corpus
     ])
     def test_bad_fold_file_names_file(self, tmp_path, text):
         path = tmp_path / "folds.json"

@@ -22,7 +22,7 @@ from voicedet.labels import (
     read_three_class_labels,
     write_labels,
 )
-from voicedet.tracker import TrackerConfig, VoicingLabels, track_voicing
+from voicedet.tracker import VoicingLabels, track_voicing
 from voicedet.training import detect_wave
 
 SR = 8000
@@ -77,7 +77,7 @@ class TestExtractReferenceLabels:
         t = np.arange(2 * SR) / SR
         w = Waveform(0.5 * sawtooth(2 * np.pi * 150.0 * t), SR)
         filtered = extract_reference_labels(w, SpeakerMeta("m", "male"))
-        unfiltered = track_voicing(w, TrackerConfig())
+        unfiltered = track_voicing(w)
         assert np.array_equal(filtered.labels, unfiltered.labels)
 
     def test_highpass_designed_once_per_cutoff_and_rate(self, monkeypatch):
@@ -96,7 +96,7 @@ class TestExtractReferenceLabels:
         assert calls == [(5.0, 2400, 15.0, SR), (5.0, 2400, 25.0, SR)]
         for sex, got in zip(("male", "female"), cached):
             filt = design_kaiser_highpass(5.0, 2400, label_io.CUTOFF_HZ[sex], SR)
-            want = track_voicing(apply_fir(w, filt), TrackerConfig())
+            want = track_voicing(apply_fir(w, filt))
             assert got.labels.tobytes() == want.labels.tobytes()
             assert got.f0.tobytes() == want.f0.tobytes()
 
@@ -125,10 +125,9 @@ class TestPseudoLabels:
         rng = np.random.default_rng(3)
         t = np.arange(rate) / rate
         w = Waveform(0.5 * sawtooth(2 * np.pi * 180 * t) * (t < 0.5) + 0.1 * rng.standard_normal(rate), rate)
-        cfg = TrackerConfig()
         at_8k = w if rate == SR else resample(w, SR)
-        labels, _ = detect_wave(w, "rapt", tracker_cfg=cfg)
-        assert np.array_equal(labels.labels, track_voicing(at_8k, cfg).labels)
+        labels, _ = detect_wave(w, "rapt")
+        assert np.array_equal(labels.labels, track_voicing(at_8k).labels)
 
 
 class TestMismatchRate:

@@ -14,7 +14,7 @@ from test_train_canary import perfbench_module
 from voicedet.dsp import FrameConfig
 from voicedet.nn.model import ConvDcBlock, DccrnModel, ModelConfig, bce_loss
 from voicedet.synth import synth_utterance
-from voicedet.tracker import TrackerConfig, nccf, pick_candidates
+from voicedet.tracker import nccf, pick_candidates
 from voicedet.training import AdamState, adam_step
 
 
@@ -79,10 +79,9 @@ def test_lattice_edges_count_a_candidate_lattice():
     the frame lists and as the lattice's own frame offsets."""
     tracer_module = perfbench_module("tracer")
     _, laryn, _ = synth_utterance(3, 0, duration_sec=2.0, sample_rate=8000)
-    cfg = TrackerConfig()
-    lattice = pick_candidates(nccf(laryn, cfg, FrameConfig.for_rate(8000)), cfg)
+    lattice = pick_candidates(nccf(laryn, FrameConfig.for_rate(8000)))
     counts = Counter()
-    tracer_module._count_viterbi(counts, (lattice, cfg, 8000), {}, None)
+    tracer_module._count_viterbi(counts, (lattice, 8000), {}, None)
     frames = list(lattice)
     sizes = np.diff(lattice.offsets)
     assert max(sizes) > 2

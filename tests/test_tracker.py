@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.signal import sawtooth
 
 from voicedet.dsp import FrameConfig, InvalidArgument, Waveform, apply_fir, design_kaiser_highpass
@@ -16,10 +16,17 @@ from voicedet.synth import synth_utterance
 from voicedet.tracker import (
     _BLOCK,
     _transition_table,
+    CORR_WINDOW_MS,
+    ENERGY_FLOOR,
+    MAX_CANDIDATES,
+    NCCF_THRESHOLD,
+    OCTAVE_JUMP_WEIGHT,
+    SWITCH_COST,
+    VOICING_BIAS,
     CandidateLattice,
     NccfFrames,
     PitchCandidate,
-    TrackerConfig,
+    lag_range,
     nccf,
     path_cost,
     pick_candidates,
@@ -46,12 +53,12 @@ def frame_cfg():
 # loop at a time. The block implementation must reproduce it bit for bit.
 # ---------------------------------------------------------------------------
 
-def ref_nccf(wave, cfg, fcfg):
+def ref_nccf(wave, fcfg):
     """(lags, per-frame values, per-frame short flags)."""
     x = wave.samples
     sr = wave.sample_rate
-    min_lag, max_lag = cfg.lag_range(sr)
-    win = int(round(cfg.corr_window_ms * sr / 1000.0))
+    min_lag, max_lag = lag_range(sr)
+    win = int(round(CORR_WINDOW_MS * sr / 1000.0))
     hop = fcfg.hop
     n_frames = fcfg.n_frames(x.size) if x.size else 0
     lags = np.arange(min_lag, max_lag + 1)
@@ -59,7 +66,7 @@ def ref_nccf(wave, cfg, fcfg):
     offset = hop // 2 - span // 2
     sq = np.concatenate([[0.0], np.cumsum(x * x)])
     peak = np.max(np.abs(x)) if x.size else 0.0
-    floor = (cfg.energy_floor * peak) ** 2 * win
+    floor = (ENERGY_FLOOR * peak) ** 2 * win
     values, short = [], []
     for t in range(n_frames):
         m = t * hop + offset
@@ -81,15 +88,15 @@ def ref_nccf(wave, cfg, fcfg):
     return lags, values, short
 
 
-def ref_pick(lags, v, short, cfg):
-    candidates = [PitchCandidate(0, cfg.voicing_bias)]
+def ref_pick(lags, v, short):
+    candidates = [PitchCandidate(0, VOICING_BIAS)]
     if short or not v.size:
         return candidates
     left = np.concatenate([[-np.inf], v[:-1]])
     right = np.concatenate([v[1:], [-np.inf]])
-    idx = np.nonzero((v > left) & (v >= right) & (v > cfg.nccf_threshold))[0]
+    idx = np.nonzero((v > left) & (v >= right) & (v > NCCF_THRESHOLD))[0]
     order = sorted(idx, key=lambda i: (-v[i], lags[i]))
-    for i in order[: cfg.max_candidates_per_frame]:
+    for i in order[:MAX_CANDIDATES]:
         candidates.append(PitchCandidate(int(lags[i]), float(v[i])))
     return candidates
 
@@ -100,15 +107,15 @@ def typed(frames):
     return [[(type(c), type(c.lag), c.lag, type(c.score), c.score.hex()) for c in f] for f in frames]
 
 
-def ref_transition_cost(prev, cur, cfg):
+def ref_transition_cost(prev, cur):
     if prev.lag > 0 and cur.lag > 0:
-        return cfg.octave_jump_weight * abs(math.log2(cur.lag / prev.lag))
+        return OCTAVE_JUMP_WEIGHT * abs(math.log2(cur.lag / prev.lag))
     if (prev.lag > 0) != (cur.lag > 0):
-        return cfg.switch_cost
+        return SWITCH_COST
     return 0.0
 
 
-def ref_viterbi_path(candidates, cfg):
+def ref_viterbi_path(candidates):
     costs = [1.0 - c.score for c in candidates[0]]
     backptr = [[0] * len(candidates[0])]
     for t in range(1, len(candidates)):
@@ -116,7 +123,7 @@ def ref_viterbi_path(candidates, cfg):
         for c in candidates[t]:
             best_j, best_cost = 0, math.inf
             for j, p in enumerate(candidates[t - 1]):
-                total = costs[j] + ref_transition_cost(p, c, cfg)
+                total = costs[j] + ref_transition_cost(p, c)
                 if total < best_cost:
                     best_j, best_cost = j, total
             new_costs.append(best_cost + (1.0 - c.score))
@@ -130,11 +137,11 @@ def ref_viterbi_path(candidates, cfg):
     return path[::-1], costs[best]
 
 
-def ref_track(wave, cfg):
+def ref_track(wave):
     """(candidate lattice, labels, f0) of the per-frame reference."""
-    lags, values, short = ref_nccf(wave, cfg, frame_cfg())
-    lattice = [ref_pick(lags, v, s, cfg) for v, s in zip(values, short)]
-    path, _ = ref_viterbi_path(lattice, cfg)
+    lags, values, short = ref_nccf(wave, frame_cfg())
+    lattice = [ref_pick(lags, v, s) for v, s in zip(values, short)]
+    path, _ = ref_viterbi_path(lattice)
     labels = np.zeros(len(lattice), dtype=np.int8)
     f0 = np.zeros(len(lattice))
     for t, j in enumerate(path):
@@ -176,24 +183,23 @@ class TestBlockOracle:
     @pytest.mark.parametrize("kind", ["egg_male", "egg_female", "mic", "noise", "silence", "bursts"])
     def test_matches_per_frame_reference(self, kind, n):
         wave = Waveform(oracle_signals()[kind][:n], SR)
-        cfg = TrackerConfig()
-        frames = nccf(wave, cfg, frame_cfg())
-        lags, values, short = ref_nccf(wave, cfg, frame_cfg())
+        frames = nccf(wave, frame_cfg())
+        lags, values, short = ref_nccf(wave, frame_cfg())
         assert len(frames) == len(values) == frame_cfg().n_frames(n)
         assert np.array_equal(frames.lags, lags)
         assert frames.values.tobytes() == np.stack(values).tobytes()
         assert frames.short.tolist() == short
 
-        lattice, labels, f0 = ref_track(wave, cfg)
-        got = list(pick_candidates(frames, cfg))
+        lattice, labels, f0 = ref_track(wave)
+        got = list(pick_candidates(frames))
         assert got == lattice and typed(got) == typed(lattice)
-        out = track_voicing(wave, cfg)
+        out = track_voicing(wave)
         assert out.labels.tobytes() == labels.tobytes()
         assert out.f0.tobytes() == f0.tobytes()
 
     def test_bursts_leave_gaps_inside_a_block(self):
         x = oracle_signals()["bursts"][: ORACLE_LENGTHS[-1]]
-        _, values, short = ref_nccf(Waveform(x, SR), TrackerConfig(), frame_cfg())
+        _, values, short = ref_nccf(Waveform(x, SR), frame_cfg())
         live = np.flatnonzero([v.any() for v in values])
         gaps = np.diff(live) > 1
         assert np.any(gaps & (live[:-1] // _BLOCK == live[1:] // _BLOCK))  # inside one block
@@ -202,63 +208,87 @@ class TestBlockOracle:
 
     def test_voiced_egg_exercises_the_lattice(self):
         wave = Waveform(oracle_signals()["egg_female"], SR)
-        lattice, labels, _ = ref_track(wave, TrackerConfig())
+        lattice, labels, _ = ref_track(wave)
         assert max(len(c) for c in lattice) > 3
         assert 0.2 < labels.mean() < 0.9
-
-    def test_empty_lag_band_is_unvoiced(self):
-        # no integer lag between 8000/490 = 16.33 and 8000/485 = 16.49
-        cfg = TrackerConfig(f0_min=485.0, f0_max=490.0)
-        wave = Waveform(oracle_signals()["egg_male"][:8000], SR)
-        frames = nccf(wave, cfg, frame_cfg())
-        assert frames.values.shape == (100, 0)
-        _, labels, _ = ref_track(wave, cfg)
-        assert np.all(labels == 0)
-        assert np.all(track_voicing(wave, cfg).labels == 0)
 
 
 class TestNccf:
     def test_pulse_train_peak_at_period(self):
-        frames = nccf(pulse_train(80), TrackerConfig(), frame_cfg())
+        frames = nccf(pulse_train(80), frame_cfg())
         i = np.where(frames.lags == 80)[0][0]
         for t in range(10, 80):
             assert frames.values[t, i] >= 0.99
 
     def test_white_noise_is_weakly_correlated(self):
-        cfg = TrackerConfig()
         low = 0
         total = 0
         for seed in range(5):
             rng = np.random.default_rng(seed)
             w = Waveform(rng.standard_normal(SR), SR)
-            frames = nccf(w, cfg, frame_cfg())
+            frames = nccf(w, frame_cfg())
             values = frames.values[~frames.short]
             total += len(values)
             low += int(np.count_nonzero(values.max(axis=1) < 0.6))
         assert low / total >= 0.9
 
     def test_zero_signal_all_zero(self):
-        frames = nccf(Waveform(np.zeros(SR), SR), TrackerConfig(), frame_cfg())
+        frames = nccf(Waveform(np.zeros(SR), SR), frame_cfg())
         assert np.all(frames.values == 0)
 
     def test_short_frames_flagged(self):
         # 50 ms of signal cannot host the 40 ms analysis span anywhere but
         # perhaps the middle frame
-        frames = nccf(Waveform(np.ones(400), SR), TrackerConfig(), frame_cfg())
+        frames = nccf(Waveform(np.ones(400), SR), frame_cfg())
         assert len(frames) == 5
         assert frames.short[0] and frames.short[-1]
 
     def test_amplitude_invariance(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal(SR)
-        cfg = TrackerConfig()
-        a = nccf(Waveform(x, SR), cfg, frame_cfg())
-        b = nccf(Waveform(123.45 * x, SR), cfg, frame_cfg())
+        a = nccf(Waveform(x, SR), frame_cfg())
+        b = nccf(Waveform(123.45 * x, SR), frame_cfg())
         assert np.allclose(a.values, b.values, atol=1e-9)
 
-    def test_window_under_one_sample_rejected(self):
-        with pytest.raises(InvalidArgument, match="corr_window_ms"):
-            nccf(pulse_train(80), TrackerConfig(corr_window_ms=0.01), frame_cfg())
+
+LEVELS = [-0.5, 0.0, NCCF_THRESHOLD, 0.5, 0.5, 0.8, 1.0]
+
+
+@st.composite
+def nccf_frames(draw):
+    """NccfFrames with plateaus, ties, short frames, values at
+    NCCF_THRESHOLD and, in comb rows, more peaks than MAX_CANDIDATES."""
+    n_rows = draw(st.integers(1, 6), label="rows")
+    n_lags = draw(st.integers(1, 3 * MAX_CANDIDATES), label="lags")
+    levels = st.sampled_from(LEVELS)
+    cell = levels | st.floats(-1.0, 1.0, allow_subnormal=False)
+    values = np.array(
+        draw(st.lists(st.lists(cell, min_size=n_lags, max_size=n_lags),
+                      min_size=n_rows, max_size=n_rows), label="values"),
+        dtype=float,
+    ).reshape(n_rows, n_lags)
+    for row in values:
+        if draw(st.booleans(), label="comb"):  # every odd lag a peak, at or above NCCF_THRESHOLD
+            row[::2] = -1.0
+            row[1::2] = np.minimum(NCCF_THRESHOLD + np.abs(row[1::2]), 1.0)
+        # a plateau of random width at a random level
+        start = draw(st.integers(0, n_lags - 1))
+        width = draw(st.integers(0, 4))
+        row[start : start + width] = draw(levels)
+    short = np.array(draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)))
+    return NccfFrames(np.arange(16, 16 + n_lags), values, short)
+
+
+def crowded_frames():
+    """Four rows of 64 lags: a comb of 32 peaks, 26 above NCCF_THRESHOLD
+    with ties across the cap and 6 exactly at it; the same comb short; a
+    plateau at NCCF_THRESHOLD; a comb of fewer peaks than the cap."""
+    comb = np.full(64, -1.0)
+    comb[1::2] = np.resize([NCCF_THRESHOLD, 0.5, 0.8, 0.5, 1.0, np.nextafter(NCCF_THRESHOLD, 1.0)], 32)
+    sparse = np.full(64, -1.0)
+    sparse[1::4] = np.resize([0.5, 0.9, NCCF_THRESHOLD], 16)
+    values = np.stack([comb, comb, np.full(64, NCCF_THRESHOLD), sparse])
+    return NccfFrames(np.arange(16, 80), values, np.array([False, True, False, False]))
 
 
 class TestPickCandidates:
@@ -270,25 +300,24 @@ class TestPickCandidates:
         return NccfFrames(np.asarray(lags), values[None], np.array([short]))
 
     def test_single_peak(self):
-        cfg = TrackerConfig()
         values = np.zeros(100)
         values[40] = 0.95
         frame = self.mk_frame(values, lags=np.arange(40, 140))
-        cands = pick_candidates(frame, cfg)[0]
+        cands = pick_candidates(frame)[0]
         assert len(cands) == 2
-        assert cands[0] == PitchCandidate(0, cfg.voicing_bias)
+        assert cands[0] == PitchCandidate(0, VOICING_BIAS)
         assert cands[1] == PitchCandidate(80, 0.95)
 
     def test_all_below_threshold(self):
         frame = self.mk_frame(np.full(50, 0.2))
-        cands = pick_candidates(frame, TrackerConfig())[0]
+        cands = pick_candidates(frame)[0]
         assert len(cands) == 1
         assert not cands[0].voiced
 
     def test_plateau_keeps_earliest_lag(self):
         values = np.array([0.1, 0.8, 0.8, 0.8, 0.1])
         frame = self.mk_frame(values, lags=np.arange(20, 25))
-        cands = pick_candidates(frame, TrackerConfig())[0]
+        cands = pick_candidates(frame)[0]
         assert [c.lag for c in cands if c.voiced] == [21]
 
     def test_candidate_cap(self):
@@ -296,23 +325,21 @@ class TestPickCandidates:
         values = np.zeros(200)
         values[1:199:2] = rng.uniform(0.4, 1.0, size=99)  # 99 separated peaks
         frame = self.mk_frame(values)
-        cfg = TrackerConfig(max_candidates_per_frame=5)
-        cands = pick_candidates(frame, cfg)[0]
-        assert len(cands) == 6  # unvoiced + 5
+        cands = pick_candidates(frame)[0]
+        assert len(cands) == 1 + MAX_CANDIDATES
         scores = [c.score for c in cands[1:]]
         assert scores == sorted(scores, reverse=True)
 
     def test_short_frame_unvoiced_only(self):
         # a clear peak that a short frame must still ignore
         frame = self.mk_frame([0.1, 0.9, 0.1, 0.1], lags=np.arange(16, 20), short=True)
-        cands = pick_candidates(frame, TrackerConfig())
+        cands = pick_candidates(frame)
         assert len(cands) == 1
         assert len(cands[0]) == 1
 
     def test_candidates_are_pitch_candidates(self):
         wave = Waveform(oracle_signals()["egg_female"], SR)
-        cfg = TrackerConfig()
-        lattice = pick_candidates(nccf(wave, cfg, frame_cfg()), cfg)
+        lattice = pick_candidates(nccf(wave, frame_cfg()))
         picked = [c for frame in lattice for c in frame]
         assert sum(c.voiced for c in picked) > len(lattice)
         for c in picked:
@@ -325,46 +352,32 @@ class TestPickCandidates:
         values = np.zeros((n, 8))
         values[:, 3] = 0.9
         frames = NccfFrames(np.arange(16, 24), values, np.arange(n) % 7 == 0)
-        cfg = TrackerConfig()
-        got = list(pick_candidates(frames, cfg))
-        unvoiced, peak = PitchCandidate(0, cfg.voicing_bias), PitchCandidate(19, 0.9)
+        got = list(pick_candidates(frames))
+        unvoiced, peak = PitchCandidate(0, VOICING_BIAS), PitchCandidate(19, 0.9)
         want = [[unvoiced] if t % 7 == 0 else [unvoiced, peak] for t in range(n)]
         assert got == want and typed(got) == typed(want)
 
-    @staticmethod
-    def draw_frames(data):
-        """(NccfFrames, TrackerConfig) with plateaus, ties and short frames."""
-        n_rows = data.draw(st.integers(1, 6), label="rows")
-        n_lags = data.draw(st.integers(1, 30), label="lags")
-        levels = st.sampled_from([-0.5, 0.0, 0.3, 0.5, 0.5, 0.8, 1.0])
-        cell = levels | st.floats(-1.0, 1.0, allow_subnormal=False)
-        values = np.array(
-            data.draw(st.lists(st.lists(cell, min_size=n_lags, max_size=n_lags),
-                               min_size=n_rows, max_size=n_rows), label="values"),
-            dtype=float,
-        ).reshape(n_rows, n_lags)
-        for row in values:  # plateaus of random width at a random level
-            start = data.draw(st.integers(0, n_lags - 1))
-            width = data.draw(st.integers(0, 4))
-            row[start : start + width] = data.draw(levels)
-        short = np.array(data.draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)))
-        cfg = TrackerConfig(
-            nccf_threshold=data.draw(st.sampled_from([-1.0, 0.0, 0.3]) | st.floats(-1.0, 1.0)),
-            max_candidates_per_frame=data.draw(st.integers(1, 8)),
-        )
-        return NccfFrames(np.arange(16, 16 + n_lags), values, short), cfg
+    def test_crowded_frames_hold_the_cap_and_the_threshold(self):
+        frames = crowded_frames()
+        # in the comb rows 0, 1 and 3 every value above NCCF_THRESHOLD is a peak
+        above = np.count_nonzero(frames.values > NCCF_THRESHOLD, axis=1).tolist()
+        assert above == [26, 26, 0, 11] and 26 > MAX_CANDIDATES > 11
+        assert np.all(np.any(frames.values == NCCF_THRESHOLD, axis=1))
+        got = list(pick_candidates(frames))
+        assert [len(f) for f in got] == [1 + MAX_CANDIDATES, 1, 1, 12]
+        assert all(c.score > NCCF_THRESHOLD for f in got for c in f if c.voiced)
 
-    @given(data=st.data())
-    def test_block_picker_equals_sorted_reference(self, data):
-        frames, cfg = self.draw_frames(data)
-        got = list(pick_candidates(frames, cfg))
-        want = [ref_pick(frames.lags, v, s, cfg) for v, s in zip(frames.values, frames.short)]
+    @example(frames=crowded_frames())
+    @given(frames=nccf_frames())
+    def test_block_picker_equals_sorted_reference(self, frames):
+        got = list(pick_candidates(frames))
+        want = [ref_pick(frames.lags, v, s) for v, s in zip(frames.values, frames.short)]
         assert got == want and typed(got) == typed(want)
 
-    @given(data=st.data())
-    def test_lattice_round_trips_through_frame_lists(self, data):
-        frames, cfg = self.draw_frames(data)
-        lattice = pick_candidates(frames, cfg)
+    @example(frames=crowded_frames())
+    @given(frames=nccf_frames())
+    def test_lattice_round_trips_through_frame_lists(self, frames):
+        lattice = pick_candidates(frames)
         back = CandidateLattice.from_frames(list(lattice))
         for name in ("offsets", "lags", "scores"):
             a, b = getattr(lattice, name), getattr(back, name)
@@ -374,14 +387,13 @@ class TestPickCandidates:
 class TestCandidateLattice:
     def lattice(self):
         wave = Waveform(oracle_signals()["egg_female"][: 3 * SR], SR)
-        cfg = TrackerConfig()
-        return pick_candidates(nccf(wave, cfg, frame_cfg()), cfg)
+        return pick_candidates(nccf(wave, frame_cfg()))
 
     def test_frames_start_unvoiced(self):
         lattice = self.lattice()
         assert lattice.offsets[0] == 0 and lattice.offsets[-1] == lattice.lags.size
         assert np.all(lattice.lags[lattice.offsets[:-1]] == 0)
-        assert np.all(lattice.scores[lattice.offsets[:-1]] == TrackerConfig().voicing_bias)
+        assert np.all(lattice.scores[lattice.offsets[:-1]] == VOICING_BIAS)
         assert lattice.lags.dtype == np.int64 and lattice.scores.dtype == np.float64
 
     @pytest.mark.parametrize("key", [
@@ -402,12 +414,11 @@ class TestCandidateLattice:
             lattice[len(lattice)]
 
     def test_dp_over_the_lattice_equals_nested_loop_reference(self):
-        cfg = TrackerConfig()
         lattice = self.lattice()
-        path, cost = viterbi_path(lattice, cfg)
-        ref_path, ref_cost = ref_viterbi_path(list(lattice), cfg)
+        path, cost = viterbi_path(lattice)
+        ref_path, ref_cost = ref_viterbi_path(list(lattice))
         assert path == ref_path and cost.hex() == ref_cost.hex()
-        assert path_cost(lattice, path, cfg) == path_cost(list(lattice), path, cfg) == cost
+        assert path_cost(lattice, path) == path_cost(list(lattice), path) == cost
 
     def test_lattice_code_runs_no_garbage_collection(self):
         """`pick_candidates` and `viterbi_track` keep no Python container per
@@ -415,8 +426,7 @@ class TestCandidateLattice:
         collector never starts."""
         _, laryn, _ = synth_utterance(5, 1, duration_sec=60.0, sample_rate=SR)
         filt = design_kaiser_highpass(KAISER_BETA, KAISER_ORDER, CUTOFF_HZ["female"], SR)
-        cfg = TrackerConfig()
-        frames = nccf(apply_fir(laryn, filt), cfg, frame_cfg())
+        frames = nccf(apply_fir(laryn, filt), frame_cfg())
         collections = []
 
         def count(phase, info):
@@ -427,8 +437,8 @@ class TestCandidateLattice:
         gc.collect()
         gc.callbacks.append(count)
         try:
-            lattice = pick_candidates(frames, cfg)
-            labels = viterbi_track(lattice, cfg, SR)
+            lattice = pick_candidates(frames)
+            labels = viterbi_track(lattice, SR)
         finally:
             gc.callbacks.remove(count)
         assert len(lattice) == 6000 and lattice.lags.size > 3 * len(lattice)
@@ -436,11 +446,11 @@ class TestCandidateLattice:
         assert collections == []
 
 
-def brute_force_min_cost(candidates, cfg):
+def brute_force_min_cost(candidates):
     best_cost = np.inf
     best_path = None
     for path in itertools.product(*[range(len(c)) for c in candidates]):
-        c = path_cost(candidates, list(path), cfg)
+        c = path_cost(candidates, list(path))
         if c < best_cost:
             best_cost = c
             best_path = path
@@ -462,32 +472,29 @@ def random_instance(rng):
 
 class TestViterbi:
     def test_strong_peaks_all_voiced(self):
-        cfg = TrackerConfig()
-        cands = [[PitchCandidate(0, cfg.voicing_bias), PitchCandidate(80, 0.97)] for _ in range(20)]
-        labels = viterbi_track(cands, cfg, SR)
+        cands = [[PitchCandidate(0, VOICING_BIAS), PitchCandidate(80, 0.97)] for _ in range(20)]
+        labels = viterbi_track(cands, SR)
         assert np.all(labels.labels == 1)
         assert np.allclose(labels.f0, 100.0)
 
     def test_unvoiced_only_candidates(self):
-        cfg = TrackerConfig()
-        cands = [[PitchCandidate(0, cfg.voicing_bias)] for _ in range(10)]
-        labels = viterbi_track(cands, cfg, SR)
+        cands = [[PitchCandidate(0, VOICING_BIAS)] for _ in range(10)]
+        labels = viterbi_track(cands, SR)
         assert np.all(labels.labels == 0)
         assert np.all(labels.f0 == 0)
 
     def test_matches_exhaustive_search_small(self):
-        cfg = TrackerConfig()
         rng = np.random.default_rng(11)
         for _ in range(150):
             inst = random_instance(rng)
-            path, cost = viterbi_path(inst, cfg)
-            assert path_cost(inst, path, cfg) == pytest.approx(cost, abs=1e-12)
-            best_cost, _ = brute_force_min_cost(inst, cfg)
+            path, cost = viterbi_path(inst)
+            assert path_cost(inst, path) == pytest.approx(cost, abs=1e-12)
+            best_cost, _ = brute_force_min_cost(inst)
             assert cost == best_cost
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgument):
-            viterbi_track([], TrackerConfig())
+            viterbi_track([], SR)
 
     @pytest.mark.parametrize("lattice", [
         [[PitchCandidate(0, 0.5)], []],
@@ -495,13 +502,12 @@ class TestViterbi:
     ])
     def test_malformed_lattice_rejected(self, lattice):
         with pytest.raises(InvalidArgument):
-            viterbi_path(lattice, TrackerConfig())
+            viterbi_path(lattice)
 
     def test_transition_table_is_bit_equal(self):
-        cfg = TrackerConfig()
-        table = _transition_table(cfg.octave_jump_weight, cfg.switch_cost, 256)
+        table = _transition_table(256)
         cands = [PitchCandidate(lag, 0.0) for lag in range(256)]
-        ref = [[ref_transition_cost(p, c, cfg).hex() for p in cands] for c in cands]
+        ref = [[ref_transition_cost(p, c).hex() for p in cands] for c in cands]
         assert [[v.hex() for v in row] for row in table] == ref
 
     @given(data=st.data())
@@ -513,12 +519,8 @@ class TestViterbi:
             st.lists(st.builds(PitchCandidate, lag, score), min_size=1, max_size=5),
             min_size=1, max_size=8,
         ))
-        cfg = TrackerConfig(
-            switch_cost=data.draw(st.sampled_from([0.0, 0.3, 0.5])),
-            octave_jump_weight=data.draw(st.sampled_from([0.0, 0.2, 1.0])),
-        )
-        path, cost = viterbi_path(lattice, cfg)
-        ref_path, ref_cost = ref_viterbi_path(lattice, cfg)
+        path, cost = viterbi_path(lattice)
+        ref_path, ref_cost = ref_viterbi_path(lattice)
         assert path == ref_path
         assert cost.hex() == ref_cost.hex()
 
@@ -528,7 +530,7 @@ class TestTrackVoicing:
         t = np.arange(SR) / SR
         voiced = 0.5 * sawtooth(2 * np.pi * 150.0 * t)
         x = np.concatenate([voiced, np.zeros(SR)])
-        labels = track_voicing(Waveform(x, SR), TrackerConfig())
+        labels = track_voicing(Waveform(x, SR))
         first = labels.labels[2:98]  # exclude boundary/short frames
         second = labels.labels[102:]
         assert first.mean() >= 0.95
@@ -536,73 +538,30 @@ class TestTrackVoicing:
 
     def test_white_noise_mostly_unvoiced(self):
         rng = np.random.default_rng(5)
-        labels = track_voicing(Waveform(rng.standard_normal(SR), SR), TrackerConfig())
+        labels = track_voicing(Waveform(rng.standard_normal(SR), SR))
         assert (labels.labels == 0).mean() >= 0.9
 
     def test_short_input_frame_count(self):
-        labels = track_voicing(Waveform(np.ones(400), SR), TrackerConfig())
+        labels = track_voicing(Waveform(np.ones(400), SR))
         assert len(labels) == 5  # ceil(400 / 80)
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         w = Waveform(rng.standard_normal(SR), SR)
-        a = track_voicing(w, TrackerConfig())
-        b = track_voicing(w, TrackerConfig())
+        a = track_voicing(w)
+        b = track_voicing(w)
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.f0, b.f0)
 
-    def test_monotone_voicing_bias(self):
-        t = np.arange(2 * SR) / SR
-        rng = np.random.default_rng(13)
-        x = 0.4 * sawtooth(2 * np.pi * 120 * t) + 0.2 * rng.standard_normal(t.size)
-        w = Waveform(x, SR)
-        counts = []
-        for bias in (0.2, 0.35, 0.5, 0.65, 0.8):
-            labels = track_voicing(w, TrackerConfig(voicing_bias=bias))
-            counts.append(int((labels.labels == 0).sum()))
-        assert counts == sorted(counts)
 
-    @pytest.mark.parametrize("bias", [0, 1])
-    def test_integer_voicing_bias_tracks_as_its_float(self, bias):
-        # an int bias (a JSON config can give one) must not make the scores integers
-        w = Waveform(oracle_signals()["egg_female"][: 3 * SR], SR)
-        as_int, as_float = TrackerConfig(voicing_bias=bias), TrackerConfig(voicing_bias=float(bias))
-        lattice = pick_candidates(nccf(w, as_int, frame_cfg()), as_int)
-        assert lattice.scores.dtype == np.float64
-        assert np.all(lattice.scores[lattice.lags > 0] > as_int.nccf_threshold)
-        a, b = track_voicing(w, as_int), track_voicing(w, as_float)
-        assert a.labels.tobytes() == b.labels.tobytes() and a.f0.tobytes() == b.f0.tobytes()
-        if bias == 0:
-            assert a.labels.mean() > 0.5  # a voiced recording tracks voiced
-
-
-class TestTrackerConfig:
-    def test_rejects_bad_band(self):
-        with pytest.raises(InvalidArgument):
-            TrackerConfig(f0_min=500, f0_max=50)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"voicing_bias": float("nan")},
-        {"switch_cost": float("nan")},
-        {"octave_jump_weight": float("inf")},
-        {"nccf_threshold": float("-inf")},
-        {"f0_max": float("inf")},
-        {"voicing_bias": "0.45"},
-        {"corr_window_ms": 0.0},
-        {"corr_window_ms": -20.0},
-        {"energy_floor": -0.01},
-        {"max_candidates_per_frame": 2.5},
-        {"max_candidates_per_frame": 0},
-        {"max_candidates_per_frame": True},
-    ])
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(InvalidArgument):
-            TrackerConfig(**kwargs)
-
-    def test_accepts_integral_values(self):
-        cfg = TrackerConfig(f0_min=60, switch_cost=0, energy_floor=0, max_candidates_per_frame=np.int64(3))
-        assert cfg.lag_range(SR) == (16, 133)
-
+class TestLagRange:
     def test_lag_range(self):
-        lo, hi = TrackerConfig().lag_range(8000)
-        assert (lo, hi) == (16, 160)
+        assert lag_range(8000) == (16, 160)
+        assert lag_range(16000) == (32, 320)
+
+    @pytest.mark.parametrize("rate", [1000, 800])
+    def test_rate_at_or_below_twice_f0_max_rejected(self, rate):
+        with pytest.raises(InvalidArgument, match="Nyquist"):
+            lag_range(rate)
+        with pytest.raises(InvalidArgument, match="Nyquist"):
+            track_voicing(Waveform(np.zeros(rate), rate))

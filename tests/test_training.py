@@ -326,7 +326,7 @@ class TestEvaluateCrossCorpus:
     def detect_from_labels(data, decide):
         """A `detect_wave` stand-in: `decide` of the labels of the recording
         whose wave it is handed."""
-        def detect(wave, method, model=None, tracker_cfg=None):
+        def detect(wave, method, model=None):
             (y,) = [ref.labels for w, ref in data.values() if w is wave]
             return VoicingLabels(decide(y)), None
         return detect
