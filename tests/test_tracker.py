@@ -4,6 +4,8 @@ import functools
 import gc
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from scipy.signal import sawtooth
 
 from voicedet.dsp import FrameConfig, InvalidArgument, Waveform, apply_fir, design_kaiser_highpass
 from voicedet.labels import CUTOFF_HZ, KAISER_BETA, KAISER_ORDER
+from voicedet import tracker
 from voicedet.synth import synth_utterance
 from voicedet.tracker import (
     _BLOCK,
@@ -565,3 +568,15 @@ class TestLagRange:
             lag_range(rate)
         with pytest.raises(InvalidArgument, match="Nyquist"):
             track_voicing(Waveform(np.zeros(rate), rate))
+
+
+RECIPE = ["F0_MIN", "F0_MAX", "MAX_CANDIDATES", "VOICING_BIAS", "SWITCH_COST",
+          "OCTAVE_JUMP_WEIGHT", "NCCF_THRESHOLD", "CORR_WINDOW_MS", "ENERGY_FLOOR"]
+
+
+@pytest.mark.parametrize("name", RECIPE)
+def test_readme_states_the_recipe(name):
+    """The README names each tracker constant once, followed by its value."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    stated = re.findall(rf"`{name}`\s+([0-9.]+)", readme)
+    assert [float(v) for v in stated] == [getattr(tracker, name)]
