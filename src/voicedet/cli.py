@@ -357,7 +357,6 @@ def _demo_fold(data: dict, n_val: int, n_test: int) -> corpus_io.FoldPlan:
 def cmd_train(args) -> int:
     model_cfg, train_cfg = load_run_config(args.config, args.seed)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.synthetic_demo:
         if not args.config:
@@ -382,6 +381,7 @@ def cmd_train(args) -> int:
         folds = corpus_io.read_folds(args.folds)
         data, skipped = load_examples(manifests, model_cfg)
 
+    out_dir.mkdir(parents=True, exist_ok=True)  # once the inputs are read, so a usage error leaves none
     echo_config(out_dir, model_cfg, train_cfg)
     failures = [f"{len(skipped)} records skipped"] if skipped and args.strict else []
     for fold in folds:

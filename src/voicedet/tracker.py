@@ -5,24 +5,29 @@ frames at the same 10 ms hop as the STFT so tracker frames align 1:1 with
 model/label frames. Candidate peaks are pruned by threshold and count and a
 minimum-cost path through the candidate lattice yields per-frame voicing.
 
-Frames are processed as arrays over blocks of `_BLOCK` frames, which bounds
-the temporaries of a long recording. The cross terms of a block are one
-`np.matmul` of two strided views, a 1 x win row by a win x 1 column per
-frame and lag, for which numpy calls the same BLAS dot routine that
-`np.correlate` calls once per lag: the exact dot products, and with them the
-exact bits. (A numpy built without BLAS sums those products differently,
-and the per-frame oracle in the tests would show it.) Energies,
-denominators, peak masks and candidate ordering are block-wide array
+Memory is bounded by blocks of `_BLOCK` frames, not by the recording's
+length. `nccf` only sets up; each block's NCCF values are made when
+`pick_candidates` asks for them and dropped once the block's peaks are
+picked, so one block of values exists at a time. Window energies come from
+a prefix sum of x^2 carried from block to block: `np.cumsum` adds in order,
+so each block's sums have the bits of one whole-signal cumsum. The cross
+terms of a block are one `np.matmul` of two strided views, a 1 x win row by
+a win x 1 column per frame and lag, for which numpy calls the same BLAS dot
+routine that `np.correlate` calls once per lag: the exact dot products, and
+with them the exact bits. (A numpy built without BLAS sums those products
+differently, and the per-frame oracle in the tests would show it.)
+Denominators, peak masks and candidate ordering are block-wide array
 operations. The candidate lattice is flat arrays (per-frame offsets, lags
 and scores), built by array scatters without a Python object per
-candidate; the DP runs over lists made once from those arrays, with
-transition costs looked up in a per-lag table.
+candidate, and is the only per-frame output. The DP runs over lists made
+from one block of the lattice at a time, with transition costs looked up in
+a per-lag table and back-pointers kept in a byte array.
 """
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import NamedTuple
@@ -60,20 +65,35 @@ def lag_range(sample_rate: int) -> tuple[int, int]:
     return math.ceil(sample_rate / F0_MAX), math.floor(sample_rate / F0_MIN)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NccfFrames:
-    """Normalized cross-correlation values of every frame over the candidate lags.
+    """Normalized cross-correlation values of every frame over the candidate
+    lags, made one block of frames at a time.
 
-    values[t, i] belongs to frame t and lag lags[i]; short[t] marks a frame
-    whose span ran past the signal end (all-zero, unvoiced-only).
+    blocks() yields the [n, L] values of frames lo .. lo+n-1 for lo = 0,
+    _BLOCK, 2 * _BLOCK, ...; row t - lo, column i belongs to frame t and lag
+    lags[i]. short[t] marks a frame whose span ran past the signal end
+    (all-zero, unvoiced-only).
     """
 
     lags: np.ndarray  # [L]
-    values: np.ndarray  # [T, L]
     short: np.ndarray  # [T] bool
+    blocks: Callable[[], Iterator[np.ndarray]]
+
+    @classmethod
+    def from_values(cls, lags, values, short) -> NccfFrames:
+        """Frames whose blocks are the rows of a given [T, L] matrix."""
+        values = np.asarray(values, dtype=np.float64)
+        return cls(np.asarray(lags), np.asarray(short, dtype=bool),
+                   lambda: (values[lo : lo + _BLOCK] for lo in range(0, len(values), _BLOCK)))
 
     def __len__(self) -> int:
-        return self.values.shape[0]
+        return self.short.size
+
+    @property
+    def values(self) -> np.ndarray:
+        """The whole [T, L] matrix, for the oracles: the tracker reads blocks."""
+        return np.concatenate([np.zeros((0, self.lags.size)), *self.blocks()])
 
 
 class PitchCandidate(NamedTuple):
@@ -200,6 +220,50 @@ def _hop_view(a: np.ndarray, start: int, hop: int, shape: tuple, strides: tuple)
     return as_strided(a[start:], shape, tuple(k * step for k in (hop, *strides)), writeable=False)
 
 
+def _window_energies(x: np.ndarray, starts: np.ndarray, span: int,
+                     win: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Per block of _BLOCK frames: (a, e) with e[i - a] = sum of x[i : i + win]^2
+    for every window that the block's frames inside the signal read.
+
+    The prefix sums S[i] = sum of x[:i]^2 are carried from block to block:
+    each block's sums start from its first S, taken from the previous
+    block's, so they have the bits of one whole-signal `np.cumsum`.
+    """
+    a, sums = 0, np.zeros(1)  # sums[j] = S[a + j]
+    for lo in range(0, starts.size, _BLOCK):
+        block = starts[lo : lo + _BLOCK]
+        first = min(max(block[0], 0), a + sums.size - 1)  # a start the previous sums reach
+        last = min(max(block[-1] + span, first), x.size)
+        seg = x[first:last]
+        sums = np.cumsum(np.concatenate([sums[first - a : first - a + 1], seg * seg]))
+        a = first
+        yield a, sums[win:] - sums[:-win]
+
+
+def _nccf_blocks(x, starts, short, lags, win, hop, floor) -> Iterator[np.ndarray]:
+    """The [n, L] NCCF values of each block of _BLOCK frames (see `nccf`)."""
+    min_lag, span = lags[0], win + lags[-1]
+    for lo, (a, energy) in zip(range(0, starts.size, _BLOCK), _window_energies(x, starts, span, win)):
+        block = starts[lo : lo + _BLOCK]
+        values = np.zeros((block.size, lags.size))
+        e0 = np.zeros(block.size)
+        inside = np.flatnonzero(~short[lo : lo + _BLOCK])
+        e0[inside] = energy[block[inside] - a]
+        rows = np.flatnonzero(e0 > _TINY)  # short frames keep e0 = 0
+        if rows.size:
+            # frames rows[0] .. rows[-1] are all inside the signal; the live ones are gathered
+            m0, n, at = block[rows[0]], rows[-1] - rows[0] + 1, rows - rows[0]
+            # cross terms c[k] = sum_i x[m+i] * x[m+k+i]: per frame and lag, a 1 x win
+            # window row times the win x 1 frame column (np.correlate's dot routine)
+            windows = _hop_view(x, m0 + min_lag, hop, (n, lags.size, 1, win), (1, 0, 1))
+            columns = _hop_view(x, m0, hop, (n, 1, win, 1), (0, 1, 0))
+            cross = np.matmul(windows, columns)[at, :, 0, 0]
+            energies = _hop_view(energy, m0 - a + min_lag, hop, (n, lags.size), (1,))[at]
+            denom = np.sqrt((e0[rows, None] + floor) * (energies + floor))
+            values[rows] = np.where(denom > _TINY, cross / np.maximum(denom, _TINY), 0.0)
+        yield values
+
+
 def nccf(wave: Waveform, frame_cfg: FrameConfig) -> NccfFrames:
     """Normalized cross-correlation per frame over the lag band.
 
@@ -207,12 +271,16 @@ def nccf(wave: Waveform, frame_cfg: FrameConfig) -> NccfFrames:
     correlation window of CORR_WINDOW_MS and an additive denominator
     floor A = (ENERGY_FLOOR * peak)^2 * window, RAPT's a_fact scaled to the
     utterance peak so phi stays amplitude-invariant. The analysis span
-    (window + max lag) is centered on the frame's 10 ms slot so label smear
-    at voicing transitions is symmetric. Frames whose span would run past
-    either end of the signal are returned short and all-zero.
+    (window + max lag) is centered on the frame's 10 ms slot, with the
+    correlation window at the span's start. (ROADMAP item 12 measured the
+    resulting labels against synthetic truth: voicing offsets come about
+    1.25 frames late and onsets 0.27 frames early.) Frames whose span would
+    run past either end of the signal are returned short and all-zero.
 
-    The cross terms of each block of frames are one strided dot-product
-    call, with the dot routine of `np.correlate`, so they are its bits.
+    Only the frame layout and the floor are computed here; the values are
+    made block by block as the returned frames' blocks are read. The cross
+    terms of each block are one strided dot-product call, with the dot
+    routine of `np.correlate`, so they are its bits.
     """
     x = wave.samples
     sr = wave.sample_rate
@@ -225,36 +293,9 @@ def nccf(wave: Waveform, frame_cfg: FrameConfig) -> NccfFrames:
     # span start of each frame, centered on the frame slot
     starts = np.arange(n_frames) * hop + (hop // 2 - span // 2)
     short = (starts < 0) | (starts + span > x.size)
-    values = np.zeros((n_frames, lags.size))
-
-    peak = np.max(np.abs(x)) if x.size else 0.0
+    peak = max(x.max(), -x.min()) if x.size else 0.0  # max |x| without an |x| array
     floor = (ENERGY_FLOOR * peak) ** 2 * win
-    # energy of every correlation window, e[i] = sum of x[i : i + win]^2, from prefix sums
-    sq = np.concatenate([[0.0], np.cumsum(x * x)])
-    energy = sq[win:] - sq[:-win]
-    del sq  # one signal-length array, not two, beside the blocks' temporaries
-
-    e0 = np.zeros(n_frames)
-    inside = np.flatnonzero(~short)
-    e0[inside] = energy[starts[inside]]
-    live = np.flatnonzero(e0 > _TINY)  # short frames keep e0 = 0
-    for lo in range(0, n_frames, _BLOCK):
-        rows = live[np.searchsorted(live, lo) : np.searchsorted(live, lo + _BLOCK)]
-        if not rows.size:
-            continue
-        # frames rows[0] .. rows[-1] are all inside the signal; the live ones are gathered
-        m0, n, at = starts[rows[0]], rows[-1] - rows[0] + 1, rows - rows[0]
-        # cross terms c[k] = sum_i x[m+i] * x[m+k+i]: per frame and lag, a 1 x win
-        # window row times the win x 1 frame column (np.correlate's dot routine)
-        windows = _hop_view(x, m0 + min_lag, hop, (n, lags.size, 1, win), (1, 0, 1))
-        columns = _hop_view(x, m0, hop, (n, 1, win, 1), (0, 1, 0))
-        cross = np.matmul(windows, columns)[at, :, 0, 0]
-        energies = _hop_view(energy, m0 + min_lag, hop, (n, lags.size), (1,))[at]
-        denom = np.sqrt((e0[rows, None] + floor) * (energies + floor))
-        values[rows] = np.where(
-            denom > _TINY, cross / np.maximum(denom, _TINY), 0.0
-        )
-    return NccfFrames(lags, values, short)
+    return NccfFrames(lags, short, functools.partial(_nccf_blocks, x, starts, short, lags, win, hop, floor))
 
 
 def pick_candidates(frames: NccfFrames) -> CandidateLattice:
@@ -266,9 +307,8 @@ def pick_candidates(frames: NccfFrames) -> CandidateLattice:
     equal scores by ascending lag. Plateaus keep their earliest lag.
     """
     sizes = np.ones(len(frames), dtype=np.int64)  # the unvoiced candidate, then the peaks
-    peak_lags, peak_scores = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]  # non-empty to concatenate
-    for lo in range(0, len(frames), _BLOCK):
-        v = frames.values[lo : lo + _BLOCK]
+    lag_blocks, score_blocks = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]  # non-empty to concatenate
+    for lo, v in zip(range(0, len(frames), _BLOCK), frames.blocks()):
         # > left and >= right keeps the earliest sample of a plateau
         peak = v > NCCF_THRESHOLD
         peak[:, 1:] &= v[:, 1:] > v[:, :-1]
@@ -282,17 +322,18 @@ def pick_candidates(frames: NccfFrames) -> CandidateLattice:
         counts = np.bincount(rows, minlength=v.shape[0])
         rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
         keep = rank < MAX_CANDIDATES
-        sizes[lo : lo + _BLOCK] += np.minimum(counts, MAX_CANDIDATES)
-        peak_lags.append(frames.lags[cols[keep]])
-        peak_scores.append(scores[keep])
-    offsets = _offsets(sizes)
-    voiced = np.ones(offsets[-1], dtype=bool)
-    voiced[offsets[:-1]] = False
-    lags = np.zeros(offsets[-1], dtype=np.int64)
-    lags[voiced] = np.concatenate(peak_lags)
-    scores = np.full(offsets[-1], VOICING_BIAS, dtype=np.float64)
-    scores[voiced] = np.concatenate(peak_scores)
-    return CandidateLattice(offsets, lags, scores)
+        block_sizes = sizes[lo : lo + _BLOCK]
+        block_sizes += np.minimum(counts, MAX_CANDIDATES)
+        # the block's part of the lattice: each frame's unvoiced entry, then its kept peaks
+        voiced = np.ones(block_sizes.sum(), dtype=bool)
+        voiced[_offsets(block_sizes)[:-1]] = False
+        lag_blocks.append(np.zeros(voiced.size, dtype=np.int64))
+        lag_blocks[-1][voiced] = frames.lags[cols[keep]]
+        score_blocks.append(np.full(voiced.size, VOICING_BIAS, dtype=np.float64))
+        score_blocks[-1][voiced] = scores[keep]
+    lags = np.concatenate(lag_blocks)
+    lag_blocks.clear()  # so that two lattice-sized arrays exist at a time, not three
+    return CandidateLattice(_offsets(sizes), lags, np.concatenate(score_blocks))
 
 
 def _transition_cost(prev: PitchCandidate, cur: PitchCandidate) -> float:
@@ -329,32 +370,44 @@ def viterbi_path(candidates: Lattice) -> tuple[list[int], float]:
     to the lowest candidate index, i.e. unvoiced first, then shorter lags.
     """
     lattice = _as_lattice(candidates)
-    if not len(lattice):
+    n_frames = len(lattice)
+    if not n_frames:
         raise InvalidArgument("need at least one frame")
     size = max(256, 1 << int(lattice.lags.max()).bit_length())
     table = _transition_table(size)
 
-    bounds = lattice.offsets.tolist()
-    lags = lattice.lags.tolist()
-    local = (1.0 - lattice.scores).tolist()  # IEEE-equal to 1.0 - score per candidate
-    costs = local[: bounds[1]]
-    prev_lags = lags[: bounds[1]]
-    backptr = [0] * bounds[1]  # per entry: index of its best predecessor in the previous frame
-    for a, b in zip(bounds[1:-1], bounds[2:]):
-        new_costs = []
-        for lag, loc in zip(lags[a:b], local[a:b]):
-            row = table[lag]
-            totals = [c + row[p] for c, p in zip(costs, prev_lags)]
-            best = min(totals)  # the first minimum, as a strict < scan keeps
-            backptr.append(totals.index(best))
-            new_costs.append(best + loc)
-        costs = new_costs
-        prev_lags = lags[a:b]
+    offsets = lattice.offsets
+    costs = (1.0 - lattice.scores[: offsets[1]]).tolist()  # IEEE-equal to 1.0 - score per candidate
+    prev_lags = lattice.lags[: offsets[1]].tolist()
+    # per entry: index of its best predecessor in the previous frame; a picked
+    # frame holds at most MAX_CANDIDATES + 1 entries, so the index fits a byte
+    backptr = np.zeros(offsets[-1], dtype=np.min_scalar_type(int(np.diff(offsets).max()) - 1))
+    blocks = [(lo, min(lo + _BLOCK, n_frames)) for lo in range(1, n_frames, _BLOCK)]
+    for lo, hi in blocks:  # frames 1.., one block of lists at a time
+        a, b = offsets[lo], offsets[hi]
+        bounds = (offsets[lo : hi + 1] - a).tolist()
+        lags = lattice.lags[a:b].tolist()
+        local = (1.0 - lattice.scores[a:b]).tolist()
+        pointers = []
+        for i, j in zip(bounds, bounds[1:]):
+            new_costs = []
+            for lag, loc in zip(lags[i:j], local[i:j]):
+                row = table[lag]
+                totals = [c + row[p] for c, p in zip(costs, prev_lags)]
+                best = min(totals)  # the first minimum, as a strict < scan keeps
+                pointers.append(totals.index(best))
+                new_costs.append(best + loc)
+            costs = new_costs
+            prev_lags = lags[i:j]
+        backptr[a:b] = pointers
 
     total_cost = min(costs)
     path = [costs.index(total_cost)]
-    for a in reversed(bounds[1:-1]):
-        path.append(backptr[a + path[-1]])
+    for lo, hi in reversed(blocks):
+        a = offsets[lo]
+        pointers = backptr[a : offsets[hi]].tolist()
+        for i in reversed((offsets[lo:hi] - a).tolist()):
+            path.append(pointers[i + path[-1]])
     path.reverse()
     return path, total_cost
 

@@ -552,6 +552,7 @@ class TestTrainAndEval:
         assert f"error: {folds}: unknown held_out_corpus {tag!r}" in err
         assert not (tmp_path / "report.csv").exists()
         assert not list(tmp_path.glob("run/*"))
+        assert not (tmp_path / "run").exists()  # train reads its inputs before it makes --out
 
     @pytest.mark.parametrize("methods", ["rapt,rapt", "rapt,bogus", "", "rapt,"])
     def test_eval_bad_methods_is_usage_error_before_loading(self, tmp_path, capsys, methods):

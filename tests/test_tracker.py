@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,71 @@ class TestBlockOracle:
         assert 0.2 < labels.mean() < 0.9
 
 
+# frame counts around the block size; a whole block without a live frame; a
+# recording of 5 frames, the first two and the last two short
+BOUNDARY_CASES = {
+    "T=1": ("egg_female", 80),
+    "T=255": ("egg_female", 80 * 255),
+    "T=256": ("egg_female", 80 * 256),
+    "T=257": ("egg_female", 80 * 257),
+    "T=257, partial frame": ("egg_female", 80 * 256 + 37),
+    "T=513": ("egg_female", 80 * 513),
+    "dead block": ("dead block", 80 * 800),
+    "short first and last frames": ("egg_female", 400),
+}
+
+
+def boundary_signal(case):
+    kind, n = BOUNDARY_CASES[case]
+    if kind != "dead block":
+        return oracle_signals()[kind][:n]
+    x = oracle_signals()["egg_female"][:n].copy()
+    x[250 * 80 : 520 * 80] = 0.0  # frames 252-517 read only zeros: all of block 1
+    return x
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("case", BOUNDARY_CASES)
+    def test_values_equal_the_per_frame_reference(self, case):
+        wave = Waveform(boundary_signal(case), SR)
+        _, values, short = ref_nccf(wave, frame_cfg())
+        values = np.stack(values)
+        frames = nccf(wave, frame_cfg())
+        assert frames.values.tobytes() == values.tobytes()
+        assert frames.short.tolist() == short and len(frames) == len(values)
+        if case == "dead block":
+            assert not np.any(values[_BLOCK : 2 * _BLOCK]) and np.any(values[2 * _BLOCK :])
+        if case == "short first and last frames":
+            assert short == [True, True, False, True, True]
+
+    @pytest.mark.parametrize("case", BOUNDARY_CASES)
+    def test_lattice_equals_the_lattice_of_the_values(self, case):
+        wave = Waveform(boundary_signal(case), SR)
+        lags, values, short = ref_nccf(wave, frame_cfg())
+        got = pick_candidates(nccf(wave, frame_cfg()))
+        want = pick_candidates(NccfFrames.from_values(lags, np.stack(values), short))
+        for name in ("offsets", "lags", "scores"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("case", BOUNDARY_CASES)
+    def test_block_energies_equal_the_whole_signal_sums(self, case):
+        x = boundary_signal(case)
+        min_lag, max_lag = lag_range(SR)
+        win = int(round(CORR_WINDOW_MS * SR / 1000.0))
+        hop, span = frame_cfg().hop, win + max_lag
+        starts = np.arange(frame_cfg().n_frames(x.size)) * hop + (hop // 2 - span // 2)
+        sq = np.concatenate([[0.0], np.cumsum(x * x)])
+        energy = sq[win:] - sq[:-win]
+        blocks = list(tracker._window_energies(x, starts, span, win))
+        assert len(blocks) == -(-starts.size // _BLOCK)
+        for lo, (a, e) in zip(range(0, starts.size, _BLOCK), blocks):
+            assert e.tobytes() == energy[a : a + e.size].tobytes()
+            # every window of the block's frames inside the signal is there
+            inside = [m for m in starts[lo : lo + _BLOCK] if m >= 0 and m + span <= x.size]
+            assert all(a <= m and m + max_lag < a + e.size for m in inside)
+
+
 class TestNccf:
     def test_pulse_train_peak_at_period(self):
         frames = nccf(pulse_train(80), frame_cfg())
@@ -279,7 +345,7 @@ def nccf_frames(draw):
         width = draw(st.integers(0, 4))
         row[start : start + width] = draw(levels)
     short = np.array(draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)))
-    return NccfFrames(np.arange(16, 16 + n_lags), values, short)
+    return NccfFrames.from_values(np.arange(16, 16 + n_lags), values, short)
 
 
 def crowded_frames():
@@ -291,7 +357,7 @@ def crowded_frames():
     sparse = np.full(64, -1.0)
     sparse[1::4] = np.resize([0.5, 0.9, NCCF_THRESHOLD], 16)
     values = np.stack([comb, comb, np.full(64, NCCF_THRESHOLD), sparse])
-    return NccfFrames(np.arange(16, 80), values, np.array([False, True, False, False]))
+    return NccfFrames.from_values(np.arange(16, 80), values, np.array([False, True, False, False]))
 
 
 class TestPickCandidates:
@@ -300,7 +366,7 @@ class TestPickCandidates:
         values = np.asarray(values, dtype=float)
         if lags is None:
             lags = np.arange(16, 16 + values.size)
-        return NccfFrames(np.asarray(lags), values[None], np.array([short]))
+        return NccfFrames.from_values(np.asarray(lags), values[None], np.array([short]))
 
     def test_single_peak(self):
         values = np.zeros(100)
@@ -354,7 +420,7 @@ class TestPickCandidates:
         n = 2 * _BLOCK + 5
         values = np.zeros((n, 8))
         values[:, 3] = 0.9
-        frames = NccfFrames(np.arange(16, 24), values, np.arange(n) % 7 == 0)
+        frames = NccfFrames.from_values(np.arange(16, 24), values, np.arange(n) % 7 == 0)
         got = list(pick_candidates(frames))
         unvoiced, peak = PitchCandidate(0, VOICING_BIAS), PitchCandidate(19, 0.9)
         want = [[unvoiced] if t % 7 == 0 else [unvoiced, peak] for t in range(n)]
@@ -555,6 +621,28 @@ class TestTrackVoicing:
         b = track_voicing(w)
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.f0, b.f0)
+
+
+# tracemalloc peak growth of track_voicing per second of 8 kHz audio. The
+# lattice (16 bytes a candidate, about 9 candidates a frame on a voiced
+# laryngograph signal) is the only per-frame output; while pick_candidates
+# joins its blocks, about 24 bytes a candidate are held. Holding the whole
+# [T, L] NCCF matrix and the whole-signal energies grew by 0.245 MB/s.
+MB_PER_AUDIO_S = 0.05
+
+
+def test_memory_grows_with_the_lattice_only():
+    track_voicing(Waveform(np.ones(SR), SR))  # the cached transition table is made outside the measurement
+    peaks = []
+    for seconds in (30.0, 120.0):
+        _, laryn, _ = synth_utterance(5, 1, duration_sec=seconds, sample_rate=SR)
+        tracemalloc.start()
+        try:
+            track_voicing(laryn)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 90.0 < MB_PER_AUDIO_S, peaks
 
 
 class TestLagRange:
